@@ -1,11 +1,22 @@
 """Direct kinematic problem: all real workspace solutions for a joint target.
 
-The solver is dense multistart Newton: every node of a seed lattice over the
-workspace box is iterated on f(q) = target with the analytic Jacobian, then
-converged seeds are deduplicated (angle modulo 2*pi for the periodic
-families).  Iterations continue well past the acceptance tolerance so that
-seeds attracted to a multiple root collapse into a single tight cluster
-instead of a loose ring.
+The solver eliminates one coordinate exactly.  In every family one equation
+is linear in y, and substituting it into the other leaves one polynomial:
+
+* manipulators: u - v gives y = N(phi) / (2 (b1 + b2) sin phi), and the
+  u-equation times 4 (b1 + b2)^2 sin^2 phi is a trigonometric polynomial of
+  degree 3, i.e. of degree 6 in z = exp(i phi): at most six assembly modes;
+* complex square: y = v / (2x + 4b) gives 4 (x + 2b)^2 (x^2 + 4ax - u) - v^2;
+* quarto: y = (u - x^2) / (2a) gives (u - x^2)^2 + 4a^2 (2bx - v), with x
+  and y swapped when |a| < |b|; near a = b = 0, where this loses y, the
+  solutions of u = x^2, v = y^2 are added as candidates.
+
+A batch of targets is solved at once: the roots are the eigenvalues of
+stacked companion matrices, real roots are polished by Newton on the
+original system and accepted by residual, and the lines where the
+elimination divides by zero add explicit candidates.  Coinciding candidates,
+such as the double root over a point of the fold image, are merged, so each
+solution is reported once, and flagged when |J| vanishes there.
 """
 
 from __future__ import annotations
@@ -28,13 +39,26 @@ from .maps import (
 
 log = logging.getLogger(__name__)
 
-DEDUP_RADIUS = 1e-5
 SINGULAR_FLAG_FACTOR = 1e-6
+#: Roots within this distance of the unit circle (of the real axis, relative
+#: to their size, for the quartics) are polished as real candidates.
+ROOT_RING = 1e-3
+#: Solutions farther apart than this are never merged.
+MERGE_RADIUS = 1e-2
+POLISH_STEPS = 12
+#: Relative distance of the target from a division-by-zero line (of the
+#: quarto's coefficients from zero) within which the line's own candidates
+#: (the solutions of the a = b = 0 quarto) are polished too.
+LINE_BAND = 1e-6
 
 
 @dataclass(frozen=True)
 class DkpSolutionSet:
-    """All isolated real solutions of f(q) = target found in the box."""
+    """All real solutions of f(q) = target, sorted by (phi, y).
+
+    ``multiplicity_flags`` marks the solutions where |J| vanishes: multiple
+    roots, which lie on the singularity curve.
+    """
 
     target: JointPoint
     solutions: list[WorkspacePoint]
@@ -50,7 +74,8 @@ class CountMap:
     """Per-cell solution counts over a joint-space rectangle.
 
     ``counts[i, j]`` is the count at the center of cell (i, j); -1 marks a
-    cell whose solve failed.
+    cell with a solution outside the explicit workspace box.  Counts never
+    exceed 6, so they are stored as int8.
     """
 
     bounds: tuple[tuple[float, float], tuple[float, float]]
@@ -65,43 +90,232 @@ class CountMap:
         return us, vs
 
 
-def _newton_batch(family: MapFamily, seeds, target, *, max_iter=60, step_cap=2.0):
-    """Vectorized Newton on f(q) = target from all seeds simultaneously."""
-    q = np.array(seeds, dtype=float)
-    tu, tv = float(target[0]), float(target[1])
-    active = np.ones(len(q), dtype=bool)
-    target_scale = 1.0 + max(abs(tu), abs(tv))
-    for _ in range(max_iter):
-        qa = q[active]
-        if qa.size == 0:
-            break
-        u, v = family.evaluate(qa[:, 0], qa[:, 1])
-        r0 = u - tu
-        r1 = v - tv
-        jac = family.jacobian(qa[:, 0], qa[:, 1])
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        det = np.where(np.abs(det) < 1e-300, np.where(det < 0, -1e-300, 1e-300), det)
-        d0 = -(jac[:, 1, 1] * r0 - jac[:, 0, 1] * r1) / det
-        d1 = -(-jac[:, 1, 0] * r0 + jac[:, 0, 0] * r1) / det
-        norms = np.hypot(d0, d1)
-        over = norms > step_cap
-        if np.any(over):
-            scale = step_cap / norms[over]
-            d0[over] *= scale
-            d1[over] *= scale
-        qa[:, 0] += d0
-        qa[:, 1] += d1
-        q[active] = qa
-        resid = np.maximum(np.abs(r0), np.abs(r1))
-        still = (norms > 1e-14) & (resid > 1e-14 * target_scale)
-        still &= np.all(np.isfinite(qa), axis=1)
-        idx = np.flatnonzero(active)
-        active[idx[~still]] = False
-        if not np.any(active):
-            break
+def _companion_roots(coeffs):
+    """Roots of a batch of polynomials, coefficients (n, k + 1) highest first."""
+    k = coeffs.shape[1] - 1
+    comp = np.zeros((len(coeffs), k, k), dtype=coeffs.dtype)
+    comp[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    comp[:, 1:, :-1] = np.eye(k - 1)
+    return np.linalg.eigvals(comp)
+
+
+def _real_roots(coeffs):
+    """Near-real roots of real polynomials (n, k + 1); NaN elsewhere."""
+    x = _companion_roots(coeffs)
+    real = np.abs(x.imag) < ROOT_RING * (1.0 + np.abs(x.real))
+    return np.where(real, x.real, np.nan)
+
+
+def _manipulator_terms(family, phi, tu, tv):
+    """At the angles phi: D and N of the u - v equation D y = N, and p, c of
+    the u-equation y^2 + 2 p y + c = 0."""
+    a1, a2, b1, b2 = family.a1, family.a2, family.b1, family.b2
+    d = getattr(family, "d", 0.0)
+    s, c = np.sin(phi), np.cos(phi)
+    cap1 = b1 * c + d * s
+    k1 = a1 * a1 + b1 * b1 + d * d
+    k2 = a2 * a2 + b2 * b2 + d * d
+    num = tu - tv - (k1 - k2) + 2.0 * a1 * cap1 - 2.0 * a2 * (b2 * c - d * s)
+    return 2.0 * (b1 + b2) * s, num, b1 * s - d * c, k1 - 2.0 * a1 * cap1 - tu
+
+
+def _manipulator_lift(family, q, tu, tv):
+    den, num, _, _ = _manipulator_terms(family, q[..., 0], tu, tv)
+    return np.stack([q[..., 0], num / den], axis=-1)
+
+
+def _manipulator_candidates(family, tu, tv):
+    tu, tv = tu[:, None], tv[:, None]
+    # D^2 times the u-equation at y = N / D is a trigonometric polynomial of
+    # degree 3; times z^3 its Fourier coefficients C_3 .. C_-3 are a
+    # degree-6 polynomial in z = exp(i phi).
+    den, num, p, c = _manipulator_terms(family, 2.0 * math.pi * np.arange(7) / 7.0, tu, tv)
+    spectrum = np.fft.fft(num * num + 2.0 * num * p * den + c * den * den, axis=1)
+    z = _companion_roots(spectrum[:, [3, 2, 1, 0, 6, 5, 4]])
+    phi = np.where(np.abs(np.abs(z) - 1.0) < ROOT_RING, np.angle(z), np.nan)
+    roots = _manipulator_lift(family, phi[..., None], tu, tv)
+    # On sin(phi) = 0 the u - v equation no longer involves y, and where N
+    # vanishes there too the solutions are the roots of the u-equation, a
+    # quadratic in y.  With N far from zero the line holds no solution and
+    # the roots near it are accurate, so these candidates are tried only
+    # for targets close to it.
+    phi = np.array([0.0, 0.0, math.pi, math.pi])
+    _, num, p, c = _manipulator_terms(family, phi, tu, tv)
+    y = -p + np.sqrt(np.maximum(p * p - c, 0.0)) * np.array([1.0, -1.0, 1.0, -1.0])
+    y[np.abs(num) > LINE_BAND * (1.0 + np.abs(tu) + np.abs(tv))] = np.nan
+    line = np.stack(np.broadcast_arrays(phi, y), axis=-1)
+    return np.concatenate([roots, line], axis=1)
+
+
+def _square_lift(family, q, tu, tv):
+    x = q[..., 0]
+    return np.stack([x, tv / (2.0 * x + 4.0 * family.b)], axis=-1)
+
+
+def _square_candidates(family, tu, tv):
+    a, b = family.a, family.b
+    one = np.ones_like(tu)
+    x = _real_roots(np.stack(
+        [one, 4.0 * (a + b) * one, 4.0 * b * b + 16.0 * a * b - tu,
+         16.0 * a * b * b - 4.0 * b * tu, -4.0 * b * b * tu - 0.25 * tv * tv], axis=1))
+    roots = _square_lift(family, x[..., None], tu[:, None], tv[:, None])
+    # On 2x + 4b = 0 the v-equation no longer involves y; as for the
+    # manipulators, its candidates are tried only for v close to zero.
+    y = np.sqrt(np.maximum(4.0 * b * b - 8.0 * a * b - tu, 0.0))[:, None] * np.array([1.0, -1.0])
+    y[np.abs(tv) > LINE_BAND * (1.0 + np.abs(tu) + np.abs(tv))] = np.nan
+    line = np.stack(np.broadcast_arrays(-2.0 * b, y), axis=-1)
+    return np.concatenate([roots, line], axis=1)
+
+
+# (x, y) -> (x^2 + 2ay, y^2 + 2bx) is symmetric under swapping x with y, u
+# with v and a with b; the quarto eliminates along the larger coefficient.
+def _quarto_lift(family, q, tu, tv):
+    a, b = family.a, family.b
+    if abs(a) < abs(b):
+        return _quarto_lift(type(family)(b, a), q[..., ::-1], tv, tu)[..., ::-1]
+    x = q[..., 0]
+    return np.stack([x, (tu - x * x) / (2.0 * a)], axis=-1)
+
+
+def _quarto_candidates(family, tu, tv):
+    a, b = family.a, family.b
+    if abs(a) < abs(b):
+        return _quarto_candidates(type(family)(b, a), tv, tu)[..., ::-1]
+    one = np.ones_like(tu)
+    x = _real_roots(np.stack(
+        [one, 0.0 * one, -2.0 * tu, 8.0 * a * a * b * one, tu * tu - 4.0 * a * a * tv], axis=1))
+    roots = _quarto_lift(family, x[..., None], tu[:, None], tv[:, None])
+    # As a and b go to zero the elimination loses y, but the solutions
+    # approach those of u = x^2, v = y^2, exact at a = b = 0; for small a
+    # and b those are tried too.
+    x = np.sqrt(np.maximum(tu, 0.0))[:, None] * np.array([1.0, 1.0, -1.0, -1.0])
+    y = np.sqrt(np.maximum(tv, 0.0))[:, None] * np.array([1.0, -1.0, 1.0, -1.0])
+    x[abs(a) > LINE_BAND * np.sqrt(1.0 + np.abs(tu) + np.abs(tv))] = np.nan
+    return np.concatenate([roots, np.stack([x, y], axis=-1)], axis=1)
+
+
+#: Per family: the candidate generator, and the lift that recomputes the
+#: eliminated coordinate of a point from the linear equation.
+_ELIMINATION = {
+    "rpr2pr_exact": (_manipulator_candidates, _manipulator_lift),
+    "rpr2pr_offset": (_manipulator_candidates, _manipulator_lift),
+    "complex_square_unfolded": (_square_candidates, _square_lift),
+    "quarto_unfolded": (_quarto_candidates, _quarto_lift),
+}
+
+
+def _residual(family, q, tu, tv):
+    u, v = family.evaluate(q[..., 0], q[..., 1])
+    return np.maximum(np.abs(u - tu), np.abs(v - tv))
+
+
+def _polish(family, q, tu, tv):
+    """Newton on f(q) = target for flat candidates q (m, 2); a step is taken
+    only while it lowers the residual, so a candidate never gets worse."""
     u, v = family.evaluate(q[:, 0], q[:, 1])
-    resid = np.maximum(np.abs(u - tu), np.abs(v - tv))
+    r = np.stack([u - tu, v - tv], axis=-1)
+    resid = np.max(np.abs(r), axis=-1)
+    active = np.isfinite(resid)
+    resid[~active] = np.inf
+    for _ in range(POLISH_STEPS):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        jac = family.jacobian(q[idx, 0], q[idx, 1])
+        r0, r1 = r[idx, 0], r[idx, 1]
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        trial = q[idx] - np.stack([jac[:, 1, 1] * r0 - jac[:, 0, 1] * r1,
+                                   jac[:, 0, 0] * r1 - jac[:, 1, 0] * r0], axis=-1) / det[:, None]
+        u, v = family.evaluate(trial[:, 0], trial[:, 1])
+        trial_r = np.stack([u - tu[idx], v - tv[idx]], axis=-1)
+        trial_resid = np.max(np.abs(trial_r), axis=-1)
+        better = trial_resid < resid[idx]
+        moved = idx[better]
+        q[moved], r[moved], resid[moved] = trial[better], trial_r[better], trial_resid[better]
+        active[idx[~better]] = False
     return q, resid
+
+
+def _merge(family, q, resid, ok, tu, tv, tol_abs):
+    """Merge coinciding solutions per target.
+
+    Two accepted solutions coincide when they are closer than MERGE_RADIUS
+    and a point between them also solves the system within the tolerance:
+    the target is then on the fold image to within the tolerance and the
+    pair is one double root (or, at a cusp image, one triple root).  The
+    point tried is their midpoint, or the midpoint with its eliminated
+    coordinate lifted back onto the linear equation, which follows the
+    curved fiber of a triple root where the straight midpoint leaves it.
+
+    Returns the mask of one solution per cluster (n, m), and for it the
+    representative point, its residual and its |J|: of the cluster's points
+    and accepted in-between points, the one closest to singular, which for a
+    multiple root is the in-between point.
+    """
+    n, m = ok.shape
+    diag = np.eye(m, dtype=bool)
+    delta = coord_deltas(family, q[:, :, None, :], q[:, None, :, :])
+    near = ok[:, :, None] & ok[:, None, :] & (np.max(np.abs(delta), axis=-1) < MERGE_RADIUS)
+    b, i, j = np.nonzero(near & ~diag)
+    mid = q[b, j] + 0.5 * delta[b, i, j]
+    lifted = _ELIMINATION[family.kind][1](family, mid, tu[b], tv[b])
+    mid_resid = _residual(family, mid, tu[b], tv[b])
+    lifted_resid = _residual(family, lifted, tu[b], tv[b])
+    use_lifted = lifted_resid < mid_resid
+
+    # between[b, i, j] is the point tried between solutions i and j, and
+    # solution i itself on the diagonal.
+    between = np.repeat(q[:, :, None, :], m, axis=2)
+    between_resid = np.where(diag, resid[:, :, None], np.inf)
+    between[b, i, j] = np.where(use_lifted[:, None], lifted, mid)
+    between_resid[b, i, j] = np.where(use_lifted, lifted_resid, mid_resid)
+    link = between_resid < tol_abs
+    reach = link
+    for _ in range(math.ceil(math.log2(m))):
+        reach = np.matmul(reach.astype(np.int8), reach.astype(np.int8)) > 0
+    first = ok & (np.argmax(reach, axis=-1) == np.arange(m))
+
+    jdet = np.full((n, m, m), np.inf)
+    jdet[link] = np.abs(family.jdet(between[link][:, 0], between[link][:, 1]))
+    k = np.argmin(jdet, axis=-1)[..., None]
+    rep = np.take_along_axis(between, k[..., None], axis=2)[:, :, 0]
+    rep_resid = np.take_along_axis(between_resid, k, axis=2)[..., 0]
+    return first, rep, rep_resid, np.take_along_axis(jdet, k, axis=2)[..., 0]
+
+
+def _solve_batch(family: MapFamily, targets, box, tol):
+    """Solve f(q) = t for every row t of ``targets`` (n, 2).
+
+    Returns the mask of solutions (n, m) and, under it, their points
+    (n, m, 2), residuals and multiplicity flags, plus the mask of those
+    outside an explicit box.
+    """
+    tu, tv = targets[:, 0], targets[:, 1]
+    candidates, _ = _ELIMINATION[family.kind]
+    # Candidates off the real line or on a division-by-zero line are NaN or
+    # infinite; they fail the residual test instead of raising.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cand = candidates(family, tu, tv)
+        n, m, _ = cand.shape
+        q, resid = _polish(family, cand.reshape(-1, 2), np.repeat(tu, m), np.repeat(tv, m))
+        q, resid = q.reshape(n, m, 2), resid.reshape(n, m)
+        tol_abs = tol * (1.0 + np.maximum(np.abs(tu), np.abs(tv)))[:, None]
+        keep, q, resid, jdet = _merge(family, q, resid, resid < tol_abs, tu, tv,
+                                      tol_abs[:, :, None])
+    scales = reference_scales(family, box)
+    flags = jdet < SINGULAR_FLAG_FACTOR * max(1.0, scales.jdet)
+    if family.periodic:
+        q[..., 0] = canonical_phi(q[..., 0])
+
+    escaped = np.zeros_like(keep)
+    if box is not None:
+        (x0, x1), (y0, y1) = box
+        margin = 1e-9 * max(1.0, abs(x1 - x0), abs(y1 - y0))
+        escaped = (q[..., 1] < y0 - margin) | (q[..., 1] > y1 + margin)
+        if not (family.periodic and x1 - x0 >= 2.0 * math.pi - 1e-9):
+            escaped |= (q[..., 0] < x0 - margin) | (q[..., 0] > x1 + margin)
+        escaped &= keep
+    return keep, q, resid, flags, escaped
 
 
 def solve_dkp(
@@ -109,87 +323,30 @@ def solve_dkp(
     target,
     *,
     box=None,
-    seed_grid: int = 64,
     tol: float = 1e-9,
 ) -> DkpSolutionSet:
-    """Find all real workspace solutions of f(q) = target inside the box.
+    """Find all real workspace solutions of f(q) = target.
 
-    The box defaults to the family's canonical workspace box (angle window
-    [-pi/2, 3*pi/2) and |y| up to the reach bound for the manipulators).
-    Raises :class:`BoxTooSmall` when a converged solution lies outside the
-    box, reporting the escaping points.
+    With ``box=None`` every real solution is returned.  With an explicit box
+    the solutions must lie inside it: :class:`BoxTooSmall` is raised,
+    reporting the escaping points, when one does not.
     """
     target = JointPoint(float(target[0]), float(target[1]))
     if not (math.isfinite(target.u) and math.isfinite(target.v)):
         raise ValueError("target must be finite")
-    if box is None:
-        box = family.default_box()
-    (x0, x1), (y0, y1) = box
-
-    xs = x0 + (np.arange(seed_grid) + 0.5) * (x1 - x0) / seed_grid
-    ys = y0 + (np.arange(seed_grid) + 0.5) * (y1 - y0) / seed_grid
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    seeds = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    cap = 0.5 * math.hypot(x1 - x0, y1 - y0)
-
-    q, resid = _newton_batch(family, seeds, target, step_cap=cap)
-    target_scale = 1.0 + max(abs(target.u), abs(target.v))
-    ok = resid < tol * target_scale
-    q = q[ok]
-    resid = resid[ok]
-    if q.size == 0:
-        return DkpSolutionSet(target, [], [], [])
-
-    if family.periodic:
-        q[:, 0] = canonical_phi(q[:, 0])
-        margin = 1e-9 * max(1.0, abs(y1 - y0))
-        escaped = (q[:, 1] < y0 - margin) | (q[:, 1] > y1 + margin)
-        full_circle = (x1 - x0) >= 2.0 * math.pi - 1e-9
-        if not full_circle:
-            escaped |= (q[:, 0] < x0 - margin) | (q[:, 0] > x1 + margin)
-    else:
-        margin = 1e-9 * max(1.0, abs(x1 - x0), abs(y1 - y0))
-        escaped = ((q[:, 0] < x0 - margin) | (q[:, 0] > x1 + margin)
-                   | (q[:, 1] < y0 - margin) | (q[:, 1] > y1 + margin))
+    keep, q, resid, flags, escaped = _solve_batch(family, np.array([target]), box, tol)
     if np.any(escaped):
         pts = sorted({(round(p[0], 9), round(p[1], 9)) for p in q[escaped]})
         raise BoxTooSmall(
             f"{len(pts)} solution(s) of target {tuple(target)} escaped the box",
             escaped=[WorkspacePoint(*p) for p in pts])
-
-    # Converged seeds pile up machine-close on each solution; collapse them
-    # on a half-radius lattice first (keeping the best residual per cell),
-    # then run the exact periodic-metric dedup on the few representatives.
-    by_resid = np.argsort(resid, kind="stable")
-    q = q[by_resid]
-    resid = resid[by_resid]
-    lattice = np.round(q / (0.5 * DEDUP_RADIUS)).astype(np.int64)
-    _, first = np.unique(lattice, axis=0, return_index=True)
-    q = q[np.sort(first)]
-    resid = resid[np.sort(first)]
-    order = np.lexsort((resid, q[:, 1], q[:, 0]))
-    q = q[order]
-    resid = resid[order]
-    kept: list[int] = []
-    for i in range(len(q)):
-        dup = False
-        for j in kept:
-            delta = coord_deltas(family, q[i][None, :], q[j])[0]
-            if float(np.max(np.abs(delta))) < DEDUP_RADIUS:
-                dup = True
-                break
-        if not dup:
-            kept.append(i)
-
-    scales = reference_scales(family, box)
-    solutions, residuals, flags = [], [], []
-    for i in kept:
-        phi, y = float(q[i, 0]), float(q[i, 1])
-        jdet = abs(float(family.jdet(phi, y)))
-        flags.append(jdet < SINGULAR_FLAG_FACTOR * max(1.0, scales.jdet))
-        solutions.append(WorkspacePoint(phi, y))
-        residuals.append(float(resid[i]))
-    return DkpSolutionSet(target, solutions, residuals, flags)
+    idx = np.flatnonzero(keep[0])
+    idx = idx[np.lexsort((q[0, idx, 1], q[0, idx, 0]))]
+    return DkpSolutionSet(
+        target,
+        [WorkspacePoint(float(q[0, i, 0]), float(q[0, i, 1])) for i in idx],
+        [float(resid[0, i]) for i in idx],
+        [bool(flags[0, i]) for i in idx])
 
 
 def count_map(
@@ -198,13 +355,12 @@ def count_map(
     resolution,
     *,
     box=None,
-    seed_grid: int = 64,
     tol: float = 1e-9,
 ) -> CountMap:
     """Solution counts at the cell centers of a joint-space grid.
 
-    Failed cells (escaping solutions, non-finite targets) are recorded as -1
-    rather than aborting the sweep.
+    All cells are solved in one batch.  With an explicit box, a cell with a
+    solution outside it is recorded as -1 rather than aborting the sweep.
     """
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
@@ -212,15 +368,16 @@ def count_map(
     if nu < 8 or nv < 8:
         raise ValueError("resolution must be at least 8 per axis")
     (u0, u1), (v0, v1) = bounds
-    counts = np.zeros((nu, nv), dtype=int)
+    if not all(math.isfinite(w) for w in (u0, u1, v0, v1)):
+        raise ValueError("bounds must be finite")
     us = u0 + (np.arange(nu) + 0.5) * (u1 - u0) / nu
     vs = v0 + (np.arange(nv) + 0.5) * (v1 - v0) / nv
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            try:
-                counts[i, j] = len(
-                    solve_dkp(family, (u, v), box=box, seed_grid=seed_grid, tol=tol))
-            except BoxTooSmall as exc:
-                log.debug("cell (%d, %d): %s", i, j, exc)
-                counts[i, j] = -1
+    gu, gv = np.meshgrid(us, vs, indexing="ij")
+    keep, _, _, _, escaped = _solve_batch(
+        family, np.column_stack([gu.ravel(), gv.ravel()]), box, tol)
+    counts = np.sum(keep.reshape(nu, nv, -1), axis=-1, dtype=np.int8)
+    failed = np.any(escaped.reshape(nu, nv, -1), axis=-1)
+    if np.any(failed):
+        log.debug("%d cell(s) have solutions outside the box", int(np.sum(failed)))
+    counts[failed] = -1
     return CountMap(((float(u0), float(u1)), (float(v0), float(v1))), (nu, nv), counts)

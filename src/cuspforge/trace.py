@@ -21,13 +21,13 @@ import numpy as np
 from .dkp import solve_dkp
 from .errors import CuspforgeError
 from .maps import (
+    TWO_PI,
     JointPoint,
     MapFamily,
     WorkspacePoint,
     canonical_phi,
     coord_deltas,
     reference_scales,
-    wrap_delta,
 )
 from .singular import PointKind, SpecialPoint, find_special_points
 
@@ -39,7 +39,6 @@ KIND_CHARACTERISTIC = "characteristic"
 NODE_STOP_RADIUS = 1e-4
 MIN_STEP = 1e-12
 CHAIN_JUMP_FACTOR = 3.0
-SINGULAR_DROP_DISTANCE = 1e-3
 ISOLATION_RADIUS_FACTOR = 10.0
 
 
@@ -405,16 +404,15 @@ def image_curves(family: MapFamily, cs: CurveSet) -> JointCurveSet:
     return JointCurveSet(out, images)
 
 
-def _segment_distances(points, polyline_vertices):
-    """Min distance from each point to a polyline, over all its segments."""
-    p = np.asarray(points, float)[:, None, :]
-    a = polyline_vertices[None, :-1, :]
-    b = polyline_vertices[None, 1:, :]
-    ab = b - a
-    denom = np.maximum(np.sum(ab * ab, axis=-1), 1e-300)
-    t = np.clip(np.sum((p - a) * ab, axis=-1) / denom, 0.0, 1.0)
-    proj = a + t[..., None] * ab
-    return np.min(np.linalg.norm(p - proj, axis=-1), axis=1)
+def _sorted_window(family, xs, x, radius):
+    """Indices, in increasing order, of the ascending coordinates xs within
+    radius of x, the angle taken modulo 2*pi for the periodic families."""
+    idx = np.arange(np.searchsorted(xs, x - radius), np.searchsorted(xs, x + radius, "right"))
+    if family.periodic:
+        below = np.arange(np.searchsorted(xs, x + radius - TWO_PI, "right"))
+        above = np.arange(np.searchsorted(xs, x - radius + TWO_PI), len(xs))
+        idx = np.unique(np.concatenate([below, idx, above]))
+    return idx
 
 
 def characteristic_curves(
@@ -422,16 +420,17 @@ def characteristic_curves(
     cs: CurveSet,
     *,
     step: float | None = None,
-    seed_grid: int = 64,
     dkp_box=None,
 ) -> CurveSet:
     """Characteristic curves: the other preimages of the singular images.
 
     For every vertex p of every singularity branch, the direct kinematic
     problem is solved at eval_map(p) and all solutions that do not lie on
-    the singularity curve itself are collected, then chained into polylines
-    by nearest-neighbor continuation (maximum jump 3x the tracing step).
-    Vertices whose solve fails are skipped and logged.
+    the singularity curve itself (the ones not flagged as multiple roots)
+    are collected, then chained into polylines by nearest-neighbor
+    continuation (maximum jump 3x the tracing step).
+    With ``dkp_box=None`` every real preimage counts; with an explicit box,
+    vertices with a preimage outside it are skipped and logged.
     """
     singular = cs.by_kind(KIND_SINGULARITY)
     if not singular:
@@ -440,15 +439,6 @@ def characteristic_curves(
         spacing = [np.median(np.linalg.norm(np.diff(c.vertices, axis=0), axis=1))
                    for c in singular if len(c) > 1]
         step = float(np.median(spacing)) if spacing else 1e-2
-
-    if dkp_box is None:
-        if family.periodic:
-            dkp_box = family.default_box()
-        else:
-            xs = np.concatenate([c.vertices[:, 0] for c in singular])
-            ys = np.concatenate([c.vertices[:, 1] for c in singular])
-            half = 2.0 * max(1.0, float(np.max(np.abs(xs))), float(np.max(np.abs(ys))))
-            dkp_box = ((-half, half), (-half, half))
 
     scales = reference_scales(family, dkp_box)
     jtol = 1e-10 * max(1.0, scales.jdet)
@@ -474,51 +464,32 @@ def characteristic_curves(
         for vertex in source_points(poly):
             target = family.evaluate(vertex[0], vertex[1])
             try:
-                sols = solve_dkp(family, (float(target[0]), float(target[1])),
-                                 box=dkp_box, seed_grid=seed_grid)
+                sols = solve_dkp(family, (float(target[0]), float(target[1])), box=dkp_box)
             except CuspforgeError as exc:
                 log.debug("characteristic solve skipped at (%g, %g): %s",
                           vertex[0], vertex[1], exc)
                 continue
-            for sol in sols.solutions:
-                cloud.append([sol.phi, sol.y])
+            # The vertex's own preimage is a double root, reported once and
+            # flagged; so is every other preimage on the singularity curve.
+            cloud.extend([sol.phi, sol.y] for sol, on_curve
+                         in zip(sols.solutions, sols.multiplicity_flags) if not on_curve)
     if not cloud:
         return CurveSet([], [])
     cloud = np.array(cloud)
 
-    # Remove the singularity curve itself (and with it the seed vertices).
-    keep = np.ones(len(cloud), dtype=bool)
-    for poly in singular:
-        if len(poly) > 1:
-            if family.periodic:
-                # Compare against an unwrapped copy so seam jumps do not
-                # fabricate long spurious segments.
-                verts = poly.vertices.copy()
-                jumps = np.abs(np.diff(verts[:, 0]))
-                if np.any(jumps > math.pi):
-                    verts[:, 0] = verts[0, 0] + np.concatenate(
-                        [[0.0], np.cumsum(wrap_delta(np.diff(verts[:, 0])))])
-                shifts = (-2.0 * math.pi, 0.0, 2.0 * math.pi)
-                dists = np.min(np.stack(
-                    [_segment_distances(cloud + [s, 0.0], verts) for s in shifts]), axis=0)
-            else:
-                dists = _segment_distances(cloud, poly.vertices)
-            keep &= dists > SINGULAR_DROP_DISTANCE
-    cloud = cloud[keep]
-    if cloud.size == 0:
-        return CurveSet([], [])
-
     # Deduplicate near-identical points contributed by adjacent vertices.
-    order = np.lexsort((cloud[:, 1], cloud[:, 0]))
-    cloud = cloud[order]
-    kept_idx: list[int] = []
+    # Sorted by the first coordinate, the points within a radius of one
+    # another lie in a short index window, so only that window is searched.
+    cloud = cloud[np.lexsort((cloud[:, 1], cloud[:, 0]))]
+    radius = 0.05 * step
+    kept = np.ones(len(cloud), dtype=bool)
     for i in range(len(cloud)):
-        if kept_idx:
-            deltas = coord_deltas(family, cloud[kept_idx], cloud[i])
-            if float(np.min(np.max(np.abs(deltas), axis=1))) < 0.05 * step:
-                continue
-        kept_idx.append(i)
-    cloud = cloud[kept_idx]
+        prior = _sorted_window(family, cloud[:, 0], cloud[i, 0], radius)
+        prior = prior[(prior < i) & kept[prior]]
+        deltas = coord_deltas(family, cloud[prior], cloud[i])
+        if np.any(np.max(np.abs(deltas), axis=1) < radius):
+            kept[i] = False
+    cloud = cloud[kept]
 
     max_jump = CHAIN_JUMP_FACTOR * step
     unused = np.ones(len(cloud), dtype=bool)
@@ -530,7 +501,8 @@ def characteristic_curves(
         for grow_head in (False, True):
             while True:
                 end = cloud[chain[0] if grow_head else chain[-1]]
-                cand = np.flatnonzero(unused)
+                cand = _sorted_window(family, cloud[:, 0], end[0], max_jump)
+                cand = cand[unused[cand]]
                 if cand.size == 0:
                     break
                 deltas = coord_deltas(family, cloud[cand], end)

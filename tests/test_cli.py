@@ -151,6 +151,15 @@ class TestMonodromyCommand:
         assert "permutation cycles" in capsys.readouterr().out
 
 
+class TestReproduce:
+    def test_printed_total_counts_the_checks_that_ran(self, tmp_path, capsys):
+        assert main(["reproduce-paper", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        passes = sum(1 for line in out.splitlines() if line.startswith("PASS:"))
+        assert passes > 0 and "FAIL:" not in out
+        assert f"{passes}/{passes} checks passed" in out
+
+
 class TestErrorPaths:
     def test_config_error_is_exit_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "family = rpr2pr_exact\na1 = 3\n")

@@ -149,7 +149,7 @@ class TestSvgOutput:
     def test_joint_svg_with_count_layer(self, tmp_path, quarto_family, quarto_trace):
         jcs = image_curves(quarto_family, quarto_trace)
         cm = count_map(quarto_family, ((-2.0, 6.0), (-2.0, 6.0)), 8,
-                       box=((-6.0, 6.0), (-6.0, 6.0)), seed_grid=32)
+                       box=((-6.0, 6.0), (-6.0, 6.0)))
         path = tmp_path / "joint.svg"
         joint_plot(path, quarto_family, ((-2.0, 6.0), (-2.0, 6.0)), jcs, countmap=cm)
         root = ET.parse(path).getroot()

@@ -10,10 +10,13 @@ from cuspforge import (
     image_curves,
     make_family,
     solve_dkp,
+    trace_singularity_curves,
 )
 from cuspforge.maps import coord_deltas
 
+from conftest import PAPER_BOX
 from gridscan import grid_count
+from multistart import multistart_solutions
 
 WIDE_BOX = ((-10.0, 10.0), (-10.0, 10.0))
 
@@ -99,6 +102,15 @@ class TestSolutionQuality:
                 if len(deltas):
                     assert np.min(np.max(np.abs(deltas), axis=1)) > 1e-5
 
+    def test_no_box_returns_every_real_solution(self):
+        # (30, 5) has a preimage near (-7.84, -0.25), outside the default
+        # (-6, 6)^2 box of this square but inside WIDE_BOX.
+        fam = make_family("complex_square_unfolded", a=1.0, b=-1.0)
+        sols = solve_dkp(fam, (30.0, 5.0))
+        assert len(sols) == grid_count(fam, (30.0, 5.0), box=WIDE_BOX) > 0
+        with pytest.raises(BoxTooSmall):
+            solve_dkp(fam, (30.0, 5.0), box=fam.default_box())
+
     def test_escaping_solution_raises_box_too_small(self):
         fam = make_family("quarto_unfolded", a=0.0, b=0.0)
         with pytest.raises(BoxTooSmall) as err:
@@ -110,21 +122,66 @@ class TestSolutionQuality:
             solve_dkp(exact_family, (math.inf, 1.0))
 
 
+class TestFoldImage:
+    def test_double_root_is_reported_once_and_flagged(self, offset_family,
+                                                       offset_specials):
+        # Over a singular vertex p the two preimages near p coincide: the
+        # solver must return that double root once, flagged, not a ring of
+        # near-copies.
+        cs = trace_singularity_curves(offset_family, PAPER_BOX, 0.8,
+                                      specials=offset_specials)
+        vertices = np.concatenate([c.vertices for c in cs.curves])
+        assert len(vertices) > 50
+        for p in vertices:
+            sols = solve_dkp(offset_family, eval_map(offset_family, p))
+            pts = np.array([[s.phi, s.y] for s in sols.solutions])
+            near = np.flatnonzero(
+                np.linalg.norm(coord_deltas(offset_family, pts, p), axis=1) < 1e-3)
+            assert len(near) == 1, f"vertex {p}"
+            assert sols.multiplicity_flags[near[0]], f"vertex {p}"
+
+
+class TestDegenerateLines:
+    """Targets whose solutions lie where the elimination divides by zero."""
+
+    @staticmethod
+    def _assert_found(family, q, box=None):
+        target = eval_map(family, q)
+        sols = solve_dkp(family, target, box=box)
+        pts = np.array([[s.phi, s.y] for s in sols.solutions])
+        assert np.min(np.linalg.norm(coord_deltas(family, pts, np.array(q)), axis=1)) < 1e-9
+        assert len(sols) == grid_count(family, target, box=box)
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi])
+    def test_manipulators_at_sin_phi_zero(self, exact_family, offset_family, phi):
+        for family in (exact_family, offset_family):
+            for y in (-4.0, 1.3, 6.5):
+                self._assert_found(family, (phi, y))
+
+    def test_complex_square_on_its_division_line(self, square_family):
+        # x = -2b = 2 makes 2x + 4b vanish; (2, y) and (2, -y) share an image.
+        for y in (0.5, 1.5, 3.0):
+            self._assert_found(square_family, (2.0, y), WIDE_BOX)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (0.0, 0.7), (0.0, -1.3), (1e-9, 1e-9)])
+    def test_quarto_at_and_near_a_zero(self, a, b):
+        family = make_family("quarto_unfolded", a=a, b=b)
+        for q in ((1.2, 0.8), (-0.6, 2.1), (2.0, -1.5)):
+            self._assert_found(family, q, WIDE_BOX)
+
+
 class TestOracleAgreement:
-    @pytest.mark.parametrize("name", ["exact", "offset", "square", "quarto"])
-    def test_counts_match_grid_scan(self, name, request, exact_trace, offset_trace,
-                                    square_trace, quarto_trace):
-        family = request.getfixturevalue(f"{name}_family")
-        trace = {"exact": exact_trace, "offset": offset_trace,
-                 "square": square_trace, "quarto": quarto_trace}[name]
+    @staticmethod
+    def _off_image_solves(family, trace, rng, count):
+        """(target, box, solver count) for ``count`` random targets farther
+        than 1e-3 from the fold image whose solutions stay in the box."""
         jcs = image_curves(family, trace)
         if family.periodic:
             window, box = ((0.0, 230.0), (0.0, 230.0)), None
         else:
             window, box = ((-15.0, 15.0), (-15.0, 15.0)), WIDE_BOX
-        rng = np.random.default_rng(hash(name) % 2**32)
-        checked = 0
-        while checked < 10:
+        found = 0
+        while found < count:
             target = (rng.uniform(*window[0]), rng.uniform(*window[1]))
             if image_distance(jcs, target) < 1e-3:
                 continue
@@ -132,10 +189,31 @@ class TestOracleAgreement:
                 n_solver = len(solve_dkp(family, target, box=box))
             except BoxTooSmall:
                 continue
+            found += 1
+            yield target, box, n_solver
+
+    @pytest.mark.parametrize("name", ["exact", "offset", "square", "quarto"])
+    def test_counts_match_grid_scan(self, name, request, exact_trace, offset_trace,
+                                    square_trace, quarto_trace):
+        family = request.getfixturevalue(f"{name}_family")
+        trace = {"exact": exact_trace, "offset": offset_trace,
+                 "square": square_trace, "quarto": quarto_trace}[name]
+        rng = np.random.default_rng(hash(name) % 2**32)
+        for target, box, n_solver in self._off_image_solves(family, trace, rng, 10):
             n_oracle = grid_count(family, target, box=box)
             assert n_solver == n_oracle, f"target {target}"
             assert n_solver % 2 == 0
-            checked += 1
+
+    @pytest.mark.parametrize("seed, name", enumerate(["exact", "offset", "square", "quarto"]))
+    def test_elimination_matches_multistart_and_grid_scan(
+            self, seed, name, request, exact_trace, offset_trace, square_trace, quarto_trace):
+        family = request.getfixturevalue(f"{name}_family")
+        trace = {"exact": exact_trace, "offset": offset_trace,
+                 "square": square_trace, "quarto": quarto_trace}[name]
+        rng = np.random.default_rng(seed)
+        for target, box, n_solver in self._off_image_solves(family, trace, rng, 6):
+            assert n_solver == len(multistart_solutions(family, target, box=box)), target
+            assert n_solver == grid_count(family, target, box=box), target
 
     @staticmethod
     def _counts_across_curve(family, jcs, curve_index, fraction, offset):
@@ -169,16 +247,16 @@ class TestOracleAgreement:
 class TestCountMap:
     def test_cells_match_individual_solves(self, exact_family):
         bounds = ((0.0, 200.0), (0.0, 200.0))
-        cm = count_map(exact_family, bounds, 8, seed_grid=48)
+        cm = count_map(exact_family, bounds, 8)
         us, vs = cm.cell_centers()
         rng = np.random.default_rng(50)
         for _ in range(6):
             i, j = rng.integers(0, 8, 2)
             assert cm.counts[i, j] == len(
-                solve_dkp(exact_family, (us[i], vs[j]), seed_grid=48))
+                solve_dkp(exact_family, (us[i], vs[j])))
 
     def test_counts_in_expected_range(self, exact_family):
-        cm = count_map(exact_family, ((0.0, 200.0), (0.0, 200.0)), 8, seed_grid=48)
+        cm = count_map(exact_family, ((0.0, 200.0), (0.0, 200.0)), 8)
         assert set(np.unique(cm.counts)).issubset({-1, 0, 1, 2, 3, 4, 5, 6})
 
     def test_resolution_validation(self, exact_family):

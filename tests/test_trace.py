@@ -136,6 +136,15 @@ class TestCharacteristicCurves:
                                     for c in chars.curves)
         self._assert_cusp_tangency(square_family, cs, chars, step)
 
+    def test_tangency_at_cusps_complex_square_without_box(self, square_family):
+        # Without a dkp_box every real preimage counts, including the partner
+        # (-6, 0) of the cusp (2, 0), which lies on the edge of the family's
+        # default box.
+        step = 0.05
+        cs = trace_singularity_curves(square_family, NORMAL_BOX, step)
+        chars = characteristic_curves(square_family, cs)
+        self._assert_cusp_tangency(square_family, cs, chars, step)
+
     def test_tangency_at_cusps_offset_manipulator(self, offset_family):
         step = 0.06
         cs = trace_singularity_curves(offset_family, PAPER_BOX, step)
