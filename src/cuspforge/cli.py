@@ -14,10 +14,6 @@ reproduce-paper
 
 Exit codes: 0 success (possibly with warnings), 1 configuration error,
 2 solver failure or failed reproduction check.
-
-The environment variable CUSPFORGE_THREADS caps worker parallelism.  All
-current pipelines are sequential numpy, which trivially respects any cap;
-the value is validated and kept for future use.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -40,26 +35,10 @@ from .config import (
 )
 from .dkp import count_map, solve_dkp
 from .errors import ConfigError, CuspforgeError
-from .maps import JointPoint, make_family
+from .maps import JointPoint, make_family, point_distances
 from .monodromy import JointLoop, circle_loop, lift_loop, loop_clearance, loop_permutation
 from .singular import DISPLAY_NAMES, PointKind, classify_point, find_special_points
 from .trace import characteristic_curves, image_curves, trace_singularity_curves
-
-THREAD_CAP = 1
-
-
-def _read_thread_cap() -> int:
-    raw = os.environ.get("CUSPFORGE_THREADS")
-    if raw is None:
-        return max(os.cpu_count() or 1, 1)
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        print(f"warning: ignoring invalid CUSPFORGE_THREADS={raw!r}", file=sys.stderr)
-        return max(os.cpu_count() or 1, 1)
-    return cap
 
 
 def _parse_pair(text, what):
@@ -204,11 +183,9 @@ def _loop_from_args(args) -> JointLoop:
         rows = []
         with open(args.loop_csv, newline="", encoding="utf-8") as fh:
             for row in csv.reader(fh):
-                if not row or not row[0].strip() or row[0].strip().lstrip("-").split(".")[0] in ("u",):
-                    continue
                 try:
                     rows.append((float(row[0]), float(row[1])))
-                except ValueError:
+                except (IndexError, ValueError):  # blank, short or header rows
                     continue
         if len(rows) < 3:
             raise ConfigError("loop CSV needs at least 3 numeric (u, v) rows")
@@ -248,9 +225,7 @@ def cmd_monodromy(args) -> int:
         for i, s in enumerate(perm.solutions):
             print(f"  [{i}] {family.input_names[0]}={s.phi: .9f} y={s.y: .9f} "
                   f"-> [{perm.mapping[i]}]")
-        lifts = []
-        for s in perm.solutions:
-            lifts.append(lift_loop(family, loop, s, tol=cfg.tol or 1e-9).path)
+        lifts = [lift.path for lift in perm.lifts]
         with open(out / "monodromy_permutation.csv", "w", newline="",
                   encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -278,10 +253,17 @@ class _Report:
             self.failures += 1
 
 
-def _reproduce_manipulator_exact(out: Path, report: _Report, full: bool):
-    family = make_family("rpr2pr_exact", a1=3.0, a2=7.0, b1=6.0, b2=5.0)
-    box = ((-math.pi / 2.0, 3.0 * math.pi / 2.0), (-8.0, 8.0))
-    points = find_special_points(family, box)
+def _swaps_two(perm) -> bool:
+    return (not perm.is_identity()) and perm.compose(perm).is_identity()
+
+
+def _reach_image(family):
+    """Image of the singular set over the family's whole reach box."""
+    return image_curves(family, trace_singularity_curves(
+        family, specials=find_special_points(family)))
+
+
+def _check_exact(report: _Report, family, points, cs, jcs):
     report.check(len(points) == 2, "in-line manipulator: exactly 2 special points")
     kinds = sorted(p.kind.value for p in points)
     report.check(kinds == ["corank2_elliptic", "corank2_hyperbolic"],
@@ -290,50 +272,33 @@ def _reproduce_manipulator_exact(out: Path, report: _Report, full: bool):
     if hyper:
         report.check(abs(hyper[0].delta - 13489.0) < 1e-6 * 13489.0,
                      "in-line manipulator: node discriminant = 13489")
-    cs = trace_singularity_curves(family, box, specials=points)
     report.check(len(cs.isolated_points) == 1,
                  "in-line manipulator: one isolated singular point")
     report.check(sum(len(c.cusp_indices) for c in cs.curves) == 0,
                  "in-line manipulator: no cusps")
-    jcs = image_curves(family, cs)
-    characteristics = characteristic_curves(family, cs) if full else None
-    output.workspace_plot(out / "exact_workspace.svg", family, box, cs,
-                          characteristics=characteristics)
-    cm = count_map(family, _auto_joint_bounds(jcs), 32) if full else None
-    output.joint_plot(out / "exact_joint.svg", family, _auto_joint_bounds(jcs), jcs,
-                      countmap=cm)
-    output.write_special_points_csv(out / "exact_points.csv", points)
-    output.write_curves_csv(out / "exact_workspace.csv", cs, family.input_names)
-    output.write_curves_csv(out / "exact_joint.csv", jcs, family.output_names)
 
     # Double loop around the image of the isolated point.  Clearance is
     # measured against the image of the full singular set (reach box), not
     # just the branches clipped to the plotting window.
     target = JointPoint(81.0, 144.0)
-    full_jcs = image_curves(family, trace_singularity_curves(
-        family, specials=find_special_points(family)))
-    pts = np.concatenate([c.vertices for c in full_jcs.curves])
+    pts = np.concatenate([c.vertices for c in _reach_image(family).curves])
     clearance = float(np.min(np.linalg.norm(pts - np.array(target), axis=1)))
-    loop = circle_loop(target, 0.4 * clearance)
-    perm = loop_permutation(family, loop)
-    ok = (not perm.is_identity()) and perm.compose(perm).is_identity()
-    report.check(ok, "in-line manipulator: loop around the multiple image swaps "
-                     "two solutions and squares to the identity")
+    perm = loop_permutation(family, circle_loop(target, 0.4 * clearance))
+    report.check(_swaps_two(perm), "in-line manipulator: loop around the multiple image "
+                                   "swaps two solutions and squares to the identity")
 
 
-def _reproduce_manipulator_offset(out: Path, report: _Report, full: bool):
-    family = make_family("rpr2pr_offset", a1=3.0, a2=7.0, b1=6.0, b2=5.0, d=3.0)
-    box = ((-math.pi / 2.0, 3.0 * math.pi / 2.0), (-8.0, 8.0))
-    points = find_special_points(family, box)
-    cusps = [p for p in points if p.kind == PointKind.CUSP]
+OFFSET_PAPER_CUSPS = ((-0.0023, 2.9069), (2.6492, -2.2190), (3.5464, -1.2968),
+                      (3.0855, 2.6935))
+
+
+def _check_offset(report: _Report, family, points, cs, jcs):
+    cusps = np.array([p.location for p in points if p.kind == PointKind.CUSP]).reshape(-1, 2)
     report.check(len(points) == 4 and len(cusps) == 4,
                  "offset manipulator: exactly 4 special points, all cusps")
-    expected = [(-0.0023, 2.9069), (2.6492, -2.2190), (3.5464, -1.2968),
-                (3.0855, 2.6935)]
-    found = sorted((round(p.location.phi, 4), round(p.location.y, 4)) for p in cusps)
-    report.check(found == sorted(expected),
+    dists = point_distances(family, cusps[:, None, :], np.array(OFFSET_PAPER_CUSPS))
+    report.check(len(cusps) == 4 and bool(np.all(np.min(dists, axis=0) < 1e-3)),
                  "offset manipulator: cusp coordinates match to 1e-3")
-    cs = trace_singularity_curves(family, box, specials=points)
     ovals = [c for c in cs.curves if c.closed]
     report.check(len(ovals) == 1 and len(ovals[0].cusp_indices) == 3,
                  "offset manipulator: one oval carrying 3 cusps")
@@ -341,92 +306,86 @@ def _reproduce_manipulator_offset(out: Path, report: _Report, full: bool):
     report.check(open_counts.count(1) == 1 and sum(open_counts) == 1,
                  "offset manipulator: exactly one open branch carries the fourth cusp")
     report.check(len(cs.isolated_points) == 0, "offset manipulator: no isolated points")
-    jcs = image_curves(family, cs)
-    characteristics = characteristic_curves(family, cs) if full else None
-    output.workspace_plot(out / "offset_workspace.svg", family, box, cs,
-                          characteristics=characteristics)
-    cm = count_map(family, _auto_joint_bounds(jcs), 32) if full else None
-    output.joint_plot(out / "offset_joint.svg", family, _auto_joint_bounds(jcs), jcs,
-                      countmap=cm)
-    output.write_special_points_csv(out / "offset_points.csv", points)
-    output.write_curves_csv(out / "offset_workspace.csv", cs, family.input_names)
-    output.write_curves_csv(out / "offset_joint.csv", jcs, family.output_names)
 
-    full_jcs = image_curves(family, trace_singularity_curves(
-        family, specials=find_special_points(family)))
+    full_jcs = _reach_image(family)
     oval_image = [c for c in full_jcs.curves if c.closed][0].vertices
     centroid = oval_image.mean(axis=0)
     r_in = float(np.max(np.linalg.norm(oval_image - centroid, axis=1)))
     others = [c.vertices for c in full_jcs.curves if not c.closed]
     r_out = min(float(np.min(np.linalg.norm(v - centroid, axis=1))) for v in others)
-    loop = circle_loop(tuple(centroid), math.sqrt(r_in * r_out))
-    perm = loop_permutation(family, loop)
-    ok = (not perm.is_identity()) and perm.compose(perm).is_identity()
-    report.check(ok, "offset manipulator: loop around the deltoid swaps two "
-                     "solutions and squares to the identity")
+    perm = loop_permutation(family, circle_loop(tuple(centroid), math.sqrt(r_in * r_out)))
+    report.check(_swaps_two(perm), "offset manipulator: loop around the deltoid swaps two "
+                                   "solutions and squares to the identity")
 
 
-def _reproduce_complex_square(out: Path, report: _Report, full: bool):
-    family = make_family("complex_square_unfolded", a=1.0, b=-1.0)
-    box = ((-4.0, 4.0), (-4.0, 4.0))
-    points = find_special_points(family, box)
+def _check_square(report: _Report, family, points, cs, jcs):
     cusps = [p for p in points if p.kind == PointKind.CUSP]
     on_circle = all(abs(math.hypot(p.location.phi, p.location.y) - 2.0) < 1e-8
                     for p in cusps)
     report.check(len(cusps) == 3 and len(points) == 3 and on_circle,
                  "unfolded complex square: 3 cusps on the singular circle")
-    cs = trace_singularity_curves(family, box, specials=points)
     closed = [c for c in cs.curves if c.closed]
     report.check(len(cs.curves) == 1 and len(closed) == 1
                  and len(closed[0].cusp_indices) == 3,
                  "unfolded complex square: one closed singular curve with 3 cusps")
-    jcs = image_curves(family, cs)
-    characteristics = characteristic_curves(family, cs) if full else None
-    output.workspace_plot(out / "square_workspace.svg", family, box, cs,
-                          characteristics=characteristics)
-    output.joint_plot(out / "square_joint.svg", family, _auto_joint_bounds(jcs), jcs)
-    output.write_special_points_csv(out / "square_points.csv", points)
-    output.write_curves_csv(out / "square_workspace.csv", cs, family.input_names)
-    output.write_curves_csv(out / "square_joint.csv", jcs, family.output_names)
 
     deltoid = jcs.curves[0].vertices
     centroid = deltoid.mean(axis=0)
     radius = 1.2 * float(np.max(np.linalg.norm(deltoid - centroid, axis=1)))
     perm = loop_permutation(family, circle_loop(tuple(centroid), radius))
-    ok = (len(perm.solutions) == 2 and not perm.is_identity()
-          and perm.compose(perm).is_identity())
-    report.check(ok, "unfolded complex square: circling the deltoid swaps the two "
-                     "outer preimages")
+    report.check(len(perm.solutions) == 2 and _swaps_two(perm),
+                 "unfolded complex square: circling the deltoid swaps the two "
+                 "outer preimages")
 
 
-def _reproduce_quarto(out: Path, report: _Report, full: bool):
-    family = make_family("quarto_unfolded", a=1.0, b=1.0)
-    box = ((-4.0, 4.0), (-4.0, 4.0))
-    points = find_special_points(family, box)
+def _check_quarto(report: _Report, family, points, cs, jcs):
     cusps = [p for p in points if p.kind == PointKind.CUSP]
     on_hyperbola = all(abs(p.location.phi * p.location.y - 1.0) < 1e-8 for p in cusps)
     report.check(len(points) == 1 and len(cusps) == 1 and on_hyperbola,
                  "unfolded quarto: one cusp on the singular hyperbola")
-    cs = trace_singularity_curves(family, box, specials=points)
     report.check(len(cs.curves) == 2 and all(not c.closed for c in cs.curves),
                  "unfolded quarto: two open hyperbola branches")
+
+
+PAPER_BOX = ((-math.pi / 2.0, 3.0 * math.pi / 2.0), (-8.0, 8.0))
+NORMAL_BOX = ((-4.0, 4.0), (-4.0, 4.0))
+MANIPULATOR = dict(a1=3.0, a2=7.0, b1=6.0, b2=5.0)
+
+#: The reference instances: file prefix, family kind, parameters, workspace
+#: box, whether ``--full`` adds a count map to the joint figure, and checks.
+PAPER_INSTANCES = (
+    ("exact", "rpr2pr_exact", MANIPULATOR, PAPER_BOX, True, _check_exact),
+    ("offset", "rpr2pr_offset", dict(MANIPULATOR, d=3.0), PAPER_BOX, True, _check_offset),
+    ("square", "complex_square_unfolded", dict(a=1.0, b=-1.0), NORMAL_BOX, False,
+     _check_square),
+    ("quarto", "quarto_unfolded", dict(a=1.0, b=1.0), NORMAL_BOX, False, _check_quarto),
+)
+
+
+def _reproduce_instance(out: Path, report: _Report, full: bool,
+                        name, kind, params, box, with_counts, checks):
+    """Locate, trace and plot one instance, write its data, then check it."""
+    family = make_family(kind, **params)
+    points = find_special_points(family, box)
+    cs = trace_singularity_curves(family, box, specials=points)
     jcs = image_curves(family, cs)
     characteristics = characteristic_curves(family, cs) if full else None
-    output.workspace_plot(out / "quarto_workspace.svg", family, box, cs,
+    bounds = _auto_joint_bounds(jcs)
+    cm = count_map(family, bounds, 32) if full and with_counts else None
+    output.workspace_plot(out / f"{name}_workspace.svg", family, box, cs,
                           characteristics=characteristics)
-    output.joint_plot(out / "quarto_joint.svg", family, _auto_joint_bounds(jcs), jcs)
-    output.write_special_points_csv(out / "quarto_points.csv", points)
-    output.write_curves_csv(out / "quarto_workspace.csv", cs, family.input_names)
-    output.write_curves_csv(out / "quarto_joint.csv", jcs, family.output_names)
+    output.joint_plot(out / f"{name}_joint.svg", family, bounds, jcs, countmap=cm)
+    output.write_special_points_csv(out / f"{name}_points.csv", points)
+    output.write_curves_csv(out / f"{name}_workspace.csv", cs, family.input_names)
+    output.write_curves_csv(out / f"{name}_joint.csv", jcs, family.output_names)
+    checks(report, family, points, cs, jcs)
 
 
 def cmd_reproduce(args) -> int:
     out = _outdir(args)
     report = _Report()
-    _reproduce_manipulator_exact(out, report, args.full)
-    _reproduce_manipulator_offset(out, report, args.full)
-    _reproduce_complex_square(out, report, args.full)
-    _reproduce_quarto(out, report, args.full)
+    for instance in PAPER_INSTANCES:
+        _reproduce_instance(out, report, args.full, *instance)
     print(f"{report.checks - report.failures}/{report.checks} checks passed; "
           f"figures in {out}/")
     return 0 if report.failures == 0 else 2
@@ -435,9 +394,7 @@ def cmd_reproduce(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cuspforge",
-        description="Singularity analysis of planar 2-dof inverse-kinematic maps.",
-        epilog="CUSPFORGE_THREADS caps worker parallelism (current pipelines are "
-               "sequential).")
+        description="Singularity analysis of planar 2-dof inverse-kinematic maps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, config_required=True):
@@ -502,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    global THREAD_CAP
-    THREAD_CAP = _read_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,6 +14,7 @@ at every point of a family, so signs are globally consistent.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -66,11 +67,12 @@ def wrap_delta(dphi):
     return np.mod(np.asarray(dphi, dtype=float) + math.pi, TWO_PI) - math.pi
 
 
-def _reduce_angle(phi):
+def _sincos(phi):
     # fmod is exact, so evaluation is exactly periodic at the float level
     # (the correction to [0, 2*pi) keeps one representative per residue).
     r = np.fmod(np.asarray(phi, dtype=float), TWO_PI)
-    return np.where(r < 0.0, r + TWO_PI, r)
+    r = np.where(r < 0.0, r + TWO_PI, r)
+    return np.sin(r), np.cos(r)
 
 
 def _pack22(a00, a01, a10, a11):
@@ -121,14 +123,14 @@ class Rpr2PrExact:
         return (PHI_WINDOW, (-self.reach, self.reach))
 
     def evaluate(self, phi, y):
-        s, c = np.sin(_reduce_angle(phi)), np.cos(_reduce_angle(phi))
+        s, c = _sincos(phi)
         y = np.asarray(y, dtype=float)
         u = y * y + 2.0 * self.b1 * y * s + self.a1**2 + self.b1**2 - 2.0 * self.a1 * self.b1 * c
         v = y * y - 2.0 * self.b2 * y * s + self.a2**2 + self.b2**2 - 2.0 * self.a2 * self.b2 * c
         return u, v
 
     def jacobian(self, phi, y):
-        s, c = np.sin(_reduce_angle(phi)), np.cos(_reduce_angle(phi))
+        s, c = _sincos(phi)
         y = np.asarray(y, dtype=float)
         return _pack22(
             2.0 * (self.b1 * y * c + self.a1 * self.b1 * s),
@@ -138,7 +140,7 @@ class Rpr2PrExact:
         )
 
     def hessian(self, phi, y):
-        s, c = np.sin(_reduce_angle(phi)), np.cos(_reduce_angle(phi))
+        s, c = _sincos(phi)
         y = np.asarray(y, dtype=float)
         two = np.full(np.broadcast_shapes(s.shape, y.shape), 2.0)
         h0 = _sym22(-2.0 * self.b1 * y * s + 2.0 * self.a1 * self.b1 * c, 2.0 * self.b1 * c, two)
@@ -146,7 +148,7 @@ class Rpr2PrExact:
         return _pack222(h0, h1)
 
     def jdet(self, phi, y):
-        s, c = np.sin(_reduce_angle(phi)), np.cos(_reduce_angle(phi))
+        s, c = _sincos(phi)
         y = np.asarray(y, dtype=float)
         kbb = self.b1 + self.b2
         kab = self.a1 * self.b1 - self.a2 * self.b2
@@ -154,7 +156,7 @@ class Rpr2PrExact:
         return kbb * c * y * y + kab * s * y - ka * self.b1 * self.b2 * s * s
 
     def jdet_grad(self, phi, y):
-        s, c = np.sin(_reduce_angle(phi)), np.cos(_reduce_angle(phi))
+        s, c = _sincos(phi)
         y = np.asarray(y, dtype=float)
         kbb = self.b1 + self.b2
         kab = self.a1 * self.b1 - self.a2 * self.b2
@@ -164,7 +166,7 @@ class Rpr2PrExact:
         return jphi, jy
 
     def jdet_hess(self, phi, y):
-        s, c = np.sin(_reduce_angle(phi)), np.cos(_reduce_angle(phi))
+        s, c = _sincos(phi)
         y = np.asarray(y, dtype=float)
         kbb = self.b1 + self.b2
         kab = self.a1 * self.b1 - self.a2 * self.b2
@@ -210,7 +212,7 @@ class Rpr2PrOffset:
         return (PHI_WINDOW, (-self.reach, self.reach))
 
     def _axes(self, phi):
-        s, c = np.sin(_reduce_angle(phi)), np.cos(_reduce_angle(phi))
+        s, c = _sincos(phi)
         p1 = self.b1 * s - self.d * c
         cap1 = self.b1 * c + self.d * s
         p2 = self.b2 * s + self.d * c
@@ -455,10 +457,36 @@ def coord_deltas(family: MapFamily, pts, ref):
     return delta
 
 
-def point_distance(family: MapFamily, p, q, ord=2):
-    """Distance between workspace points in the family's periodic metric."""
-    delta = coord_deltas(family, np.asarray(p, float)[None, :], np.asarray(q, float))
-    return float(np.linalg.norm(delta[0], ord=ord))
+def point_distances(family: MapFamily, pts, ref):
+    """Distances pts - ref in the family's periodic metric, over the last axis."""
+    return np.linalg.norm(coord_deltas(family, pts, ref), axis=-1)
+
+
+def dedup_mask(family: MapFamily, pts, radius):
+    """Mask of the rows of the (n, 2) ``pts`` kept by a greedy pass in input
+    order: a row is dropped when it lies within ``radius`` (max-norm, angle
+    modulo 2*pi) of an earlier kept row, so each cluster keeps its first row.
+
+    Each row is compared only with the kept rows in a window of the first
+    coordinate, found by bisection in their sorted keys.
+    """
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    key = np.mod(pts[:, 0], TWO_PI) if family.periodic else pts[:, 0]
+    kept = np.zeros(len(pts), dtype=bool)
+    keys: list[float] = []  # first coordinates of the kept rows, ascending
+    rows: list[int] = []    # the kept rows in the same order
+    for i, k in enumerate(key.tolist()):
+        near = rows[bisect.bisect_left(keys, k - radius):bisect.bisect_right(keys, k + radius)]
+        if family.periodic:
+            near += rows[:bisect.bisect_right(keys, k + radius - TWO_PI)]
+            near += rows[bisect.bisect_left(keys, k - radius + TWO_PI):]
+        if near and np.abs(coord_deltas(family, pts[near], pts[i])).max(axis=1).min() < radius:
+            continue
+        at = bisect.bisect_right(keys, k)
+        keys.insert(at, k)
+        rows.insert(at, i)
+        kept[i] = True
+    return kept
 
 
 class FamilyScales(NamedTuple):

@@ -25,7 +25,7 @@ from .maps import (
     JointPoint,
     MapFamily,
     WorkspacePoint,
-    coord_deltas,
+    point_distances,
     reference_scales,
 )
 
@@ -114,11 +114,13 @@ class LoopLift:
 class Permutation:
     """Permutation induced on the base solutions by a loop.
 
-    ``mapping[i]`` is the index of the solution that solution i lands on.
+    ``mapping[i]`` is the index of the solution that solution i lands on,
+    and ``lifts[i]`` the lift that took it there (empty for a composition).
     """
 
     mapping: tuple[int, ...]
     solutions: list[WorkspacePoint]
+    lifts: tuple[LoopLift, ...] = field(default=(), compare=False, repr=False)
 
     def is_identity(self) -> bool:
         return all(m == i for i, m in enumerate(self.mapping))
@@ -232,7 +234,8 @@ def lift_loop(family: MapFamily, loop: JointLoop, start, *,
 def loop_permutation(family: MapFamily, loop: JointLoop, *,
                      solutions: DkpSolutionSet | None = None,
                      tol: float = 1e-9, **dkp_kwargs) -> Permutation:
-    """Lift every base solution around the loop and match the endpoints.
+    """Lift every base solution around the loop and match the endpoints;
+    the lifts are kept in the result.
 
     Endpoints are matched to base solutions by nearest neighbor; a match is
     rejected (PermutationInconsistent) when the nearest distance exceeds half
@@ -246,25 +249,20 @@ def loop_permutation(family: MapFamily, loop: JointLoop, *,
         raise PreconditionViolated("the loop base has no DKP solutions")
     pts = np.array([[s.phi, s.y] for s in sols])
 
-    if len(sols) > 1:
-        pairwise = []
-        for i in range(len(sols)):
-            deltas = coord_deltas(family, np.delete(pts, i, axis=0), pts[i])
-            pairwise.append(float(np.min(np.linalg.norm(deltas, axis=1))))
-        reject_radius = 0.5 * min(pairwise)
-    else:
-        reject_radius = math.inf
+    pairwise = point_distances(family, pts[:, None, :], pts[None, :, :])
+    np.fill_diagonal(pairwise, math.inf)
+    reject_radius = 0.5 * float(np.min(pairwise))
 
-    mapping = []
+    mapping, lifts = [], []
     for i, sol in enumerate(sols):
         lift = lift_loop(family, loop, sol, tol=tol)
-        deltas = coord_deltas(family, pts, np.array([lift.end.phi, lift.end.y]))
-        dists = np.linalg.norm(deltas, axis=1)
+        dists = point_distances(family, pts, lift.end)
         j = int(np.argmin(dists))
         if float(dists[j]) > reject_radius:
             raise PermutationInconsistent(
                 f"lift of solution {i} ended {dists[j]:.3e} from every base solution")
         mapping.append(j)
+        lifts.append(lift)
     if len(set(mapping)) != len(mapping):
         raise PermutationInconsistent("two lifts landed on the same base solution")
-    return Permutation(tuple(mapping), list(sols))
+    return Permutation(tuple(mapping), list(sols), tuple(lifts))

@@ -26,7 +26,7 @@ from .maps import (
     MapFamily,
     WorkspacePoint,
     canonical_phi,
-    coord_deltas,
+    dedup_mask,
     eval_map,
     reference_scales,
 )
@@ -176,11 +176,6 @@ def _polish_corank2(family: MapFamily, q, jac_scale):
     return q
 
 
-def _svd2(jac):
-    u, sing, vt = np.linalg.svd(jac)
-    return u, sing, vt
-
-
 def _project_onto_curve(family: MapFamily, q, jtol):
     """Pull a nearby point back onto {J = 0} along the determinant gradient."""
     q = np.array(q, dtype=float)
@@ -209,7 +204,7 @@ def _cusp_nondegenerate(family: MapFamily, q, jac, scales):
     if gnorm < 1e-12 * max(1.0, scales.jdet):
         return False
     tangent = np.array([-gy, gphi]) / gnorm
-    u, sing, _ = _svd2(jac)
+    u, sing, _ = np.linalg.svd(jac)
     image_dir = u[:, 0]
     h = CUSP_TEST_STEP
     jtol = 1e-12 * max(1.0, scales.jdet)
@@ -308,8 +303,8 @@ def find_special_points(
 
     Seeds are the nodes of a ``grid`` x ``grid`` lattice over the box; every
     converged candidate with detection residual below ``tol`` is kept,
-    deduplicated at radius 1e-6 times the box diagonal (angle compared
-    modulo 2*pi for the periodic families), and classified.
+    deduplicated at radius 1e-6 times the box diagonal (max-norm, angle
+    compared modulo 2*pi for the periodic families), and classified.
     """
     if box is None:
         box = family.default_box()
@@ -354,20 +349,11 @@ def find_special_points(
     if candidates.size == 0:
         return []
 
-    order = np.lexsort((candidates[:, 1], candidates[:, 0]))
-    candidates = candidates[order]
+    candidates = candidates[np.lexsort((candidates[:, 1], candidates[:, 0]))]
     radius = 1e-6 * diag
-    kept: list[np.ndarray] = []
-    for cand in candidates:
-        if kept:
-            deltas = coord_deltas(family, np.array(kept), cand)
-            if float(np.min(np.linalg.norm(deltas, axis=1))) < radius:
-                continue
-        kept.append(cand)
-
     scales = reference_scales(family, box)
     points = []
-    for q in kept:
+    for q in candidates[dedup_mask(family, candidates, radius)]:
         jac = np.asarray(family.jacobian(q[0], q[1]), float)
         sing = np.linalg.svd(jac, compute_uv=False)
         if sing[0] < 1e-3 * scales.jac_entry:
@@ -376,15 +362,5 @@ def find_special_points(
     points.sort(key=lambda p: (p.location.phi, p.location.y))
 
     # Polishing corank-2 candidates can merge duplicates; dedup once more.
-    final: list[SpecialPoint] = []
-    for pt in points:
-        loc = np.array([pt.location.phi, pt.location.y])
-        dup = False
-        for prev in final:
-            ref = np.array([prev.location.phi, prev.location.y])
-            if float(np.linalg.norm(coord_deltas(family, loc[None, :], ref)[0])) < radius:
-                dup = True
-                break
-        if not dup:
-            final.append(pt)
-    return final
+    keep = dedup_mask(family, [p.location for p in points], radius)
+    return [p for p, k in zip(points, keep) if k]

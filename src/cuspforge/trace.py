@@ -26,7 +26,8 @@ from .maps import (
     MapFamily,
     WorkspacePoint,
     canonical_phi,
-    coord_deltas,
+    dedup_mask,
+    point_distances,
     reference_scales,
 )
 from .singular import PointKind, SpecialPoint, find_special_points
@@ -135,14 +136,10 @@ class _Tracer:
         self.periodic_x = family.periodic and (self.x1 - self.x0) >= 2.0 * math.pi - 1e-9
 
     def barrier_distance(self, q):
-        if len(self.barriers) == 0:
-            return math.inf
-        deltas = coord_deltas(self.family, self.barriers, q)
-        return float(np.min(np.linalg.norm(deltas, axis=1)))
+        return float(np.min(point_distances(self.family, self.barriers, q), initial=math.inf))
 
     def nearest_barrier(self, q):
-        deltas = coord_deltas(self.family, self.barriers, q)
-        return self.barriers[int(np.argmin(np.linalg.norm(deltas, axis=1)))]
+        return self.barriers[int(np.argmin(point_distances(self.family, self.barriers, q)))]
 
     def outside(self, q):
         if q[1] < self.y0 or q[1] > self.y1:
@@ -216,8 +213,8 @@ class _Tracer:
             prev_dir /= max(np.linalg.norm(prev_dir), 1e-300)
             h = min(self.step, h_eff * 1.7)
             if len(vertices) > 5:
-                start_delta = coord_deltas(self.family, accepted[None, :], vertices[0])[0]
-                if float(np.linalg.norm(start_delta)) < 0.9 * min(h_eff, self.step):
+                gap = point_distances(self.family, accepted, vertices[0])
+                if gap < 0.9 * min(h_eff, self.step):
                     vertices[-1] = vertices[0].copy()
                     return vertices, "closed"
         log.warning("tracing hit the vertex budget; branch truncated")
@@ -304,9 +301,7 @@ def trace_singularity_curves(
     def near_traced(q, radius):
         if not all_vertices:
             return False
-        pts = np.concatenate(all_vertices, axis=0)
-        deltas = coord_deltas(family, pts, q)
-        return float(np.min(np.linalg.norm(deltas, axis=1))) < radius
+        return np.min(point_distances(family, np.concatenate(all_vertices), q)) < radius
 
     for seed in seeds:
         q0 = _correct(family, seed, jtol)
@@ -346,8 +341,7 @@ def trace_singularity_curves(
         loc = np.array([cusp.location.phi, cusp.location.y])
         best = None
         for ci, poly in enumerate(polylines):
-            deltas = coord_deltas(family, poly.vertices, loc)
-            dists = np.linalg.norm(deltas, axis=1)
+            dists = point_distances(family, poly.vertices, loc)
             vi = int(np.argmin(dists))
             if best is None or dists[vi] < best[0]:
                 best = (float(dists[vi]), ci, vi)
@@ -373,10 +367,8 @@ def trace_singularity_curves(
         if p.kind != PointKind.CORANK2_ELLIPTIC:
             continue
         loc = np.array([p.location.phi, p.location.y])
-        if seed_pts.size:
-            deltas = coord_deltas(family, seed_pts, loc)
-            if float(np.min(np.linalg.norm(deltas, axis=1))) < isolation_radius:
-                continue
+        if seed_pts.size and np.min(point_distances(family, seed_pts, loc)) < isolation_radius:
+            continue
         if near_traced(loc, isolation_radius):
             continue
         isolated.append(p.location)
@@ -478,18 +470,8 @@ def characteristic_curves(
     cloud = np.array(cloud)
 
     # Deduplicate near-identical points contributed by adjacent vertices.
-    # Sorted by the first coordinate, the points within a radius of one
-    # another lie in a short index window, so only that window is searched.
     cloud = cloud[np.lexsort((cloud[:, 1], cloud[:, 0]))]
-    radius = 0.05 * step
-    kept = np.ones(len(cloud), dtype=bool)
-    for i in range(len(cloud)):
-        prior = _sorted_window(family, cloud[:, 0], cloud[i, 0], radius)
-        prior = prior[(prior < i) & kept[prior]]
-        deltas = coord_deltas(family, cloud[prior], cloud[i])
-        if np.any(np.max(np.abs(deltas), axis=1) < radius):
-            kept[i] = False
-    cloud = cloud[kept]
+    cloud = cloud[dedup_mask(family, cloud, 0.05 * step)]
 
     max_jump = CHAIN_JUMP_FACTOR * step
     unused = np.ones(len(cloud), dtype=bool)
@@ -505,8 +487,7 @@ def characteristic_curves(
                 cand = cand[unused[cand]]
                 if cand.size == 0:
                     break
-                deltas = coord_deltas(family, cloud[cand], end)
-                dists = np.linalg.norm(deltas, axis=1)
+                dists = point_distances(family, cloud[cand], end)
                 best = int(np.argmin(dists))
                 if dists[best] > max_jump:
                     break
@@ -519,8 +500,7 @@ def characteristic_curves(
         verts = cloud[chain]
         closed = False
         if len(chain) > 3:
-            wrap = coord_deltas(family, verts[-1][None, :], verts[0])[0]
-            closed = float(np.linalg.norm(wrap)) < max_jump
+            closed = bool(point_distances(family, verts[-1], verts[0]) < max_jump)
         chains.append(Polyline(verts, closed, KIND_CHARACTERISTIC))
 
     chains.sort(key=lambda c: (round(c.vertices[0, 0], 9), round(c.vertices[0, 1], 9)))

@@ -2,7 +2,9 @@ import csv
 import math
 from xml.etree import ElementTree as ET
 
+from cuspforge import cli, monodromy
 from cuspforge.cli import main
+from cuspforge.monodromy import lift_loop
 
 OFFSET_CFG = """\
 family = rpr2pr_offset
@@ -150,6 +152,21 @@ class TestMonodromyCommand:
                      "--loop-csv", str(loop_path)]) == 0
         assert "permutation cycles" in capsys.readouterr().out
 
+    def test_each_solution_is_lifted_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(family, loop, start, **kwargs):
+            calls.append(tuple(start))
+            return lift_loop(family, loop, start, **kwargs)
+
+        monkeypatch.setattr(monodromy, "lift_loop", counting)
+        monkeypatch.setattr(cli, "lift_loop", counting)
+        cfg = write_cfg(tmp_path, EXACT_CFG)
+        assert main(["monodromy", "--config", cfg, "--out", str(tmp_path),
+                     "--center", "81,144", "--radius", "20", "--samples", "360"]) == 0
+        n = int(capsys.readouterr().out.split("base solution(s)")[0].split()[-1])
+        assert n > 0 and len(calls) == n and len(set(calls)) == n
+
 
 class TestReproduce:
     def test_printed_total_counts_the_checks_that_ran(self, tmp_path, capsys):
@@ -177,11 +194,3 @@ class TestErrorPaths:
     def test_bad_point_syntax(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, EXACT_CFG)
         assert main(["classify", "--config", cfg, "--point", "zero"]) == 1
-
-    def test_thread_cap_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CUSPFORGE_THREADS", "junk")
-        cfg = write_cfg(tmp_path, EXACT_CFG)
-        assert main(["classify", "--config", cfg, "--point", "0,0"]) == 0
-        assert "CUSPFORGE_THREADS" in capsys.readouterr().err
-        monkeypatch.setenv("CUSPFORGE_THREADS", "2")
-        assert main(["classify", "--config", cfg, "--point", "0,0"]) == 0

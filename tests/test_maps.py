@@ -13,7 +13,7 @@ from cuspforge import (
     jacobian_det_gradient,
     make_family,
 )
-from cuspforge.maps import canonical_phi, wrap_delta
+from cuspforge.maps import canonical_phi, dedup_mask, point_distances, wrap_delta
 
 from gridscan import fd_hessian, fd_jacobian, fd_jdet_grad
 
@@ -187,6 +187,28 @@ class TestPeriodicity:
         c = canonical_phi(phi)
         assert np.all(c >= -math.pi / 2 - 1e-12) and np.all(c < 3 * math.pi / 2)
         assert np.max(np.abs(wrap_delta(c - phi))) < 1e-9
+
+
+class TestPointKernel:
+    SEAM = np.array([[-0.5 * math.pi + 1e-7, 1.0], [1.5 * math.pi - 1e-7, 1.0]])
+
+    def test_dedup_merges_across_the_seam_only_for_angles(self, exact_family):
+        assert dedup_mask(exact_family, self.SEAM, 1e-4).tolist() == [True, False]
+        square = make_family("complex_square_unfolded", a=1.0, b=-1.0)
+        assert dedup_mask(square, self.SEAM, 1e-4).tolist() == [True, True]
+
+    def test_dedup_keeps_first_row_of_each_cluster(self, offset_family):
+        pts = np.array([[1.0, 2.0], [3.0, 0.0], [1.0 + 3e-5, 2.0], [3.0, 3e-5],
+                        [1.0, 2.0 - 3e-5], [1.0, 2.0 + 5e-4]])
+        assert dedup_mask(offset_family, pts, 1e-4).tolist() == [
+            True, True, False, False, False, True]
+        assert dedup_mask(offset_family, pts[::-1], 1e-4).tolist() == [
+            True, True, True, False, False, False]
+
+    def test_distances_wrap_the_angle(self, exact_family, quarto_family):
+        d = point_distances(exact_family, self.SEAM, self.SEAM[0])
+        assert d[0] == 0.0 and d[1] < 1e-6
+        assert point_distances(quarto_family, self.SEAM[1], self.SEAM[0]) > 6.0
 
 
 class TestValidation:
