@@ -76,10 +76,13 @@ def _sincos(phi):
 
 
 def _pack22(a00, a01, a10, a11):
-    a00, a01, a10, a11 = np.broadcast_arrays(a00, a01, a10, a11)
-    row0 = np.stack([a00, a01], axis=-1)
-    row1 = np.stack([a10, a11], axis=-1)
-    return np.stack([row0, row1], axis=-2).astype(float)
+    shape = np.broadcast_shapes(np.shape(a00), np.shape(a01), np.shape(a10), np.shape(a11))
+    out = np.empty(shape + (2, 2))
+    out[..., 0, 0] = a00
+    out[..., 0, 1] = a01
+    out[..., 1, 0] = a10
+    out[..., 1, 1] = a11
+    return out
 
 
 def _pack222(h0, h1):
@@ -217,10 +220,10 @@ class Rpr2PrOffset:
         cap1 = self.b1 * c + self.d * s
         p2 = self.b2 * s + self.d * c
         cap2 = self.b2 * c - self.d * s
-        return s, c, p1, cap1, p2, cap2
+        return p1, cap1, p2, cap2
 
     def evaluate(self, phi, y):
-        _, _, p1, cap1, p2, cap2 = self._axes(phi)
+        p1, cap1, p2, cap2 = self._axes(phi)
         y = np.asarray(y, dtype=float)
         k1 = self.a1**2 + self.b1**2 + self.d**2
         k2 = self.a2**2 + self.b2**2 + self.d**2
@@ -229,7 +232,7 @@ class Rpr2PrOffset:
         return u, v
 
     def jacobian(self, phi, y):
-        _, _, p1, cap1, p2, cap2 = self._axes(phi)
+        p1, cap1, p2, cap2 = self._axes(phi)
         y = np.asarray(y, dtype=float)
         return _pack22(
             2.0 * (y * cap1 + self.a1 * p1),
@@ -239,7 +242,7 @@ class Rpr2PrOffset:
         )
 
     def hessian(self, phi, y):
-        _, _, p1, cap1, p2, cap2 = self._axes(phi)
+        p1, cap1, p2, cap2 = self._axes(phi)
         y = np.asarray(y, dtype=float)
         two = np.full(np.broadcast_shapes(p1.shape, y.shape), 2.0)
         h0 = _sym22(-2.0 * y * p1 + 2.0 * self.a1 * cap1, 2.0 * cap1, two)
@@ -247,7 +250,7 @@ class Rpr2PrOffset:
         return _pack222(h0, h1)
 
     def jdet(self, phi, y):
-        s, c, _, _, _, _ = self._axes(phi)
+        s, c = _sincos(phi)
         y = np.asarray(y, dtype=float)
         kbb = self.b1 + self.b2
         kab = self.a1 * self.b1 - self.a2 * self.b2
@@ -258,7 +261,7 @@ class Rpr2PrOffset:
         return kbb * c * y * y + lin * y - ka * const
 
     def jdet_grad(self, phi, y):
-        s, c, _, _, _, _ = self._axes(phi)
+        s, c = _sincos(phi)
         y = np.asarray(y, dtype=float)
         kbb = self.b1 + self.b2
         kab = self.a1 * self.b1 - self.a2 * self.b2
@@ -272,7 +275,7 @@ class Rpr2PrOffset:
         return jphi, jy
 
     def jdet_hess(self, phi, y):
-        s, c, _, _, _, _ = self._axes(phi)
+        s, c = _sincos(phi)
         y = np.asarray(y, dtype=float)
         kbb = self.b1 + self.b2
         kab = self.a1 * self.b1 - self.a2 * self.b2

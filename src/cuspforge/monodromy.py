@@ -4,7 +4,9 @@ A loop is lifted by continuation: each sample of the loop is reached by
 Newton correction from the previous lifted point, with adaptive sub-stepping
 whenever Newton works too hard.  A lift that comes too close to the
 singularity set is aborted loudly (continuation across a fold silently
-merges solution sheets), carrying the partial path for diagnosis.
+merges solution sheets), carrying the partial path for diagnosis.  The base
+solutions of a loop are lifted together, one array row each; every row
+converges, sub-steps and fails on its own, exactly as a lift of its own.
 """
 
 from __future__ import annotations
@@ -146,25 +148,109 @@ class Permutation:
 
 
 def _newton_to_target(family, q, target, tol_abs, max_iter=12):
+    """Newton on (u, v) = target from the (k, 2) rows of q, each row stopping
+    on its own.  Returns the last iterates, the iteration count at which each
+    row converged and the mask of the rows that converged."""
     q = np.array(q, dtype=float)
-    for it in range(max_iter):
-        u, v = family.evaluate(q[0], q[1])
-        r = np.array([float(u) - target[0], float(v) - target[1]])
-        if float(np.max(np.abs(r))) <= tol_abs:
-            return q, it
-        jac = np.asarray(family.jacobian(q[0], q[1]), float)
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if abs(det) < 1e-300:
-            return None, it
-        dq = np.array([jac[1, 1] * r[0] - jac[0, 1] * r[1],
-                       -jac[1, 0] * r[0] + jac[0, 0] * r[1]]) / det
-        q -= dq
-        if not np.all(np.isfinite(q)):
-            return None, it
-    u, v = family.evaluate(q[0], q[1])
-    if max(abs(float(u) - target[0]), abs(float(v) - target[1])) <= tol_abs:
-        return q, max_iter
-    return None, max_iter
+    iters = np.full(len(q), max_iter)
+    live = np.ones(len(q), dtype=bool)
+    ok = ~live
+    for it in range(max_iter + 1):
+        u, v = family.evaluate(q[:, 0], q[:, 1])
+        r0, r1 = u - target[0], v - target[1]
+        hit = live & (np.maximum(np.abs(r0), np.abs(r1)) <= tol_abs)
+        ok, live = ok | hit, live & ~hit
+        iters[hit] = it
+        if it == max_iter or not live.any():
+            break
+        jac = family.jacobian(q[:, 0], q[:, 1])
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        live &= ~(np.abs(det) < 1e-300)
+        det = np.where(live, det, 1.0)
+        nxt = np.column_stack([q[:, 0] - (jac[:, 1, 1] * r0 - jac[:, 0, 1] * r1) / det,
+                               q[:, 1] - (-jac[:, 1, 0] * r0 + jac[:, 0, 0] * r1) / det])
+        # A row whose step leaves the finite numbers fails where it stands.
+        live &= np.all(np.isfinite(nxt), axis=1)
+        q = np.where(live[:, None], nxt, q)
+    return q, iters, ok
+
+
+def _lift_batch(family: MapFamily, loop: JointLoop, starts, tol: float = 1e-9) -> list:
+    """Continue every start solution along the loop, all rows together.
+
+    Each row runs the same Newton continuation, sub-stepping and checks as a
+    lift of its own.  Returns, for each start in order, its :class:`LoopLift`
+    or the error that ended it (with the partial path where there is one).
+    """
+    scales = reference_scales(family)
+    jbar = SINGULAR_CLEARANCE_FACTOR * max(1.0, scales.jdet)
+    fold_zone = FOLD_ZONE_FACTOR * max(1.0, scales.jdet)
+    base = loop.base
+    tol_abs = tol * (1.0 + max(abs(base.u), abs(base.v)))
+
+    q = np.array([[s[0], s[1]] for s in starts], dtype=float).reshape(-1, 2)
+    begin = [WorkspacePoint(float(p[0]), float(p[1])) for p in q]
+    errors: list = [None] * len(q)
+    u, v = family.evaluate(q[:, 0], q[:, 1])
+    off_base = np.maximum(np.abs(u - base.u), np.abs(v - base.v)) > tol_abs
+    singular = np.abs(family.jdet(q[:, 0], q[:, 1])) < jbar
+    rejected = off_base | singular
+    for row in np.flatnonzero(rejected):
+        errors[row] = PreconditionViolated(
+            "start point does not solve the DKP at the loop base" if off_base[row]
+            else "start point is singular; the lift is not defined")
+
+    paths = np.empty((len(loop.samples),) + q.shape)
+    paths[0] = q
+    step = 0
+
+    def singular_abort(row, q_at, jval, note):
+        partial = LoopLift(begin[row], WorkspacePoint(float(q_at[0]), float(q_at[1])),
+                           paths[:step, row].copy(), True)
+        errors[row] = SingularEncounter(
+            f"{note}: |J| = {jval:.3e} (clearance {jbar:.3e})", partial=partial)
+
+    def advance(rows, q_from, t_from, t_to, depth):
+        # Returns the rows that reach t_to and their points there.
+        if not rows.size:
+            return rows, q_from
+        target = tuple(t_to)
+        cand, iters, ok = _newton_to_target(family, q_from, target, tol_abs)
+        jval = np.full(len(rows), math.inf)
+        if ok.any():
+            jval[ok] = np.abs(family.jdet(cand[ok, 0], cand[ok, 1]))
+        crossed = jval < jbar
+        for r in np.flatnonzero(crossed):
+            singular_abort(rows[r], cand[r], float(jval[r]), "lift crossed the clearance threshold")
+        last = depth >= MAX_SUBDIVISION
+        done = ok & ~crossed & ((iters <= 4) | last)
+        rest = ~done & ~crossed
+        if last:
+            for r in np.flatnonzero(rest):
+                jfrom = abs(float(family.jdet(q_from[r, 0], q_from[r, 1])))
+                if jfrom < fold_zone:
+                    # The target slipped off the current sheet: the path ran
+                    # into the fold image rather than genuinely diverging.
+                    singular_abort(rows[r], q_from[r], jfrom, "lift ran into the fold image")
+                else:
+                    errors[rows[r]] = DivergedLift(
+                        f"Newton failed near joint point ({target[0]:.6g}, {target[1]:.6g})")
+        if last or not rest.any():
+            return rows[done], cand[done]
+        mid = 0.5 * (np.asarray(t_from) + np.asarray(t_to))
+        mid_rows, q_mid = advance(rows[rest], q_from[rest], t_from, mid, depth + 1)
+        end_rows, q_end = advance(mid_rows, q_mid, mid, t_to, depth + 1)
+        return np.concatenate([rows[done], end_rows]), np.concatenate([cand[done], q_end])
+
+    rows = np.flatnonzero(~rejected)
+    q = q[rows]
+    for step in range(1, len(loop.samples)):
+        rows, q = advance(rows, q, loop.samples[step - 1], loop.samples[step], 0)
+        paths[step, rows] = q
+
+    return [LoopLift(begin[r], WorkspacePoint(*(float(w) for w in paths[-1, r])),
+                     paths[:, r].copy(), False) if errors[r] is None else errors[r]
+            for r in range(len(begin))]
 
 
 def lift_loop(family: MapFamily, loop: JointLoop, start, *,
@@ -175,60 +261,10 @@ def lift_loop(family: MapFamily, loop: JointLoop, start, *,
     any continuation point gets within the clearance threshold of {J = 0},
     and :class:`DivergedLift` when Newton fails despite sub-stepping.
     """
-    scales = reference_scales(family)
-    jbar = SINGULAR_CLEARANCE_FACTOR * max(1.0, scales.jdet)
-    base = loop.base
-    tol_abs = tol * (1.0 + max(abs(base.u), abs(base.v)))
-
-    q = np.array([start[0], start[1]], dtype=float)
-    u, v = family.evaluate(q[0], q[1])
-    if max(abs(float(u) - base.u), abs(float(v) - base.v)) > tol_abs:
-        raise PreconditionViolated("start point does not solve the DKP at the loop base")
-    if abs(float(family.jdet(q[0], q[1]))) < jbar:
-        raise PreconditionViolated("start point is singular; the lift is not defined")
-
-    path = [q.copy()]
-    fold_zone = FOLD_ZONE_FACTOR * max(1.0, scales.jdet)
-
-    def singular_abort(q_at, jval, note):
-        partial = LoopLift(
-            WorkspacePoint(float(start[0]), float(start[1])),
-            WorkspacePoint(float(q_at[0]), float(q_at[1])),
-            np.array(path), True)
-        raise SingularEncounter(
-            f"{note}: |J| = {jval:.3e} (clearance {jbar:.3e})", partial=partial)
-
-    def advance(q_from, t_from, t_to, depth):
-        target = tuple(t_to)
-        cand, iters = _newton_to_target(family, q_from, target, tol_abs)
-        if cand is not None:
-            jval = abs(float(family.jdet(cand[0], cand[1])))
-            if jval < jbar:
-                singular_abort(cand, jval, "lift crossed the clearance threshold")
-        if cand is not None and iters <= 4:
-            return cand
-        if depth >= MAX_SUBDIVISION:
-            if cand is not None:
-                return cand
-            jval = abs(float(family.jdet(q_from[0], q_from[1])))
-            if jval < fold_zone:
-                # The target slipped off the current sheet: the path ran into
-                # the fold image rather than genuinely diverging.
-                singular_abort(q_from, jval, "lift ran into the fold image")
-            raise DivergedLift(
-                f"Newton failed near joint point ({target[0]:.6g}, {target[1]:.6g})")
-        mid = 0.5 * (np.asarray(t_from) + np.asarray(t_to))
-        q_mid = advance(q_from, t_from, mid, depth + 1)
-        return advance(q_mid, mid, t_to, depth + 1)
-
-    for i in range(1, len(loop.samples)):
-        q = advance(q, loop.samples[i - 1], loop.samples[i], 0)
-        path.append(q.copy())
-
-    return LoopLift(
-        WorkspacePoint(float(start[0]), float(start[1])),
-        WorkspacePoint(float(q[0]), float(q[1])),
-        np.array(path), False)
+    (lift,) = _lift_batch(family, loop, [start], tol=tol)
+    if isinstance(lift, Exception):
+        raise lift
+    return lift
 
 
 def loop_permutation(family: MapFamily, loop: JointLoop, *,
@@ -253,16 +289,18 @@ def loop_permutation(family: MapFamily, loop: JointLoop, *,
     np.fill_diagonal(pairwise, math.inf)
     reject_radius = 0.5 * float(np.min(pairwise))
 
-    mapping, lifts = [], []
-    for i, sol in enumerate(sols):
-        lift = lift_loop(family, loop, sol, tol=tol)
+    lifts = _lift_batch(family, loop, sols, tol=tol)
+    mapping = []
+    for i, lift in enumerate(lifts):
+        # The lowest-index failure is raised, as a lift of its own would.
+        if isinstance(lift, Exception):
+            raise lift
         dists = point_distances(family, pts, lift.end)
         j = int(np.argmin(dists))
         if float(dists[j]) > reject_radius:
             raise PermutationInconsistent(
                 f"lift of solution {i} ended {dists[j]:.3e} from every base solution")
         mapping.append(j)
-        lifts.append(lift)
     if len(set(mapping)) != len(mapping):
         raise PermutationInconsistent("two lifts landed on the same base solution")
     return Permutation(tuple(mapping), list(sols), tuple(lifts))

@@ -105,22 +105,19 @@ def _detection_batch(family: MapFamily, pts):
     jac = family.jacobian(phi, y)
     hess = family.hessian(phi, y)
 
-    t = np.stack([-jy, jphi], axis=-1)
-    k = np.einsum("...ij,...j->...i", jac, t)
-    r = np.concatenate([j[..., None], k], axis=-1)
-
-    # d k / d x = hess . t + jac . R . (hess of J), with R the quarter turn.
-    dt = np.empty(pts.shape[:-1] + (2, 2))
-    dt[..., 0, 0] = -jpy
-    dt[..., 0, 1] = -jyy
-    dt[..., 1, 0] = jpp
-    dt[..., 1, 1] = jpy
-    dk = np.einsum("...ijl,...j->...il", hess, t) + np.einsum("...ij,...jl->...il", jac, dt)
-
+    # k = Jac . t with t = (-J_y, J_phi), the tangent of the fold curve, and
+    # d k / d x = hess . t + Jac . R . (hess of J), with R the quarter turn.
+    t0, t1 = -jy, jphi
+    r = np.empty(pts.shape[:-1] + (3,))
+    r[..., 0] = j
     a = np.empty(pts.shape[:-1] + (3, 2))
     a[..., 0, 0] = jphi
     a[..., 0, 1] = jy
-    a[..., 1:, :] = dk
+    for i in range(2):
+        r[..., 1 + i] = jac[..., i, 0] * t0 + jac[..., i, 1] * t1
+        for col, (d0, d1) in enumerate(((-jpy, jpp), (-jyy, jpy))):
+            a[..., 1 + i, col] = (hess[..., i, 0, col] * t0 + hess[..., i, 1, col] * t1
+                                  + (jac[..., i, 0] * d0 + jac[..., i, 1] * d1))
     return r, a
 
 
@@ -130,21 +127,24 @@ def detection_system(family: MapFamily, q) -> DetectionResidual:
     return DetectionResidual(float(r[0]), float(r[1]), float(r[2]))
 
 
-def _gauss_newton(family: MapFamily, seeds, tol, max_iter=80, step_cap=None):
+def _gauss_newton(family: MapFamily, seeds, step_cap, max_iter=80):
     """Damped Gauss-Newton on the 3-equation detection system, vectorized."""
     q = np.array(seeds, dtype=float)
-    if step_cap is None:
-        step_cap = 1.0
     active = np.ones(len(q), dtype=bool)
     for _ in range(max_iter):
         r, a = _detection_batch(family, q[active])
-        m = np.einsum("nij,nil->njl", a, a)
-        g = np.einsum("nij,ni->nj", a, r)
-        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+        # Normal equations M dq = -g with M = A^T A and g = A^T r.
+        a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+        m00 = a0[:, 0] * a0[:, 0] + a1[:, 0] * a1[:, 0] + a2[:, 0] * a2[:, 0]
+        m01 = a0[:, 0] * a0[:, 1] + a1[:, 0] * a1[:, 1] + a2[:, 0] * a2[:, 1]
+        m11 = a0[:, 1] * a0[:, 1] + a1[:, 1] * a1[:, 1] + a2[:, 1] * a2[:, 1]
+        g0 = a0[:, 0] * r[:, 0] + a1[:, 0] * r[:, 1] + a2[:, 0] * r[:, 2]
+        g1 = a0[:, 1] * r[:, 0] + a1[:, 1] * r[:, 1] + a2[:, 1] * r[:, 2]
+        det = m00 * m11 - m01 * m01
         det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-        dq = np.empty_like(g)
-        dq[:, 0] = -(m[:, 1, 1] * g[:, 0] - m[:, 0, 1] * g[:, 1]) / det
-        dq[:, 1] = -(-m[:, 1, 0] * g[:, 0] + m[:, 0, 0] * g[:, 1]) / det
+        dq = np.empty((len(det), 2))
+        dq[:, 0] = -(m11 * g0 - m01 * g1) / det
+        dq[:, 1] = -(-m01 * g0 + m00 * g1) / det
         norms = np.linalg.norm(dq, axis=1)
         over = norms > step_cap
         if np.any(over):
@@ -160,7 +160,7 @@ def _gauss_newton(family: MapFamily, seeds, tol, max_iter=80, step_cap=None):
     return q, res
 
 
-def _polish_corank2(family: MapFamily, q, jac_scale):
+def _polish_corank2(family: MapFamily, q):
     """Newton on grad J = 0; corank-2 points are regular zeros of the gradient."""
     q = np.array(q, dtype=float)
     for _ in range(40):
@@ -176,19 +176,30 @@ def _polish_corank2(family: MapFamily, q, jac_scale):
     return q
 
 
-def _project_onto_curve(family: MapFamily, q, jtol):
-    """Pull a nearby point back onto {J = 0} along the determinant gradient."""
-    q = np.array(q, dtype=float)
-    for _ in range(12):
-        j = float(family.jdet(q[0], q[1]))
-        if abs(j) <= jtol:
-            return q
-        gphi, gy = family.jdet_grad(q[0], q[1])
+def _correct(family: MapFamily, pts, jtol, max_iter=10):
+    """Newton along the determinant gradient back onto {J = 0}, row by row.
+
+    ``pts`` holds points of shape (..., 2); a single (2,) point runs on
+    scalars.  A row stops when |J| <= jtol, which marks it converged, or when
+    its gradient vanishes; the others take up to ``max_iter`` steps.  Returns
+    the last iterates and the converged mask.
+    """
+    q = np.array(pts, dtype=float)
+    live = np.ones(q.shape[:-1], dtype=bool)
+    ok = ~live
+    for it in range(max_iter + 1):
+        j = family.jdet(q[..., 0], q[..., 1])
+        hit = live & (np.abs(j) <= jtol)
+        ok, live = ok | hit, live & ~hit
+        if it == max_iter or not live.any():
+            break
+        gphi, gy = family.jdet_grad(q[..., 0], q[..., 1])
         g2 = gphi * gphi + gy * gy
-        if g2 < 1e-300:
-            return q
-        q -= j / g2 * np.array([gphi, gy])
-    return q
+        live = live & ~(g2 < 1e-300)
+        s = j / np.where(live, g2, 1.0)
+        q[..., 0] = np.where(live, q[..., 0] - s * gphi, q[..., 0])
+        q[..., 1] = np.where(live, q[..., 1] - s * gy, q[..., 1])
+    return q, ok
 
 
 def _cusp_nondegenerate(family: MapFamily, q, jac, scales):
@@ -213,8 +224,8 @@ def _cusp_nondegenerate(family: MapFamily, q, jac, scales):
         r, _ = _detection_batch(family, p)
         return float(image_dir @ r[1:])
 
-    plus = _project_onto_curve(family, q + h * tangent, jtol)
-    minus = _project_onto_curve(family, q - h * tangent, jtol)
+    # The last iterates count, converged or not.
+    (plus, minus), _ = _correct(family, [q + h * tangent, q - h * tangent], jtol, max_iter=12)
     derivative = (alignment(plus) - alignment(minus)) / (2.0 * h)
     local_scale = max(float(sing[0]) * gnorm, 1e-12)
     return abs(derivative) > CUSP_TEST_REL_THRESHOLD * local_scale
@@ -320,7 +331,7 @@ def find_special_points(
     seeds = np.stack([gx.ravel(), gy.ravel()], axis=-1)
     diag = math.hypot(x1 - x0, y1 - y0)
 
-    converged, residuals = _gauss_newton(family, seeds, tol, step_cap=diag / 8.0)
+    converged, residuals = _gauss_newton(family, seeds, diag / 8.0)
     ok = residuals < tol
     diverged = ~np.all(np.isfinite(converged), axis=1)
     n_stagnant = int(np.sum(~ok & ~diverged))
@@ -357,7 +368,7 @@ def find_special_points(
         jac = np.asarray(family.jacobian(q[0], q[1]), float)
         sing = np.linalg.svd(jac, compute_uv=False)
         if sing[0] < 1e-3 * scales.jac_entry:
-            q = _polish_corank2(family, q, scales.jac_entry)
+            q = _polish_corank2(family, q)
         points.append(classify_point(family, q, tol=max(tol * 100.0, 1e-9)))
     points.sort(key=lambda p: (p.location.phi, p.location.y))
 

@@ -30,7 +30,7 @@ from .maps import (
     point_distances,
     reference_scales,
 )
-from .singular import PointKind, SpecialPoint, find_special_points
+from .singular import PointKind, SpecialPoint, _correct, find_special_points
 
 log = logging.getLogger(__name__)
 
@@ -92,23 +92,6 @@ def _tangent(family, q, prev=None):
     return t
 
 
-def _correct(family, q, jtol, max_iter=10):
-    """Newton along the gradient back onto {J = 0}; returns None on failure."""
-    q = np.array(q, dtype=float)
-    for _ in range(max_iter):
-        j = float(family.jdet(q[0], q[1]))
-        if abs(j) <= jtol:
-            return q
-        gphi, gy = (float(v) for v in family.jdet_grad(q[0], q[1]))
-        g2 = gphi * gphi + gy * gy
-        if g2 < 1e-300:
-            return None
-        q -= (j / g2) * np.array([gphi, gy])
-    if abs(float(family.jdet(q[0], q[1]))) <= jtol:
-        return q
-    return None
-
-
 def _correct_on_edge(family, frozen_axis, frozen_value, free_guess, jtol):
     """1-D Newton for J = 0 along a box edge (one coordinate frozen)."""
     w = float(free_guess)
@@ -136,7 +119,9 @@ class _Tracer:
         self.periodic_x = family.periodic and (self.x1 - self.x0) >= 2.0 * math.pi - 1e-9
 
     def barrier_distance(self, q):
-        return float(np.min(point_distances(self.family, self.barriers, q), initial=math.inf))
+        if not len(self.barriers):
+            return math.inf
+        return float(np.min(point_distances(self.family, self.barriers, q)))
 
     def nearest_barrier(self, q):
         return self.barriers[int(np.argmin(point_distances(self.family, self.barriers, q)))]
@@ -192,8 +177,8 @@ class _Tracer:
             accepted = None
             while accepted is None:
                 pred = q + h_eff * t
-                corr = _correct(self.family, pred, self.jtol)
-                if corr is not None:
+                corr, ok = _correct(self.family, pred, self.jtol)
+                if ok:
                     moved = np.linalg.norm(corr - pred)
                     seg = np.linalg.norm(corr - q)
                     if moved <= 0.5 * h_eff and 1e-3 * h_eff < seg <= 2.0 * h_eff:
@@ -230,29 +215,24 @@ def _sign_change_seeds(family, box, n):
     j = np.asarray(family.jdet(gx, gy))
     pos = j > 0.0
 
-    seeds = []
+    # Both ends of every grid edge where J changes sign, x-edges first.
     cx = np.argwhere(pos[:-1, :] != pos[1:, :])
-    for i, k in cx:
-        seeds.append(((xs[i], ys[k]), (xs[i + 1], ys[k])))
     cy = np.argwhere(pos[:, :-1] != pos[:, 1:])
-    for i, k in cy:
-        seeds.append(((xs[i], ys[k]), (xs[i], ys[k + 1])))
+    ax = np.concatenate([xs[cx[:, 0]], xs[cy[:, 0]]])
+    ay = np.concatenate([ys[cx[:, 1]], ys[cy[:, 1]]])
+    bx = np.concatenate([xs[cx[:, 0] + 1], xs[cy[:, 0]]])
+    by = np.concatenate([ys[cx[:, 1]], ys[cy[:, 1] + 1]])
 
-    refined = []
-    for (ax, ay), (bx, by) in seeds:
-        fa = float(family.jdet(ax, ay))
-        a = np.array([ax, ay])
-        b = np.array([bx, by])
-        for _ in range(20):
-            mid = 0.5 * (a + b)
-            fm = float(family.jdet(mid[0], mid[1]))
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a = mid
-                fa = fm
-        refined.append(0.5 * (a + b))
-    return refined
+    fa = family.jdet(ax, ay)
+    for _ in range(20):
+        mx = 0.5 * (ax + bx)
+        my = 0.5 * (ay + by)
+        fm = family.jdet(mx, my)
+        left = fa * fm <= 0.0
+        bx, by = np.where(left, mx, bx), np.where(left, my, by)
+        ax, ay = np.where(left, ax, mx), np.where(left, ay, my)
+        fa = np.where(left, fa, fm)
+    return np.column_stack([0.5 * (ax + bx), 0.5 * (ay + by)])
 
 
 def trace_singularity_curves(
@@ -296,16 +276,14 @@ def trace_singularity_curves(
     seeds = _sign_change_seeds(family, box, seed_grid)
 
     polylines: list[Polyline] = []
-    all_vertices: list[np.ndarray] = []
+    traced = np.empty((0, 2))
 
     def near_traced(q, radius):
-        if not all_vertices:
-            return False
-        return np.min(point_distances(family, np.concatenate(all_vertices), q)) < radius
+        return len(traced) > 0 and np.min(point_distances(family, traced, q)) < radius
 
-    for seed in seeds:
-        q0 = _correct(family, seed, jtol)
-        if q0 is None or tracer.outside(q0):
+    projected, converged = _correct(family, seeds, jtol)
+    for q0 in projected[converged]:
+        if tracer.outside(q0):
             continue
         if tracer.barrier_distance(q0) < 2.0 * NODE_STOP_RADIUS:
             continue
@@ -329,7 +307,7 @@ def trace_singularity_curves(
         if len(poly.vertices) < 2:
             continue
         polylines.append(poly)
-        all_vertices.append(poly.vertices)
+        traced = np.concatenate([traced, poly.vertices])
 
     if family.periodic:
         for poly in polylines:
@@ -361,13 +339,12 @@ def trace_singularity_curves(
         poly.cusp_indices.sort()
 
     isolation_radius = ISOLATION_RADIUS_FACTOR * step
-    seed_pts = np.array(seeds).reshape(-1, 2)
     isolated: list[WorkspacePoint] = []
     for p in specials:
         if p.kind != PointKind.CORANK2_ELLIPTIC:
             continue
         loc = np.array([p.location.phi, p.location.y])
-        if seed_pts.size and np.min(point_distances(family, seed_pts, loc)) < isolation_radius:
+        if len(seeds) and np.min(point_distances(family, seeds, loc)) < isolation_radius:
             continue
         if near_traced(loc, isolation_radius):
             continue
@@ -445,10 +422,9 @@ def characteristic_curves(
                 if not (0 <= nb < len(poly.vertices)):
                     continue
                 a, b = poly.vertices[vi], poly.vertices[nb]
-                for frac in np.linspace(0.125, 0.875, 7):
-                    refined = _correct(family, a + frac * (b - a), jtol)
-                    if refined is not None:
-                        points.append(refined)
+                fracs = np.linspace(0.125, 0.875, 7)[:, None]
+                refined, ok = _correct(family, a + fracs * (b - a), jtol)
+                points.extend(refined[ok])
         return points
 
     cloud = []

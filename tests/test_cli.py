@@ -2,9 +2,9 @@ import csv
 import math
 from xml.etree import ElementTree as ET
 
-from cuspforge import cli, monodromy
+from cuspforge import monodromy
 from cuspforge.cli import main
-from cuspforge.monodromy import lift_loop
+from cuspforge.monodromy import _lift_batch
 
 OFFSET_CFG = """\
 family = rpr2pr_offset
@@ -155,12 +155,11 @@ class TestMonodromyCommand:
     def test_each_solution_is_lifted_once(self, tmp_path, capsys, monkeypatch):
         calls = []
 
-        def counting(family, loop, start, **kwargs):
-            calls.append(tuple(start))
-            return lift_loop(family, loop, start, **kwargs)
+        def counting(family, loop, starts, **kwargs):
+            calls.extend(tuple(s) for s in starts)
+            return _lift_batch(family, loop, starts, **kwargs)
 
-        monkeypatch.setattr(monodromy, "lift_loop", counting)
-        monkeypatch.setattr(cli, "lift_loop", counting)
+        monkeypatch.setattr(monodromy, "_lift_batch", counting)
         cfg = write_cfg(tmp_path, EXACT_CFG)
         assert main(["monodromy", "--config", cfg, "--out", str(tmp_path),
                      "--center", "81,144", "--radius", "20", "--samples", "360"]) == 0

@@ -90,14 +90,19 @@ class TestInlineManipulatorMonodromy:
         assert perm.is_identity()
 
 
+@pytest.fixture(scope="module")
+def deltoid_loop(square_family, square_trace):
+    jcs = image_curves(square_family, square_trace)
+    deltoid = jcs.curves[0].vertices
+    centroid = deltoid.mean(axis=0)
+    radius = 1.2 * float(np.max(np.linalg.norm(deltoid - centroid, axis=1)))
+    return loop_clearance(circle_loop(tuple(centroid), radius), jcs)
+
+
 class TestNormalFormMonodromy:
     def test_complex_square_deltoid_swaps_outer_preimages(self, square_family,
-                                                          square_trace):
-        jcs = image_curves(square_family, square_trace)
-        deltoid = jcs.curves[0].vertices
-        centroid = deltoid.mean(axis=0)
-        radius = 1.2 * float(np.max(np.linalg.norm(deltoid - centroid, axis=1)))
-        loop = loop_clearance(circle_loop(tuple(centroid), radius), jcs)
+                                                          deltoid_loop):
+        loop = deltoid_loop
         assert loop.min_singular_clearance > 0.0
         perm = loop_permutation(square_family, loop,
                                 box=((-10.0, 10.0), (-10.0, 10.0)))
@@ -112,6 +117,48 @@ class TestNormalFormMonodromy:
             lift_loop(fam, loop, (1.0, 1.0))
         assert err.value.partial is not None
         assert err.value.partial.crossed_singularity
+
+
+def assert_same_lifts(family, loop, perm):
+    for sol, lift in zip(perm.solutions, perm.lifts):
+        single = lift_loop(family, loop, sol)
+        assert (lift.start, lift.end) == (single.start, single.end)
+        assert lift.path.tobytes() == single.path.tobytes()
+
+
+class TestBatchedLifts:
+    def test_four_solutions_lift_as_one_start_lifts(self, inline_loop_setup):
+        family, loop = inline_loop_setup
+        perm = loop_permutation(family, loop)
+        assert len(perm.lifts) == 4
+        assert_same_lifts(family, loop, perm)
+
+    def test_two_solutions_lift_as_one_start_lifts(self, square_family, deltoid_loop):
+        perm = loop_permutation(square_family, deltoid_loop)
+        assert len(perm.lifts) == 2
+        assert_same_lifts(square_family, deltoid_loop, perm)
+
+    def test_failure_is_the_lowest_failing_one_start_lift(self, square_family):
+        # The loop crosses a fold edge of the deltoid: two of the four base
+        # solutions meet there and two lift cleanly.
+        center = eval_map(square_family, (2.0 * math.cos(1.3), 2.0 * math.sin(1.3)))
+        loop = circle_loop(tuple(center), 0.5, start_angle=math.pi / 2, samples_per_turn=360)
+        errors = []
+        for sol in solve_dkp(square_family, loop.base).solutions:
+            try:
+                lift_loop(square_family, loop, sol)
+                errors.append(None)
+            except SingularEncounter as exc:
+                errors.append(exc)
+        assert errors[0] is None and any(e is None for e in errors[2:])
+        first = next(e for e in errors if e is not None)
+        with pytest.raises(SingularEncounter) as err:
+            loop_permutation(square_family, loop)
+        assert str(err.value) == str(first)
+        got, want = err.value.partial, first.partial
+        assert (got.start, got.end, got.crossed_singularity) == (
+            want.start, want.end, want.crossed_singularity)
+        assert got.path.tobytes() == want.path.tobytes()
 
 
 class TestValidation:

@@ -15,6 +15,7 @@ from cuspforge import (
     quadratic_expansion,
 )
 from cuspforge.maps import wrap_delta
+from cuspforge.singular import _detection_batch
 
 from conftest import NORMAL_BOX, PAPER_BOX
 from gridscan import complex_square_cusp_locations, quarto_cusp_location
@@ -75,6 +76,29 @@ class TestDetectionSystem:
         fam = make_family("quarto_unfolded", a=0.0, b=0.0)
         r = detection_system(fam, (1.0, 0.0))
         assert r == (0.0, -2.0, 0.0)
+
+    @pytest.mark.parametrize("name", ["exact", "offset", "square", "quarto"])
+    def test_products_equal_einsum_reference(self, request, name):
+        # The residual k = Jac . t and its Jacobian hess . t + Jac . dt, with
+        # t = (-J_y, J_phi), summed in the same order as the explicit products.
+        family = request.getfixturevalue(f"{name}_family")
+        (x0, x1), (y0, y1) = family.default_box()
+        rng = np.random.default_rng(3)
+        pts = np.column_stack([rng.uniform(x0, x1, 200), rng.uniform(y0, y1, 200)])
+        phi, y = pts[:, 0], pts[:, 1]
+        jphi, jy = family.jdet_grad(phi, y)
+        jpp, jpy, jyy = family.jdet_hess(phi, y)
+        jac, hess = family.jacobian(phi, y), family.hessian(phi, y)
+        t = np.stack([-jy, jphi], axis=-1)
+        dt = np.stack([np.stack([-jpy, -jyy], -1), np.stack([jpp, jpy], -1)], -2)
+        k = np.einsum("...ij,...j->...i", jac, t)
+        dk = (np.einsum("...ijl,...j->...il", hess, t)
+              + np.einsum("...ij,...jl->...il", jac, dt))
+        r, a = _detection_batch(family, pts)
+        assert np.array_equal(r[:, 0], family.jdet(phi, y))
+        assert np.array_equal(r[:, 1:], k)
+        assert np.array_equal(a[:, 0], np.column_stack([jphi, jy]))
+        assert np.array_equal(a[:, 1:], dk)
 
 
 class TestInlineManipulator:

@@ -12,6 +12,8 @@ from cuspforge import (
     trace_singularity_curves,
 )
 from cuspforge.maps import coord_deltas
+from cuspforge.singular import _correct
+from cuspforge.trace import _sign_change_seeds
 
 from conftest import NORMAL_BOX, PAPER_BOX
 
@@ -89,6 +91,51 @@ class TestOffsetManipulatorTrace:
         gap = coord_deltas(offset_family, oval.vertices[-1][None, :],
                            oval.vertices[0])[0]
         assert float(np.linalg.norm(gap)) < 2.0 * step
+
+
+class TestBatchedProjections:
+    def test_sign_change_seeds_equal_scalar_bisection(self, offset_family):
+        n = 64
+        (x0, x1), (y0, y1) = PAPER_BOX
+        xs, ys = np.linspace(x0, x1, n), np.linspace(y0, y1, n)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        pos = offset_family.jdet(gx, gy) > 0.0
+        edges = [((xs[i], ys[k]), (xs[i + 1], ys[k]))
+                 for i, k in np.argwhere(pos[:-1, :] != pos[1:, :])]
+        edges += [((xs[i], ys[k]), (xs[i], ys[k + 1]))
+                  for i, k in np.argwhere(pos[:, :-1] != pos[:, 1:])]
+        expected = []
+        for a, b in edges:
+            a, b = np.array(a), np.array(b)
+            fa = float(offset_family.jdet(a[0], a[1]))
+            for _ in range(20):
+                mid = 0.5 * (a + b)
+                fm = float(offset_family.jdet(mid[0], mid[1]))
+                if fa * fm <= 0.0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            expected.append(0.5 * (a + b))
+        seeds = _sign_change_seeds(offset_family, PAPER_BOX, n)
+        assert len(expected) > 100
+        assert seeds.tobytes() == np.array(expected).tobytes()
+
+    def test_batched_correction_equals_row_by_row(self, quarto_family):
+        # The gradient (y, x) of J = xy - 1 vanishes at the origin, whose row
+        # must fail without stopping the others.
+        rng = np.random.default_rng(7)
+        pts = np.vstack([[0.0, 0.0], rng.uniform(-4.0, 4.0, size=(40, 2))])
+        converged = []
+        for max_iter in (3, 10):
+            q, ok = _correct(quarto_family, pts, 1e-10, max_iter=max_iter)
+            rows = [_correct(quarto_family, p, 1e-10, max_iter=max_iter) for p in pts]
+            assert q.tobytes() == np.array([r[0] for r in rows]).tobytes()
+            assert ok.tolist() == [bool(r[1]) for r in rows]
+            assert not ok[0] and np.array_equal(q[0], [0.0, 0.0])
+            converged.append(int(ok.sum()))
+        # Three steps leave rows unconverged at the cap; ten reach every row
+        # but the origin.
+        assert 0 < converged[0] < converged[1] == len(pts) - 1
 
 
 class TestNormalFormTraces:
