@@ -18,7 +18,6 @@ from .errors import (
     PermutationInconsistent,
     PreconditionViolated,
     SingularEncounter,
-    StepCollapse,
     ToleranceNotMet,
 )
 from .maps import (

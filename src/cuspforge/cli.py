@@ -75,11 +75,14 @@ def _auto_joint_bounds(jcs, margin=0.12):
             (float(lo[1] - pad[1]), float(hi[1] + pad[1])))
 
 
+def _specials(cfg, family, box, grid=None):
+    """Special points with the configured seed lattice and tolerance."""
+    return find_special_points(family, box, grid=grid or cfg.grid or 64, tol=cfg.tol or 1e-10)
+
+
 def cmd_cusps(args) -> int:
     cfg, family, box = _load(args)
-    grid = args.grid or cfg.grid or 64
-    tol = cfg.tol or 1e-10
-    points = find_special_points(family, box, grid=grid, tol=tol)
+    points = _specials(cfg, family, box, args.grid)
     out = _outdir(args)
     output.write_special_points_csv(out / "cusps.csv", points)
     print(f"{len(points)} special point(s) in "
@@ -96,10 +99,8 @@ def cmd_cusps(args) -> int:
 
 def cmd_trace(args) -> int:
     cfg, family, box = _load(args)
-    grid = args.grid or cfg.grid or 64
-    step = args.step
-    specials = find_special_points(family, box, grid=grid, tol=cfg.tol or 1e-10)
-    cs = trace_singularity_curves(family, box, step, specials=specials)
+    cs = trace_singularity_curves(family, box, args.step,
+                                  specials=_specials(cfg, family, box, args.grid))
     jcs = image_curves(family, cs)
     characteristics = None
     if args.characteristics:
@@ -162,9 +163,9 @@ def cmd_regions(args) -> int:
             raise ConfigError("--bounds must be numeric") from None
         bounds = ((u0, u1), (v0, v1))
     if bounds is None:
-        cs = trace_singularity_curves(family, box)
+        cs = trace_singularity_curves(family, box, specials=_specials(cfg, family, box))
         bounds = _auto_joint_bounds(image_curves(family, cs))
-    resolution = args.resolution or cfg.grid or 32
+    resolution = args.resolution or 32
     cm = count_map(family, bounds, resolution, box=box)
     out = _outdir(args)
     output.write_countmap_csv(out / "regions.csv", cm)
@@ -203,7 +204,7 @@ def _loop_from_args(args) -> JointLoop:
 def cmd_monodromy(args) -> int:
     cfg, family, box = _load(args)
     loop = _loop_from_args(args)
-    cs = trace_singularity_curves(family, box)
+    cs = trace_singularity_curves(family, box, specials=_specials(cfg, family, box))
     jcs = image_curves(family, cs)
     loop = loop_clearance(loop, jcs)
     print(f"loop base = ({loop.base.u:.9g}, {loop.base.v:.9g}), "

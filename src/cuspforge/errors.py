@@ -21,10 +21,6 @@ class ToleranceNotMet(CuspforgeError):
     """A candidate stagnated above the requested tolerance."""
 
 
-class StepCollapse(CuspforgeError):
-    """Curve-tracing step size collapsed below the hard floor."""
-
-
 class BoxTooSmall(CuspforgeError):
     """A solution converged outside the search box.
 

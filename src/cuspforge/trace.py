@@ -1,13 +1,21 @@
-"""Tracing of the singularity curve {J = 0} and of characteristic curves.
+"""Singularity curves {J = 0} in closed form, and characteristic curves.
 
-The tracer is a predictor-corrector walker: the predictor steps along the
-rotated determinant gradient (-J_y, J_phi), the corrector pulls back onto
-{J = 0} with Newton steps along the gradient.  Branches are terminated on a
-small disk around every corank-2 point, where the curve itself is singular
-and the tangent field is undefined, and the corank-2 point is appended as a
-tagged endpoint.  Characteristic curves are computed pointwise as the extra
-direct-kinematics solutions over the images of the traced singularity
-vertices, then chained by nearest-neighbor continuation.
+J is quadratic in y: J = A(x) y^2 + B(x) y + C(x), with A, B, C from ``jdet``
+at y = -1, 0, 1.  Its real roots q / A and C / q, with
+q = -(B + sign(B) sqrt(B^2 - 4AC)) / 2, are smooth between breakpoints (C / q
+stays finite where A = 0, as for the quarto): zeros of the discriminant
+(turning points, corank-2 points), of B (where the two swap) and of J on the
+horizontal box edges, found as roots of exact low-degree Fourier fits, plus
+the special points and the box ends.  Each root inside the box between two
+breakpoints is a piece, sampled finely with a parameter that clusters at its
+ends (a root has a square-root profile at a turning point).  Pieces whose
+ends meet are chained (at turning points, across the periodic seam), chains
+end at corank-2 points as tagged endpoints, and each chain is resampled
+evenly in arc length, oriented along (-J_y, J_x) and, with all others,
+projected onto {J = 0} by one batched Newton call.
+
+Characteristic curves are the extra direct-kinematics solutions over the
+images of the singular vertices, chained by nearest-neighbor continuation.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dkp import solve_dkp
-from .errors import CuspforgeError
+from .errors import CuspforgeError, PreconditionViolated
 from .maps import (
     TWO_PI,
     JointPoint,
@@ -37,22 +45,34 @@ log = logging.getLogger(__name__)
 KIND_SINGULARITY = "singularity"
 KIND_CHARACTERISTIC = "characteristic"
 
-NODE_STOP_RADIUS = 1e-4
-MIN_STEP = 1e-12
+#: Degree bound of the fitted breakpoint functions (the manipulators'
+#: discriminant has trigonometric degree 3) and the samples fitting them.
+FIT_DEGREE = 4
+FIT_SAMPLES = 16
+#: Relative size below which a fitted coefficient, or all of A, B, C, is zero.
+COEFF_FLOOR = 1e-12
+#: Fitted roots this close to the unit circle are real zeros.
+ROOT_RING = 1e-6
+#: Breakpoints closer than this share of the box width are one (a double
+#: zero splits into two roots about 1e-8 apart); a point closer than
+#: NODE_RADIUS times the box diagonal to a special point lies on it.
+BREAK_MERGE = 1e-7
+NODE_RADIUS = 1e-6
+#: Fine samples per vertex, from which vertices are spaced in arc length.
+ARC_OVERSAMPLING = 4
 CHAIN_JUMP_FACTOR = 3.0
 ISOLATION_RADIUS_FACTOR = 10.0
 
 
 @dataclass
 class Polyline:
-    """One traced branch: an ordered vertex list with topology flags."""
+    """One branch: an ordered vertex list with topology flags."""
 
     vertices: np.ndarray
     closed: bool
     kind: str
     cusp_indices: list[int] = field(default_factory=list)
     corank2_endpoints: tuple[bool, bool] = (False, False)
-    truncated: bool = False
 
     def __len__(self):
         return len(self.vertices)
@@ -80,159 +100,172 @@ class JointCurveSet:
         return [c for c in self.curves if c.kind == kind]
 
 
-def _tangent(family, q, prev=None):
-    gphi, gy = family.jdet_grad(q[0], q[1])
-    t = np.array([-float(gy), float(gphi)])
-    norm = np.linalg.norm(t)
-    if norm < 1e-300:
-        return None
-    t /= norm
-    if prev is not None and float(t @ prev) < 0.0:
-        t = -t
-    return t
+def _abc(family, x):
+    """A, B and C of J = A y^2 + B y + C at the abscissae x."""
+    jm, j0, jp = (family.jdet(x, y) for y in (-1.0, 0.0, 1.0))
+    return 0.5 * (jp + jm) - j0, 0.5 * (jp - jm), j0
 
 
-def _correct_on_edge(family, frozen_axis, frozen_value, free_guess, jtol):
-    """1-D Newton for J = 0 along a box edge (one coordinate frozen)."""
-    w = float(free_guess)
-    for _ in range(30):
-        q = (frozen_value, w) if frozen_axis == 0 else (w, frozen_value)
-        j = float(family.jdet(q[0], q[1]))
-        if abs(j) <= jtol:
-            break
-        gphi, gy = (float(v) for v in family.jdet_grad(q[0], q[1]))
-        g = gy if frozen_axis == 0 else gphi
-        if abs(g) < 1e-300:
-            break
-        w -= j / g
-    return np.array((frozen_value, w) if frozen_axis == 0 else (w, frozen_value))
+def _disc(a, b, c):
+    return b * b - 4.0 * a * c
 
 
-class _Tracer:
-    def __init__(self, family, box, step, jtol, barriers):
-        self.family = family
-        self.box = box
-        self.step = step
-        self.jtol = jtol
-        self.barriers = barriers  # (m, 2) corank-2 locations, may be empty
-        (self.x0, self.x1), (self.y0, self.y1) = box
-        self.periodic_x = family.periodic and (self.x1 - self.x0) >= 2.0 * math.pi - 1e-9
-
-    def barrier_distance(self, q):
-        if not len(self.barriers):
-            return math.inf
-        return float(np.min(point_distances(self.family, self.barriers, q)))
-
-    def nearest_barrier(self, q):
-        return self.barriers[int(np.argmin(point_distances(self.family, self.barriers, q)))]
-
-    def outside(self, q):
-        if q[1] < self.y0 or q[1] > self.y1:
-            return True
-        if not self.periodic_x and (q[0] < self.x0 or q[0] > self.x1):
-            return True
-        return False
-
-    def clip_to_box(self, q_in, q_out):
-        """On-curve point where the segment q_in -> q_out leaves the box."""
-        best_t, axis, value = 2.0, None, None
-        for bound in (self.y0, self.y1):
-            d = q_out[1] - q_in[1]
-            if d != 0.0:
-                t = (bound - q_in[1]) / d
-                if 0.0 <= t < best_t:
-                    best_t, axis, value = t, 1, bound
-        if not self.periodic_x:
-            for bound in (self.x0, self.x1):
-                d = q_out[0] - q_in[0]
-                if d != 0.0:
-                    t = (bound - q_in[0]) / d
-                    if 0.0 <= t < best_t:
-                        best_t, axis, value = t, 0, bound
-        if axis is None:
-            return None
-        guess = q_in + best_t * (q_out - q_in)
-        free = guess[1] if axis == 0 else guess[0]
-        frozen_axis = 0 if axis == 0 else 1
-        q = _correct_on_edge(self.family, frozen_axis, value, free, self.jtol)
-        return q
-
-    def run(self, start, direction):
-        """Trace one direction; returns (vertices, status) where status is one
-        of 'open', 'closed', 'node', 'collapse'."""
-        vertices = [np.array(start, float)]
-        prev_dir = np.array(direction, float)
-        h = self.step
-        max_vertices = max(int(40.0 * (self.x1 - self.x0 + self.y1 - self.y0) / self.step), 1000)
-        while len(vertices) < max_vertices:
-            q = vertices[-1]
-            t = _tangent(self.family, q, prev_dir)
-            if t is None:
-                return vertices, "collapse"
-            dist = self.barrier_distance(q)
-            if dist < max(NODE_STOP_RADIUS, 2.0 * MIN_STEP):
-                vertices.append(self.nearest_barrier(q).copy())
-                return vertices, "node"
-            h_eff = min(h, 0.5 * dist)
-            accepted = None
-            while accepted is None:
-                pred = q + h_eff * t
-                corr, ok = _correct(self.family, pred, self.jtol)
-                if ok:
-                    moved = np.linalg.norm(corr - pred)
-                    seg = np.linalg.norm(corr - q)
-                    if moved <= 0.5 * h_eff and 1e-3 * h_eff < seg <= 2.0 * h_eff:
-                        accepted = corr
-                        break
-                h_eff *= 0.5
-                if h_eff < MIN_STEP:
-                    log.warning("tracing step collapsed near (%g, %g)", q[0], q[1])
-                    return vertices, "collapse"
-            if self.outside(accepted):
-                clipped = self.clip_to_box(q, accepted)
-                if clipped is not None and np.linalg.norm(clipped - q) <= 2.0 * self.step:
-                    vertices.append(clipped)
-                return vertices, "open"
-            vertices.append(accepted)
-            prev_dir = accepted - q
-            prev_dir /= max(np.linalg.norm(prev_dir), 1e-300)
-            h = min(self.step, h_eff * 1.7)
-            if len(vertices) > 5:
-                gap = point_distances(self.family, accepted, vertices[0])
-                if gap < 0.9 * min(h_eff, self.step):
-                    vertices[-1] = vertices[0].copy()
-                    return vertices, "closed"
-        log.warning("tracing hit the vertex budget; branch truncated")
-        return vertices, "collapse"
+def _roots(a, b, c, sign):
+    """q / a and c / q with the sign of q taken from ``sign`` (that of b
+    between its zeros), a negative discriminant taken as zero."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(_disc(a, b, c), 0.0)), sign))
+        return q / a, np.where(q == 0.0, 0.0, c / q)
 
 
-def _sign_change_seeds(family, box, n):
-    """Midpoints of grid edges where J changes sign, refined by bisection."""
+def _arclength(pts):
+    return np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
+
+
+def _zeros(family, f, x0, width, ref):
+    """Real zeros in [x0, x0 + width] of f, of magnitude ``ref``: a
+    trigonometric polynomial of degree <= FIT_DEGREE in the angle x0 + theta
+    (periodic families), or a polynomial of that degree in
+    x = x0 + width (1 - cos theta) / 2, hence one in theta too.  They are the
+    roots on the unit circle of z^4 times its Fourier series in exp(i theta)."""
+    def to_x(theta):
+        if family.periodic:
+            return x0 + np.mod(theta, TWO_PI)
+        return x0 + 0.5 * width * (1.0 - np.cos(theta))
+
+    spec = np.fft.fft(f(to_x(TWO_PI * np.arange(FIT_SAMPLES) / FIT_SAMPLES))) / FIT_SAMPLES
+    coef = spec[np.arange(FIT_DEGREE, -FIT_DEGREE - 1, -1)]  # c_4 .. c_-4
+    scale = max(np.max(np.abs(coef)), ref)
+    if np.max(np.abs(spec[FIT_DEGREE + 1:FIT_SAMPLES - FIT_DEGREE])) > 1e-9 * scale:
+        raise PreconditionViolated(f"{family.kind}: J is not quadratic in y with "
+                                   f"coefficients of degree <= {FIT_DEGREE // 2}")
+    big = np.flatnonzero(np.abs(coef) > COEFF_FLOOR * scale)
+    if big.size == 0:
+        return np.empty(0)
+    z = np.roots(coef[big[0]:len(coef) - big[0]])
+    return to_x(np.angle(z[np.abs(np.abs(z) - 1.0) < ROOT_RING]))
+
+
+def _branches(family, box, step, specials, barriers):
+    """Vertices, closed flag and corank-2 end tags of every branch of
+    {J = 0} in the box, before the final projection.  The (n, 2) special
+    points become breakpoints and, where a branch passes, vertices with
+    evenly spaced neighbors; branches end at the corank-2 ``barriers``."""
     (x0, x1), (y0, y1) = box
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    j = np.asarray(family.jdet(gx, gy))
-    pos = j > 0.0
+    wrap = family.periodic and x1 - x0 >= TWO_PI - 1e-9
+    width = TWO_PI if wrap else x1 - x0
+    node_radius = NODE_RADIUS * math.hypot(x1 - x0, y1 - y0)
+    ref = np.max(np.abs(_abc(family, x0 + width * np.arange(FIT_SAMPLES) / FIT_SAMPLES)))
+    # Double zeros of the discriminant come out about 1e-8 off, so its zeros
+    # come last and lose the merge to an exact breakpoint nearby.
+    fns = ((lambda x: _abc(family, x)[1], ref), (lambda x: family.jdet(x, y0), ref),
+           (lambda x: family.jdet(x, y1), ref), (lambda x: _disc(*_abc(family, x)), ref * ref))
+    brk = np.concatenate([[x0, x0 + width], specials[:, 0]]
+                         + [_zeros(family, f, x0, width, r) for f, r in fns])
+    if family.periodic:
+        brk = x0 + np.mod(brk - x0, TWO_PI)
+    # The box ends and the special points come first, so they win the merge.
+    brk = brk[dedup_mask(family, np.column_stack([brk, 0.0 * brk]), BREAK_MERGE * width)]
+    brk = np.sort(brk[(brk >= x0) & (brk <= x0 + width)])
+    edges = np.append(brk, brk[0] + TWO_PI) if wrap else brk
 
-    # Both ends of every grid edge where J changes sign, x-edges first.
-    cx = np.argwhere(pos[:-1, :] != pos[1:, :])
-    cy = np.argwhere(pos[:, :-1] != pos[:, 1:])
-    ax = np.concatenate([xs[cx[:, 0]], xs[cy[:, 0]]])
-    ay = np.concatenate([ys[cx[:, 1]], ys[cy[:, 1]]])
-    bx = np.concatenate([xs[cx[:, 0] + 1], xs[cy[:, 0]]])
-    by = np.concatenate([ys[cx[:, 1]], ys[cy[:, 1] + 1]])
+    # Root candidates at the breakpoints; at a zero of the discriminant both
+    # are the double root, so the ends meeting there compare equal.
+    a, b, c = _abc(family, brk)
+    cand = np.column_stack(_roots(a, b, c, b))
+    touch = (np.abs(_disc(a, b, c)) <= COEFF_FLOOR * ref * ref) & (a != 0.0)
+    cand[touch] = (-0.5 * b[touch] / a[touch])[:, None]
 
-    fa = family.jdet(ax, ay)
-    for _ in range(20):
-        mx = 0.5 * (ax + bx)
-        my = 0.5 * (ay + by)
-        fm = family.jdet(mx, my)
-        left = fa * fm <= 0.0
-        bx, by = np.where(left, mx, bx), np.where(left, my, by)
-        ax, ay = np.where(left, ax, mx), np.where(left, ay, my)
-        fa = np.where(left, fa, fm)
-    return np.column_stack([0.5 * (ax + bx), 0.5 * (ay + by)])
+    a, b, c = _abc(family, 0.5 * (edges[:-1] + edges[1:]))
+    ys = np.column_stack(_roots(a, b, c, b))
+    pieces, ends = [], {}
+    for i, k in np.argwhere((_disc(a, b, c) > 0.0)[:, None] & (ys > y0) & (ys < y1)):
+        def at(t, xl=edges[i], xr=edges[i + 1], k=k, sign=b[i]):
+            x = xl + (xr - xl) * (0.5 - 0.5 * np.cos(math.pi * t))
+            return np.column_stack([x, _roots(*_abc(family, x), sign)[k]])
+
+        coarse = _arclength(at(np.linspace(0.0, 1.0, 65)))[-1]
+        fine = at(np.linspace(0.0, 1.0, 65 + ARC_OVERSAMPLING * math.ceil(coarse / step)))
+        # End e of piece e // 2 (its start if e is even) takes the candidate
+        # nearest to the piece, and the ends are grouped where they meet.
+        for side, bi in ((0, i), (1, (i + 1) % len(brk))):
+            near = fine[-2 if side else 1, 1]
+            gap = np.abs(cand[bi] - near)
+            y = cand[bi, np.nanargmin(gap)] if np.isfinite(gap).any() else near
+            fine[-side] = edges[i + side], y
+            ends.setdefault((bi, y), []).append(2 * len(pieces) + side)
+        pieces.append(fine)
+
+    # Ends at a corank-2 point stop there, two other ends that meet join (at
+    # a turning point, the seam, or another root's breakpoint), and three or
+    # more stop.
+    link, tagged = {}, set()
+    for (bi, y), group in ends.items():
+        node = np.flatnonzero(point_distances(family, barriers, (brk[bi], y)) < node_radius)
+        if node.size:
+            for e in group:
+                pieces[e // 2][-(e % 2)] = barriers[node[0]]
+        if node.size or len(group) > 2:
+            tagged.update(group)
+        elif len(group) == 2:
+            link[group[0]], link[group[1]] = group[1], group[0]
+
+    # Chains of pieces, sampled evenly in arc length between their ends and
+    # the special points on them, with half intervals next to those points
+    # (so a cusp sits midway between its neighbors) and the vertex count of
+    # even steps.  The final projection puts the vertices, interpolated
+    # along the fine samples, back onto the curve.
+    def special(q):
+        return np.min(point_distances(family, specials, q), initial=np.inf) < node_radius
+
+    branches, used = [], set()
+    for e0 in sorted(range(2 * len(pieces)), key=lambda e: e in link):
+        if e0 // 2 in used:
+            continue
+        fine, cuts, e = np.empty((0, 2)), [0], e0
+        while True:
+            used.add(e // 2)
+            part = pieces[e // 2][::-1] if e % 2 else pieces[e // 2]
+            if len(fine):  # continue across the periodic seam
+                part = part + [TWO_PI * np.round((fine[-1, 0] - part[0, 0]) / TWO_PI), 0.0]
+                if special(part[0]):
+                    cuts.append(len(fine) - 1)
+            fine = np.concatenate([fine, part[1:] if len(fine) else part])
+            nxt = link.get(e ^ 1)
+            if nxt is None or nxt // 2 in used:
+                break
+            e = nxt
+        cuts.append(len(fine) - 1)
+        half = [float(special(fine[c])) for c in cuts]
+        verts = [fine[:1]]
+        for lo, hi, h0, h1 in zip(cuts, cuts[1:], half, half[1:]):
+            s = _arclength(fine[lo:hi + 1])
+            n = math.ceil(s[-1] / step)
+            at = np.append((np.arange(1, n) - 0.5 * h0) * s[-1] / (n - 0.5 * (h0 + h1) * (n > 1)),
+                           s[-1])
+            verts.append(np.column_stack([np.interp(at, s, fine[lo:hi + 1, j]) for j in (0, 1)]))
+        closed = nxt == e0
+        branches.append((np.concatenate(verts), closed,
+                         (False, False) if closed else (e0 in tagged, e ^ 1 in tagged)))
+
+    # Where A = B = C = 0 the vertical line is singular (the quarto with
+    # ab = 0); it is split at its corank-2 points.
+    for xv in brk[np.max(np.abs(_abc(family, brk)), axis=0) <= COEFF_FLOOR * ref]:
+        on = ((np.abs(barriers[:, 0] - xv) < node_radius)
+              & (barriers[:, 1] > y0) & (barriers[:, 1] < y1))
+        cuts = np.concatenate([[y0], np.sort(barriers[on, 1]), [y1]])
+        for j in range(len(cuts) - 1):
+            yv = np.linspace(cuts[j], cuts[j + 1], math.ceil((cuts[j + 1] - cuts[j]) / step) + 1)
+            branches.append((np.column_stack([np.full_like(yv, xv), yv]), False,
+                             (j > 0, j < len(cuts) - 2)))
+
+    # Every branch runs along the rotated gradient (-J_y, J_x).
+    for i, (verts, closed, tags) in enumerate(branches):
+        m = (len(verts) - 1) // 2
+        gx, gy = family.jdet_grad(*(0.5 * (verts[m] + verts[m + 1])))
+        if (verts[m + 1] - verts[m]) @ np.array([-gy, gx]) < 0.0:
+            branches[i] = verts[::-1], closed, tags[::-1]
+    return branches
 
 
 def trace_singularity_curves(
@@ -240,24 +273,23 @@ def trace_singularity_curves(
     box=None,
     step: float | None = None,
     *,
-    seed_grid: int = 128,
     specials: list[SpecialPoint] | None = None,
     special_grid: int = 64,
 ) -> CurveSet:
-    """Trace all branches of {J = 0} inside the box.
+    """Construct all branches of {J = 0} inside the box, vertices about
+    ``step`` apart in arc length.
 
     Branches are split at corank-2 points (emitted as tagged endpoints),
     cusp vertices are snapped onto the located cusps, and corank-2 elliptic
-    points with no nearby sign change of J are reported as isolated points.
+    points with no branch nearby are reported as isolated points.
     """
     if box is None:
         box = family.default_box()
     (x0, x1), (y0, y1) = box
     if not (x1 > x0 and y1 > y0):
         raise ValueError("box must be non-degenerate")
-    diag = math.hypot(x1 - x0, y1 - y0)
     if step is None:
-        step = diag / 1000.0
+        step = math.hypot(x1 - x0, y1 - y0) / 1000.0
     if step <= 0.0:
         raise ValueError("step must be positive")
 
@@ -270,51 +302,21 @@ def trace_singularity_curves(
     ).reshape(-1, 2)
     cusps = [p for p in specials if p.kind == PointKind.CUSP]
 
-    scales = reference_scales(family, box)
-    jtol = 1e-10 * max(1.0, scales.jdet)
-    tracer = _Tracer(family, box, step, jtol, barriers)
-    seeds = _sign_change_seeds(family, box, seed_grid)
-
-    polylines: list[Polyline] = []
+    jtol = 1e-10 * max(1.0, reference_scales(family, box).jdet)
+    branches = _branches(family, box, step, np.array(
+        [p.location for p in specials]).reshape(-1, 2), barriers)
     traced = np.empty((0, 2))
+    if branches:  # one projection for all vertices
+        traced, _ = _correct(family, np.concatenate([v for v, _, _ in branches]), jtol)
+        if family.periodic:
+            traced[:, 0] = canonical_phi(traced[:, 0])
+    polylines, ends = [], np.cumsum([len(b[0]) for b in branches])
+    for verts, (_, closed, tags) in zip(np.split(traced, ends[:-1]), branches):
+        polylines.append(Polyline(verts.copy(), closed, KIND_SINGULARITY, corank2_endpoints=tags))
+        if closed:
+            polylines[-1].vertices[-1] = verts[0]
 
-    def near_traced(q, radius):
-        return len(traced) > 0 and np.min(point_distances(family, traced, q)) < radius
-
-    projected, converged = _correct(family, seeds, jtol)
-    for q0 in projected[converged]:
-        if tracer.outside(q0):
-            continue
-        if tracer.barrier_distance(q0) < 2.0 * NODE_STOP_RADIUS:
-            continue
-        if near_traced(q0, 0.9 * step):
-            continue
-        t0 = _tangent(family, q0)
-        if t0 is None:
-            continue
-        fwd, fwd_status = tracer.run(q0, t0)
-        if fwd_status == "closed":
-            verts = np.array(fwd)
-            poly = Polyline(verts, True, KIND_SINGULARITY)
-        else:
-            bwd, bwd_status = tracer.run(q0, -t0)
-            verts = np.array(list(reversed(bwd[1:])) + fwd)
-            poly = Polyline(
-                verts, False, KIND_SINGULARITY,
-                corank2_endpoints=(bwd_status == "node", fwd_status == "node"),
-                truncated=(fwd_status == "collapse" or bwd_status == "collapse"),
-            )
-        if len(poly.vertices) < 2:
-            continue
-        polylines.append(poly)
-        traced = np.concatenate([traced, poly.vertices])
-
-    if family.periodic:
-        for poly in polylines:
-            poly.vertices = np.column_stack(
-                [canonical_phi(poly.vertices[:, 0]), poly.vertices[:, 1]])
-
-    # Snap each located cusp onto its nearest traced vertex and flag it.
+    # Snap each located cusp onto its nearest vertex and flag it.
     for cusp in cusps:
         loc = np.array([cusp.location.phi, cusp.location.y])
         best = None
@@ -344,9 +346,7 @@ def trace_singularity_curves(
         if p.kind != PointKind.CORANK2_ELLIPTIC:
             continue
         loc = np.array([p.location.phi, p.location.y])
-        if len(seeds) and np.min(point_distances(family, seeds, loc)) < isolation_radius:
-            continue
-        if near_traced(loc, isolation_radius):
+        if len(traced) and np.min(point_distances(family, traced, loc)) < isolation_radius:
             continue
         isolated.append(p.location)
 
@@ -366,7 +366,6 @@ def image_curves(family: MapFamily, cs: CurveSet) -> JointCurveSet:
             poly.kind,
             cusp_indices=list(poly.cusp_indices),
             corank2_endpoints=poly.corank2_endpoints,
-            truncated=poly.truncated,
         ))
     images = [JointPoint(*(float(w) for w in family.evaluate(p.phi, p.y)))
               for p in cs.isolated_points]

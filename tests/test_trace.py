@@ -1,19 +1,21 @@
 import math
 
 import numpy as np
+import pytest
 
 from cuspforge import (
     KIND_CHARACTERISTIC,
     KIND_SINGULARITY,
     characteristic_curves,
+    find_special_points,
     image_curves,
     make_family,
     reference_scales,
     trace_singularity_curves,
 )
-from cuspforge.maps import coord_deltas
-from cuspforge.singular import _correct
-from cuspforge.trace import _sign_change_seeds
+from cuspforge.maps import TWO_PI, JointPoint, WorkspacePoint, coord_deltas
+from cuspforge.singular import PointKind, SpecialPoint, _correct
+from tracer_oracle import _sign_change_seeds, oracle_trace
 
 from conftest import NORMAL_BOX, PAPER_BOX
 
@@ -26,6 +28,45 @@ def vertex_spacings(family, poly):
 def default_step(box):
     (x0, x1), (y0, y1) = box
     return math.hypot(x1 - x0, y1 - y0) / 1000.0
+
+
+def segment_distances(family, points, curves, reach):
+    """Distance from each of the (n, 2) points to the nearest segment of the
+    curves where it is below ``reach`` (inf elsewhere).  Segments are
+    unwrapped across the periodic seam and also shifted by one period each
+    way, so plain Euclidean distances apply; points are grouped in tiles so
+    that each tile meets only the segments near it."""
+    a = np.concatenate([c.vertices[:-1] for c in curves])
+    b = a + coord_deltas(family, np.concatenate([c.vertices[1:] for c in curves]), a)
+    if family.periodic:
+        shifts = [0.0, -TWO_PI, TWO_PI]
+        a = np.concatenate([a + [s, 0.0] for s in shifts])
+        b = np.concatenate([b + [s, 0.0] for s in shifts])
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    points = np.asarray(points, float)
+    tiles = np.floor((points - points.min(axis=0)) / (8.0 * reach)).astype(int)
+    _, tile_of = np.unique(tiles, axis=0, return_inverse=True)
+    out = np.full(len(points), np.inf)
+    for t in range(tile_of.max() + 1):
+        idx = np.flatnonzero(tile_of.ravel() == t)
+        p = points[idx]
+        near = np.all((hi >= p.min(axis=0) - reach) & (lo <= p.max(axis=0) + reach), axis=1)
+        if not near.any():
+            continue
+        sa, sb = a[near], b[near]
+        ab = sb - sa
+        ap = p[:, None, :] - sa[None]
+        u = np.clip(np.sum(ap * ab, axis=-1) / np.maximum(np.sum(ab * ab, axis=-1), 1e-300),
+                    0.0, 1.0)
+        out[idx] = np.min(np.linalg.norm(ap - u[..., None] * ab, axis=-1), axis=1)
+    return out
+
+
+def curve_signature(cs):
+    """Topology of a curve set: per curve the closed flag, the corank-2 end
+    tags (unordered) and the cusp count, as a sorted list."""
+    return sorted((c.closed, tuple(sorted(c.corank2_endpoints)), len(c.cusp_indices))
+                  for c in cs.curves)
 
 
 class TestInlineManipulatorTrace:
@@ -155,6 +196,27 @@ class TestNormalFormTraces:
         for poly in quarto_trace.curves:
             assert np.max(np.abs(poly.vertices[:, 0] * poly.vertices[:, 1] - 1.0)) < 1e-6
 
+    def test_degenerate_quarto_is_both_axes(self):
+        # J = xy: besides y = 0, where J is linear in y, the singular set holds
+        # the vertical line x = 0, where A = B = C = 0.  Without special
+        # points the two axes cross at the origin; with a corank-2 point
+        # there, the four half-axes end at it, tagged.
+        fam = make_family("quarto_unfolded", a=0.0, b=0.0)
+        origin = SpecialPoint(WorkspacePoint(0.0, 0.0), JointPoint(0.0, 0.0),
+                              PointKind.CORANK2_HYPERBOLIC, 1.0, 0.0)
+        for specials, n_curves in (([], 2), ([origin], 4)):
+            cs = trace_singularity_curves(fam, NORMAL_BOX, 0.05, specials=specials)
+            assert len(cs.curves) == n_curves
+            ends = []
+            for poly in cs.curves:
+                assert np.max(np.min(np.abs(poly.vertices), axis=1)) < 1e-12
+                assert np.max(vertex_spacings(fam, poly)) < 1.01 * 0.05
+                for end, tagged in zip(poly.vertices[[0, -1]], poly.corank2_endpoints):
+                    assert tagged == (specials != [] and not np.any(np.abs(end) == 4.0))
+                    ends.append(tuple(np.round(end, 9) + 0.0))
+            assert sorted(e for e in ends if max(map(abs, e)) == 4.0) == [
+                (-4.0, 0.0), (0.0, -4.0), (0.0, 4.0), (4.0, 0.0)]
+
     def test_halving_the_step_converges_to_the_true_curve(self, square_family):
         # Distance from the true circle to the polyline shrinks with the step.
         theta = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
@@ -243,3 +305,106 @@ class TestCharacteristicCurves:
         cs = trace_singularity_curves(fam, NORMAL_BOX, 0.05)
         chars = characteristic_curves(fam, cs)
         assert chars.curves == []
+
+
+class TestOracleAgreement:
+    """The closed-form curves against the predictor-corrector oracle of
+    ``tests/tracer_oracle.py``, in the paper box and in the reach box."""
+
+    @pytest.mark.parametrize("reach", [False, True], ids=["paper_box", "reach_box"])
+    @pytest.mark.parametrize("name", ["exact", "offset", "square", "quarto"])
+    def test_matches_predictor_corrector_oracle(self, name, reach, request):
+        family = request.getfixturevalue(f"{name}_family")
+        box = family.default_box() if reach else PAPER_BOX if family.periodic else NORMAL_BOX
+        step = default_step(box)
+        specials = find_special_points(family, box)
+        cs = trace_singularity_curves(family, box, specials=specials)
+        oracle = oracle_trace(family, box, specials=specials)
+        assert not any(c.truncated for c in oracle.curves)
+
+        scale = reference_scales(family, box).jdet
+        for poly in cs.curves:
+            j = family.jdet(poly.vertices[:, 0], poly.vertices[:, 1])
+            assert np.max(np.abs(j)) <= 1e-9 * scale
+            # Every segment runs along the rotated gradient (-J_y, J_x), as
+            # the oracle's walks do.
+            seg = coord_deltas(family, poly.vertices[1:], poly.vertices[:-1])
+            gx, gy = family.jdet_grad(*(poly.vertices[:-1] + 0.5 * seg).T)
+            assert np.all(seg[:, 0] * -gy + seg[:, 1] * gx > 0.0)
+
+        ours = np.concatenate([c.vertices for c in cs.curves])
+        theirs = np.concatenate([c.vertices for c in oracle.curves])
+        assert np.max(segment_distances(family, ours, oracle.curves, step)) < step
+        assert np.max(segment_distances(family, theirs, cs.curves, step)) < step
+
+        assert curve_signature(cs) == curve_signature(oracle)
+        assert len(cs.isolated_points) == len(oracle.isolated_points)
+        for p, q in zip(cs.isolated_points, oracle.isolated_points):
+            assert math.dist(p, q) < 1e-12
+
+
+def random_geometries():
+    """Seeded draws: 12 offset manipulators, then 8 unfoldings with a != b
+    and ab != 0, alternating complex square and quarto."""
+    rng = np.random.default_rng(61018)
+    draws = []
+    for _ in range(12):
+        a1, a2, b1, b2 = rng.uniform(1.0, 8.0, 4)
+        draws.append(("rpr2pr_offset",
+                      dict(a1=a1, a2=a2, b1=b1, b2=b2, d=rng.uniform(0.05, 3.0))))
+    while len(draws) < 20:
+        a, b = rng.uniform(-2.0, 2.0, 2)
+        if abs(a - b) < 0.1 or abs(a * b) < 0.05:
+            continue
+        kind = ("complex_square_unfolded", "quarto_unfolded")[len(draws) % 2]
+        draws.append((kind, dict(a=a, b=b)))
+    return draws
+
+
+class TestRandomGeometryCoverage:
+    """Coverage both ways against a 1024^2 sign-change scan of J over the
+    family's reach box, an oracle that shares nothing with either tracer."""
+
+    N = 1024
+
+    @pytest.mark.parametrize("kind, params", random_geometries())
+    def test_closed_form_covers_the_sign_changes(self, kind, params):
+        family = make_family(kind, **params)
+        box = family.default_box()
+        (x0, x1), (y0, y1) = box
+        specials = find_special_points(family, box)
+        cs = trace_singularity_curves(family, box, specials=specials)
+        assert cs.curves
+
+        xs, ys = np.linspace(x0, x1, self.N + 1), np.linspace(y0, y1, self.N + 1)
+        pos = family.jdet(*np.meshgrid(xs, ys, indexing="ij")) > 0.0
+        corner = pos[:-1, :-1]
+        mixed = ((pos[1:, :-1] != corner) | (pos[:-1, 1:] != corner)
+                 | (pos[1:, 1:] != corner))
+        hx, hy = (x1 - x0) / self.N, (y1 - y0) / self.N
+        cell = math.hypot(hx, hy)
+
+        # Every sign-change cell lies within one cell diagonal of a segment.
+        i, j = np.nonzero(mixed)
+        centers = np.column_stack([x0 + (i + 0.5) * hx, y0 + (j + 0.5) * hy])
+        assert np.all(segment_distances(family, centers, cs.curves, cell) <= cell)
+
+        # Every vertex lies in or next to a sign-change cell, or at a
+        # corank-2 point.
+        rows = mixed.copy()
+        rows[1:] |= mixed[:-1]
+        rows[:-1] |= mixed[1:]
+        near = rows.copy()
+        near[:, 1:] |= rows[:, :-1]
+        near[:, :-1] |= rows[:, 1:]
+        verts = np.concatenate([c.vertices for c in cs.curves])
+        vx = x0 + np.mod(verts[:, 0] - x0, TWO_PI) if family.periodic else verts[:, 0]
+        vi = np.clip(((vx - x0) / hx).astype(int), 0, self.N - 1)
+        vj = np.clip(((verts[:, 1] - y0) / hy).astype(int), 0, self.N - 1)
+        covered = near[vi, vj]
+        corank2 = np.array([p.location for p in specials
+                            if p.kind != PointKind.CUSP]).reshape(-1, 2)
+        if len(corank2):
+            covered |= np.min(np.linalg.norm(
+                coord_deltas(family, verts[:, None, :], corank2[None]), axis=-1), axis=1) < cell
+        assert np.all(covered)
