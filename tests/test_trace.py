@@ -13,6 +13,7 @@ from cuspforge import (
     reference_scales,
     trace_singularity_curves,
 )
+from cuspforge.errors import PreconditionViolated
 from cuspforge.maps import TWO_PI, JointPoint, WorkspacePoint, coord_deltas
 from cuspforge.singular import PointKind, SpecialPoint, _correct
 from tracer_oracle import _sign_change_seeds, oracle_trace
@@ -341,6 +342,30 @@ class TestOracleAgreement:
         assert len(cs.isolated_points) == len(oracle.isolated_points)
         for p, q in zip(cs.isolated_points, oracle.isolated_points):
             assert math.dist(p, q) < 1e-12
+
+
+    @pytest.mark.parametrize("box", [((0.0, 3.0), (-8.0, 8.0)), ((-3.0, 7.0), (-5.0, 5.0))],
+                             ids=["partial_window", "window_over_a_period"])
+    def test_angle_windows_other_than_one_period(self, offset_family, box):
+        # Box ends inside the period are exits; a window wider than one
+        # period is traced once around.
+        specials = find_special_points(offset_family, box)
+        cs = trace_singularity_curves(offset_family, box, specials=specials)
+        oracle = oracle_trace(offset_family, box, specials=specials)
+        step = default_step(box)
+        ours = np.concatenate([c.vertices for c in cs.curves])
+        assert np.max(segment_distances(offset_family, ours, oracle.curves, step)) < step
+        assert curve_signature(cs) == curve_signature(oracle)
+
+    def test_determinant_of_higher_degree_is_refused(self, exact_family):
+        # The breakpoints assume coefficients of low trigonometric degree; a
+        # determinant outside that class raises instead of giving wrong curves.
+        class Wavy(type(exact_family)):
+            def jdet(self, phi, y):
+                return super().jdet(phi, y) + np.cos(6.0 * np.asarray(phi))
+
+        with pytest.raises(PreconditionViolated):
+            trace_singularity_curves(Wavy(3.0, 7.0, 6.0, 5.0), PAPER_BOX, specials=[])
 
 
 def random_geometries():
