@@ -123,11 +123,12 @@ def _arclength(pts):
 
 
 def _zeros(family, f, x0, width, ref):
-    """Real zeros in [x0, x0 + width] of f, of magnitude ``ref``: a
-    trigonometric polynomial of degree <= FIT_DEGREE in the angle x0 + theta
-    (periodic families), or a polynomial of that degree in
-    x = x0 + width (1 - cos theta) / 2, hence one in theta too.  They are the
-    roots on the unit circle of z^4 times its Fourier series in exp(i theta)."""
+    """Real zeros of f, of magnitude ``ref``: a trigonometric polynomial of
+    degree <= FIT_DEGREE in the angle x0 + theta (periodic families; all its
+    zeros, in [x0, x0 + 2 pi)), or a polynomial of that degree in
+    x = x0 + width (1 - cos theta) / 2 (zeros in [x0, x0 + width]), hence one
+    in theta too.  They are the roots on the unit circle of z^4 times its
+    Fourier series in exp(i theta)."""
     def to_x(theta):
         if family.periodic:
             return x0 + np.mod(theta, TWO_PI)
