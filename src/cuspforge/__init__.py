@@ -14,11 +14,9 @@ from .errors import (
     ConfigError,
     CuspforgeError,
     DivergedLift,
-    NonConvergence,
     PermutationInconsistent,
     PreconditionViolated,
     SingularEncounter,
-    ToleranceNotMet,
 )
 from .maps import (
     DET_NORMALIZATION,

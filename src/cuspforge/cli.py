@@ -75,14 +75,14 @@ def _auto_joint_bounds(jcs, margin=0.12):
             (float(lo[1] - pad[1]), float(hi[1] + pad[1])))
 
 
-def _specials(cfg, family, box, grid=None):
-    """Special points with the configured seed lattice and tolerance."""
-    return find_special_points(family, box, grid=grid or cfg.grid or 64, tol=cfg.tol or 1e-10)
+def _specials(cfg, family, box):
+    """Special points with the configured tolerance."""
+    return find_special_points(family, box, tol=cfg.tol or 1e-10)
 
 
 def cmd_cusps(args) -> int:
     cfg, family, box = _load(args)
-    points = _specials(cfg, family, box, args.grid)
+    points = _specials(cfg, family, box)
     out = _outdir(args)
     output.write_special_points_csv(out / "cusps.csv", points)
     print(f"{len(points)} special point(s) in "
@@ -100,7 +100,7 @@ def cmd_cusps(args) -> int:
 def cmd_trace(args) -> int:
     cfg, family, box = _load(args)
     cs = trace_singularity_curves(family, box, args.step,
-                                  specials=_specials(cfg, family, box, args.grid))
+                                  specials=_specials(cfg, family, box))
     jcs = image_curves(family, cs)
     characteristics = None
     if args.characteristics:
@@ -406,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cusps", help="find and classify special points",
                        description="CSV schema: phi, y, u, v, kind, delta, residual.")
     add_common(p)
-    p.add_argument("--grid", type=int, help="seed lattice resolution (default 64)")
     p.set_defaults(func=cmd_cusps)
 
     p = sub.add_parser("trace", help="trace singularity curves",
@@ -414,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "coord1, coord2.")
     add_common(p)
     p.add_argument("--step", type=float, help="tracing arclength step")
-    p.add_argument("--grid", type=int, help="special-point seed resolution")
     p.add_argument("--characteristics", action="store_true",
                    help="also compute characteristic curves (slower)")
     p.set_defaults(func=cmd_trace)

@@ -1,8 +1,8 @@
 """Line-oriented analysis configuration: ``key = value`` with # comments.
 
 Recognized keys: family, a1, a2, b1, b2, d, a, b, phi_min, phi_max, y_max,
-grid, tol, and the optional joint-window keys u_min, u_max, v_min, v_max
-used by the region-counting subcommand.  Unset keys fall back to the
+tol, and the optional joint-window keys u_min, u_max, v_min, v_max used by
+the region-counting subcommand.  Unset keys fall back to the
 defaults of whatever module consumes them.
 """
 
@@ -17,7 +17,6 @@ from .maps import FAMILY_KINDS, MapFamily, make_family
 _FLOAT_KEYS = ("a1", "a2", "b1", "b2", "d", "a", "b",
                "phi_min", "phi_max", "y_max",
                "u_min", "u_max", "v_min", "v_max", "tol")
-_INT_KEYS = ("grid",)
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ class AnalysisConfig:
     u_max: float | None = None
     v_min: float | None = None
     v_max: float | None = None
-    grid: int | None = None
     tol: float | None = None
 
 
@@ -63,11 +61,6 @@ def parse_config(text: str) -> AnalysisConfig:
                 values[key] = float(val)
             except ValueError:
                 raise ConfigError(f"line {lineno}: {key} needs a number, got {val!r}") from None
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} needs an integer, got {val!r}") from None
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values and isinstance(values[key], float) and not math.isfinite(values[key]):

@@ -13,14 +13,6 @@ class PreconditionViolated(CuspforgeError):
     """An operation was called outside its stated domain."""
 
 
-class NonConvergence(CuspforgeError):
-    """An iterative solve failed to converge."""
-
-
-class ToleranceNotMet(CuspforgeError):
-    """A candidate stagnated above the requested tolerance."""
-
-
 class BoxTooSmall(CuspforgeError):
     """A solution converged outside the search box.
 

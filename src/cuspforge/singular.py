@@ -8,12 +8,14 @@ whose three residual components vanish exactly at cusps and at corank-2
 points.  The vector (-J_y, J_phi) is the tangent of the fold curve {J = 0},
 so the extra equations say that this tangent lies in the kernel of the
 Jacobian (or that the fold curve itself is singular).
+
+J is quadratic and k cubic in y, so every special point lies over a real
+zero of the resultants Res_y(J, k_i), from which Gauss-Newton starts.
 """
 
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,6 +24,7 @@ import numpy as np
 
 from .errors import PreconditionViolated
 from .maps import (
+    TWO_PI,
     JointPoint,
     MapFamily,
     WorkspacePoint,
@@ -31,14 +34,20 @@ from .maps import (
     reference_scales,
 )
 
-log = logging.getLogger(__name__)
-
 RANK_RATIO_THRESHOLD = 1e-7      # sigma2 / sigma1 below this -> rank <= 1
 RANK_ZERO_FACTOR = 1e-7          # sigma1 below this * jac scale -> rank 0
 DELTA_DEGENERATE_FACTOR = 1e-8   # |Delta| below this * coeff scale^2 -> degenerate
 CUSP_TEST_STEP = 1e-4
 CUSP_TEST_REL_THRESHOLD = 1e-6
 FULL_CIRCLE = 2.0 * math.pi - 1e-9
+#: Relative size below which a fitted coefficient, or all of A, B, C, is zero.
+COEFF_FLOOR = 1e-12
+#: Degree bound of Res_y(J, k_i) in the angle or in x (measured: 9 for the
+#: manipulators, 4 or 5 for the unfoldings), and the distance from the unit
+#: circle within which its roots seed: loose, as corank-2 points are
+#: multiple roots, scattered by about 1e-4.
+RESULTANT_DEGREE = 12
+SEED_RING = 1e-3
 
 
 class PointKind(enum.Enum):
@@ -304,46 +313,99 @@ def classify_point(family: MapFamily, q, tol: float = 1e-8) -> SpecialPoint:
     return SpecialPoint(location, image, kind, float("nan"), residual)
 
 
-def find_special_points(
-    family: MapFamily,
-    box=None,
-    grid: int = 64,
-    tol: float = 1e-10,
-) -> list[SpecialPoint]:
-    """Find all special points in a workspace box by multistart Gauss-Newton.
+def _abc(family: MapFamily, x):
+    """A, B and C of J = A y^2 + B y + C at the abscissae x."""
+    jm, j0, jp = (family.jdet(x, y) for y in (-1.0, 0.0, 1.0))
+    return 0.5 * (jp + jm) - j0, 0.5 * (jp - jm), j0
 
-    Seeds are the nodes of a ``grid`` x ``grid`` lattice over the box; every
-    converged candidate with detection residual below ``tol`` is kept,
-    deduplicated at radius 1e-6 times the box diagonal (max-norm, angle
-    compared modulo 2*pi for the periodic families), and classified.
-    """
-    if box is None:
-        box = family.default_box()
+
+def _disc(a, b, c):
+    return b * b - 4.0 * a * c
+
+
+def _roots(a, b, c, sign):
+    """q / a and c / q with the sign of q taken from ``sign`` (that of b
+    between its zeros), a negative discriminant taken as zero."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(_disc(a, b, c), 0.0)), sign))
+        return q / a, np.where(q == 0.0, 0.0, c / q)
+
+
+def _zeros(family: MapFamily, f, x0, width, ref, degree, ring):
+    """Real zeros of f, of magnitude ``ref``: a trigonometric polynomial of
+    degree <= ``degree`` in the angle x0 + theta (periodic families; all its
+    zeros, in [x0, x0 + 2 pi)), or a polynomial of that degree in
+    x = x0 + width (1 - cos theta) / 2 (zeros in [x0, x0 + width]), hence one
+    in theta too.  They are the roots within ``ring`` of the unit circle of
+    z^degree times its Fourier series in exp(i theta), fitted on the least
+    power of two of at least 4 degree samples."""
+    def to_x(theta):
+        if family.periodic:
+            return x0 + np.mod(theta, TWO_PI)
+        return x0 + 0.5 * width * (1.0 - np.cos(theta))
+
+    n = 1 << (4 * degree - 1).bit_length()
+    spec = np.fft.fft(f(to_x(TWO_PI * np.arange(n) / n))) / n
+    coef = spec[np.arange(degree, -degree - 1, -1)]  # c_degree .. c_-degree
+    scale = max(np.max(np.abs(coef)), ref)
+    if np.max(np.abs(spec[degree + 1:n - degree])) > 1e-9 * scale:
+        raise PreconditionViolated(f"{family.kind}: J is not quadratic in y with "
+                                   f"coefficients of low degree (fit degree > {degree})")
+    big = np.flatnonzero(np.abs(coef) > COEFF_FLOOR * scale)
+    if big.size == 0:
+        return np.empty(0)
+    z = np.roots(coef[big[0]:len(coef) - big[0]])
+    return to_x(np.angle(z[np.abs(np.abs(z) - 1.0) < ring]))
+
+
+def _coefficients(family: MapFamily, x):
+    """(A, B, C) of J and the coefficients (k3, k2, k1, k0), each (n, 2), of
+    the cubic k = Jac . (-J_y, J_x) in y at the abscissae x, from k at
+    y = -1, 0, 1, 2."""
+    km, k0, k1, k2 = (_detection_batch(family, np.column_stack([x, np.full_like(x, y)]))[0][:, 1:]
+                      for y in (-1.0, 0.0, 1.0, 2.0))
+    c3 = (k2 - 3.0 * k1 + 3.0 * k0 - km) / 6.0
+    return _abc(family, x), (c3, 0.5 * (k1 + km) - k0, 0.5 * (k1 - km) - c3, k0)
+
+
+def _resultant_seeds(family: MapFamily, box):
+    """Both roots y of J(x, .) = 0 at every real zero x of the resultants
+    Res_y(J, k_i), i = 1, 2: Sylvester determinants of J and the cubic k_i,
+    5 x 5, or 4 x 4 where A vanishes identically (the quarto), which is then
+    sum_j k_j (-C)^j B^(3-j)."""
+    (x0, x1), _ = box
+    (a, b, c), k = _coefficients(family, x0 + (x1 - x0) * np.arange(16) / 16.0)
+    jref = np.max(np.abs([a, b, c]))
+    m = 1 if np.max(np.abs(a)) <= COEFF_FLOOR * jref else 2  # the degree of J in y
+
+    def resultant(x, i):
+        jc, k = _coefficients(family, x)
+        s = np.zeros((len(x), m + 3, m + 3))
+        for r in range(3):
+            s[:, r, r:r + m + 1] = np.column_stack(jc[2 - m:])
+        for r in range(m):
+            s[:, 3 + r, r:r + 4] = np.column_stack([kj[:, i] for kj in k])
+        return np.linalg.det(s)
+
+    ref = jref ** 3 * np.max(np.abs(k)) ** m
+    x = np.concatenate([_zeros(family, lambda x, i=i: resultant(x, i), x0, x1 - x0, ref,
+                               RESULTANT_DEGREE, SEED_RING) for i in (0, 1)])
+    a, b, c = _abc(family, x)
+    seeds = np.column_stack([np.repeat(x, 2), np.column_stack(_roots(a, b, c, b)).ravel()])
+    return seeds[np.all(np.isfinite(seeds), axis=1)]
+
+
+def _from_seeds(family: MapFamily, box, seeds, tol):
+    """Gauss-Newton from the seeds; every candidate in the box with detection
+    residual below ``tol`` is kept, deduplicated at radius 1e-6 times the box
+    diagonal (max-norm, angle modulo 2*pi for the periodic families), and
+    classified."""
     (x0, x1), (y0, y1) = box
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError("box must be non-degenerate")
-    if grid < 16:
-        raise ValueError("grid must be at least 16 per axis")
-
-    xs = np.linspace(x0, x1, grid)
-    ys = np.linspace(y0, y1, grid)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    seeds = np.stack([gx.ravel(), gy.ravel()], axis=-1)
     diag = math.hypot(x1 - x0, y1 - y0)
-
-    converged, residuals = _gauss_newton(family, seeds, diag / 8.0)
-    ok = residuals < tol
-    diverged = ~np.all(np.isfinite(converged), axis=1)
-    n_stagnant = int(np.sum(~ok & ~diverged))
-    if np.any(diverged):
-        log.debug("NonConvergence on %d of %d seeds", int(np.sum(diverged)),
-                  len(seeds))
-    if n_stagnant:
-        log.debug("ToleranceNotMet on %d of %d seeds", n_stagnant, len(seeds))
-    ok &= ~diverged
-    candidates = converged[ok]
-    if candidates.size == 0:
-        return []
+    # A seed at a pole of q / A (A = 0) can diverge; it is dropped here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        converged, residuals = _gauss_newton(family, seeds, diag / 8.0)
+    candidates = converged[(residuals < tol) & np.all(np.isfinite(converged), axis=1)]
 
     # Keep only candidates inside the search box (angle folded for periodic
     # families so a wrap-around hit still counts as inside).
@@ -368,10 +430,24 @@ def find_special_points(
         jac = np.asarray(family.jacobian(q[0], q[1]), float)
         sing = np.linalg.svd(jac, compute_uv=False)
         if sing[0] < 1e-3 * scales.jac_entry:
-            q = _polish_corank2(family, q)
+            # Near an unfolded corank-2 point the polish pulls a cusp onto the
+            # zero of grad J, off {J = 0}: keep it only if it solves the system.
+            polished = _polish_corank2(family, q)
+            if np.max(np.abs(_detection_batch(family, polished)[0])) < tol:
+                q = polished
         points.append(classify_point(family, q, tol=max(tol * 100.0, 1e-9)))
     points.sort(key=lambda p: (p.location.phi, p.location.y))
 
     # Polishing corank-2 candidates can merge duplicates; dedup once more.
     keep = dedup_mask(family, [p.location for p in points], radius)
     return [p for p, k in zip(points, keep) if k]
+
+
+def find_special_points(family: MapFamily, box=None, tol: float = 1e-10) -> list[SpecialPoint]:
+    """Find all special points in a workspace box, from the resultant seeds."""
+    if box is None:
+        box = family.default_box()
+    (x0, x1), (y0, y1) = box
+    if not (x1 > x0 and y1 > y0):
+        raise ValueError("box must be non-degenerate")
+    return _from_seeds(family, box, _resultant_seeds(family, box), tol)

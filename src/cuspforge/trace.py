@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dkp import solve_dkp
-from .errors import CuspforgeError, PreconditionViolated
+from .errors import CuspforgeError
 from .maps import (
     TWO_PI,
     JointPoint,
@@ -38,7 +38,17 @@ from .maps import (
     point_distances,
     reference_scales,
 )
-from .singular import PointKind, SpecialPoint, _correct, find_special_points
+from .singular import (
+    COEFF_FLOOR,
+    PointKind,
+    SpecialPoint,
+    _abc,
+    _correct,
+    _disc,
+    _roots,
+    _zeros,
+    find_special_points,
+)
 
 log = logging.getLogger(__name__)
 
@@ -49,8 +59,6 @@ KIND_CHARACTERISTIC = "characteristic"
 #: discriminant has trigonometric degree 3) and the samples fitting them.
 FIT_DEGREE = 4
 FIT_SAMPLES = 16
-#: Relative size below which a fitted coefficient, or all of A, B, C, is zero.
-COEFF_FLOOR = 1e-12
 #: Fitted roots this close to the unit circle are real zeros.
 ROOT_RING = 1e-6
 #: Breakpoints closer than this share of the box width are one (a double
@@ -100,51 +108,8 @@ class JointCurveSet:
         return [c for c in self.curves if c.kind == kind]
 
 
-def _abc(family, x):
-    """A, B and C of J = A y^2 + B y + C at the abscissae x."""
-    jm, j0, jp = (family.jdet(x, y) for y in (-1.0, 0.0, 1.0))
-    return 0.5 * (jp + jm) - j0, 0.5 * (jp - jm), j0
-
-
-def _disc(a, b, c):
-    return b * b - 4.0 * a * c
-
-
-def _roots(a, b, c, sign):
-    """q / a and c / q with the sign of q taken from ``sign`` (that of b
-    between its zeros), a negative discriminant taken as zero."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(_disc(a, b, c), 0.0)), sign))
-        return q / a, np.where(q == 0.0, 0.0, c / q)
-
-
 def _arclength(pts):
     return np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
-
-
-def _zeros(family, f, x0, width, ref):
-    """Real zeros of f, of magnitude ``ref``: a trigonometric polynomial of
-    degree <= FIT_DEGREE in the angle x0 + theta (periodic families; all its
-    zeros, in [x0, x0 + 2 pi)), or a polynomial of that degree in
-    x = x0 + width (1 - cos theta) / 2 (zeros in [x0, x0 + width]), hence one
-    in theta too.  They are the roots on the unit circle of z^4 times its
-    Fourier series in exp(i theta)."""
-    def to_x(theta):
-        if family.periodic:
-            return x0 + np.mod(theta, TWO_PI)
-        return x0 + 0.5 * width * (1.0 - np.cos(theta))
-
-    spec = np.fft.fft(f(to_x(TWO_PI * np.arange(FIT_SAMPLES) / FIT_SAMPLES))) / FIT_SAMPLES
-    coef = spec[np.arange(FIT_DEGREE, -FIT_DEGREE - 1, -1)]  # c_4 .. c_-4
-    scale = max(np.max(np.abs(coef)), ref)
-    if np.max(np.abs(spec[FIT_DEGREE + 1:FIT_SAMPLES - FIT_DEGREE])) > 1e-9 * scale:
-        raise PreconditionViolated(f"{family.kind}: J is not quadratic in y with "
-                                   f"coefficients of degree <= {FIT_DEGREE // 2}")
-    big = np.flatnonzero(np.abs(coef) > COEFF_FLOOR * scale)
-    if big.size == 0:
-        return np.empty(0)
-    z = np.roots(coef[big[0]:len(coef) - big[0]])
-    return to_x(np.angle(z[np.abs(np.abs(z) - 1.0) < ROOT_RING]))
 
 
 def _branches(family, box, step, specials, barriers):
@@ -162,7 +127,8 @@ def _branches(family, box, step, specials, barriers):
     fns = ((lambda x: _abc(family, x)[1], ref), (lambda x: family.jdet(x, y0), ref),
            (lambda x: family.jdet(x, y1), ref), (lambda x: _disc(*_abc(family, x)), ref * ref))
     brk = np.concatenate([[x0, x0 + width], specials[:, 0]]
-                         + [_zeros(family, f, x0, width, r) for f, r in fns])
+                         + [_zeros(family, f, x0, width, r, FIT_DEGREE, ROOT_RING)
+                            for f, r in fns])
     if family.periodic:
         brk = x0 + np.mod(brk - x0, TWO_PI)
     # The box ends and the special points come first, so they win the merge.
@@ -275,7 +241,6 @@ def trace_singularity_curves(
     step: float | None = None,
     *,
     specials: list[SpecialPoint] | None = None,
-    special_grid: int = 64,
 ) -> CurveSet:
     """Construct all branches of {J = 0} inside the box, vertices about
     ``step`` apart in arc length.
@@ -295,7 +260,7 @@ def trace_singularity_curves(
         raise ValueError("step must be positive")
 
     if specials is None:
-        specials = find_special_points(family, box, grid=special_grid)
+        specials = find_special_points(family, box)
     corank2_kinds = (PointKind.CORANK2_ELLIPTIC, PointKind.CORANK2_HYPERBOLIC,
                      PointKind.DEGENERATE)
     barriers = np.array(

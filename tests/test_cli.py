@@ -2,7 +2,9 @@ import csv
 import math
 from xml.etree import ElementTree as ET
 
-from cuspforge import cli, find_special_points, monodromy
+import pytest
+
+from cuspforge import monodromy
 from cuspforge.cli import main
 from cuspforge.monodromy import _lift_batch
 
@@ -39,18 +41,6 @@ def write_cfg(tmp_path, text, name="analysis.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
-
-
-def record_special_point_grids(monkeypatch):
-    """Make the CLI's special-point search record its seed lattice sizes."""
-    grids = []
-
-    def recording(family, box, grid=64, tol=1e-10):
-        grids.append(grid)
-        return find_special_points(family, box, grid=grid, tol=tol)
-
-    monkeypatch.setattr(cli, "find_special_points", recording)
-    return grids
 
 
 def read_csv(path):
@@ -138,18 +128,11 @@ class TestRegions:
         assert counts == {4}
         assert (tmp_path / "regions.svg").exists()
 
-    def test_grid_key_sizes_the_seed_lattice_not_the_count_map(self, tmp_path, capsys,
-                                                                  monkeypatch):
-        # `grid` is the special-point seed lattice: the count map keeps its
-        # default 32 x 32 cells, and the auto-bounds trace locates its special
-        # points on the configured lattice.
-        grids = record_special_point_grids(monkeypatch)
-        cfg = write_cfg(tmp_path, QUARTO_CFG.replace("a = 0\nb = 0", "a = 1\nb = 1")
-                        + "grid = 16\n")
+    def test_count_map_defaults_to_32_cells(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, QUARTO_CFG.replace("a = 0\nb = 0", "a = 1\nb = 1"))
         assert main(["regions", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert "over 32x32 cells" in capsys.readouterr().out
         assert len(read_csv(tmp_path / "regions.csv")) == 1 + 32 * 32
-        assert grids == [16]
 
 
 class TestMonodromyCommand:
@@ -192,13 +175,6 @@ class TestMonodromyCommand:
         assert n > 0 and len(calls) == n and len(set(calls)) == n
 
 
-    def test_trace_uses_the_configured_seed_lattice(self, tmp_path, capsys, monkeypatch):
-        grids = record_special_point_grids(monkeypatch)
-        cfg = write_cfg(tmp_path, EXACT_CFG + "grid = 20\n")
-        assert main(["monodromy", "--config", cfg, "--out", str(tmp_path),
-                     "--center", "81,144", "--radius", "20", "--samples", "360"]) == 0
-        assert grids == [20]
-
 
 class TestReproduce:
     def test_printed_total_counts_the_checks_that_ran(self, tmp_path, capsys):
@@ -222,6 +198,18 @@ class TestErrorPaths:
         assert main(["dkp", "--config", cfg, "--target", "4,4",
                      "--out", str(tmp_path)]) == 2
         assert "solver error" in capsys.readouterr().err
+
+    def test_seed_lattice_size_is_no_longer_accepted(self, tmp_path, capsys):
+        # Special points are seeded by exact resultant roots: neither the
+        # `grid` key nor the `--grid` flag sizes anything.
+        cfg = write_cfg(tmp_path, EXACT_CFG + "grid = 16\n")
+        assert main(["cusps", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "unknown key 'grid'" in capsys.readouterr().err
+        cfg = write_cfg(tmp_path, EXACT_CFG)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cusps", "--config", cfg, "--grid", "16"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --grid" in capsys.readouterr().err
 
     def test_bad_point_syntax(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, EXACT_CFG)

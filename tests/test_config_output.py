@@ -39,11 +39,10 @@ class TestConfigRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(a1=finite_floats.filter(lambda x: x > 0.1),
            d=finite_floats.filter(lambda x: x >= 0.0),
-           y_max=finite_floats,
-           grid=st.one_of(st.none(), st.integers(16, 512)))
-    def test_emit_parse_identity(self, a1, d, y_max, grid):
+           y_max=finite_floats)
+    def test_emit_parse_identity(self, a1, d, y_max):
         cfg = AnalysisConfig(family="rpr2pr_offset", a1=a1, a2=7.0, b1=6.0,
-                             b2=5.0, d=d, y_max=y_max, grid=grid)
+                             b2=5.0, d=d, y_max=y_max)
         assert parse_config(emit_config(cfg)) == cfg
 
     def test_comments_and_blank_lines(self):

@@ -1,4 +1,5 @@
 import math
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from cuspforge.singular import _detection_batch
 
 from conftest import NORMAL_BOX, PAPER_BOX
 from gridscan import complex_square_cusp_locations, quarto_cusp_location
+from special_multistart import multistart_special_points
 
 
 def periodic_dist(p, q):
@@ -158,7 +160,8 @@ class TestOffsetManipulator:
 
     def test_classification_stable_under_grid_doubling(self, offset_family,
                                                        offset_specials):
-        halved = find_special_points(offset_family, PAPER_BOX, grid=32)
+        # A coarse 32 x 32 multistart lattice finds the same points.
+        halved = multistart_special_points(offset_family, PAPER_BOX, grid=32)
         assert len(halved) == len(offset_specials)
         for a, b in zip(halved, offset_specials):
             assert a.kind == b.kind
@@ -256,5 +259,86 @@ class TestClassifyEdgeCases:
     def test_box_validation(self, exact_family):
         with pytest.raises(ValueError):
             find_special_points(exact_family, ((0.0, 0.0), (-1.0, 1.0)))
-        with pytest.raises(ValueError):
-            find_special_points(exact_family, PAPER_BOX, grid=8)
+
+
+MANIPULATOR = dict(a1=3.0, a2=7.0, b1=6.0, b2=5.0)
+INSTANCES = (("rpr2pr_exact", MANIPULATOR, PAPER_BOX),
+             ("rpr2pr_offset", dict(MANIPULATOR, d=3.0), PAPER_BOX),
+             ("complex_square_unfolded", dict(a=1.0, b=-1.0), NORMAL_BOX),
+             ("quarto_unfolded", dict(a=1.0, b=1.0), NORMAL_BOX))
+
+
+def random_draws():
+    """Seeded draws: 16 offset manipulators with a_i, b_i in [1, 8], four for
+    each offset d, then 8 unfoldings with a != b and ab != 0, alternating
+    complex square and quarto."""
+    rng = np.random.default_rng(zlib.crc32(b"special points"))
+    draws = []
+    for i in range(16):
+        a1, a2, b1, b2 = rng.uniform(1.0, 8.0, 4)
+        draws.append(("rpr2pr_offset",
+                      dict(a1=a1, a2=a2, b1=b1, b2=b2, d=(0.003, 0.03, 0.3, 3.0)[i % 4])))
+    while len(draws) < 24:
+        a, b = rng.uniform(-2.0, 2.0, 2)
+        if abs(a - b) >= 0.1 and abs(a * b) >= 0.05:
+            kind = ("complex_square_unfolded", "quarto_unfolded")[len(draws) % 2]
+            draws.append((kind, dict(a=a, b=b)))
+    return draws
+
+
+class TestOracleAgreement:
+    """The resultant seeds find what the 64 x 64 multistart lattice finds:
+    the same count, the same kinds, locations within 1e-8."""
+
+    @staticmethod
+    def assert_agree(family, box):
+        found = find_special_points(family, box)
+        oracle = multistart_special_points(family, box)
+        assert [p.kind for p in found] == [p.kind for p in oracle]
+        for a, b in zip(found, oracle):
+            assert periodic_dist(a.location, b.location) < 1e-8
+
+    @pytest.mark.parametrize("reach", [False, True], ids=["paper_box", "reach_box"])
+    @pytest.mark.parametrize("kind, params, box", INSTANCES, ids=[i[0] for i in INSTANCES])
+    def test_reference_instances(self, kind, params, box, reach):
+        self.assert_agree(make_family(kind, **params), None if reach else box)
+
+    @pytest.mark.parametrize("d", [3.0, 1.0, 0.3, 0.1, 0.01, 0.0])
+    def test_offset_family(self, d):
+        self.assert_agree(make_family("rpr2pr_offset", **MANIPULATOR, d=d), PAPER_BOX)
+
+    @pytest.mark.parametrize("kind, params", random_draws(),
+                             ids=[f"{k}-{i}" for i, (k, _) in enumerate(random_draws())])
+    def test_random_draws(self, kind, params):
+        self.assert_agree(make_family(kind, **params), None)
+
+    @pytest.mark.parametrize("params", [
+        # An unguarded polish leaves |J| = 1.1e-5, and classify_point raises.
+        dict(a1=6.589663420642738, a2=2.358178332049312, b1=3.733212396584051,
+             b2=6.585537202679147, d=0.003),
+        # An unguarded polish leaves |J| = 1.1e-6, within classify_point's
+        # tolerance, at a point 3.4e-4 off the cusp, which reads FoldOnly.
+        dict(a1=5.443687275173407, a2=7.98714054014419, b1=4.985242709468212,
+             b2=5.132546990659622, d=0.003),
+    ], ids=["raised", "fold_only"])
+    def test_polish_keeps_small_offset_cusps(self, params):
+        # Near an unfolded corank-2 point the corank-2 polish pulls a true
+        # cusp onto the nearby zero of grad J; the Gauss-Newton point is kept
+        # instead.  The split is the paper's: three cusps at the elliptic
+        # point (pi, 0), one at the hyperbolic point (0, 0).
+        points = find_special_points(make_family("rpr2pr_offset", **params))
+        assert [p.kind for p in points] == [PointKind.CUSP] * 4
+        near = [min((0.0, 0.0), (math.pi, 0.0), key=lambda c: periodic_dist(p.location, c))
+                for p in points]
+        assert sorted(near) == [(0.0, 0.0)] + [(math.pi, 0.0)] * 3
+        assert all(periodic_dist(p.location, c) < 0.01 for p, c in zip(points, near))
+
+    def test_resultant_of_higher_degree_is_refused(self, exact_family):
+        # A determinant outside the quadratic-in-y class raises instead of
+        # giving a wrong seed set.
+        class Wavy(type(exact_family)):
+            def jdet(self, phi, y):
+                return super().jdet(phi, y) + np.cos(6.0 * np.asarray(phi)) * np.asarray(y) ** 2
+
+        with pytest.raises(PreconditionViolated):
+            find_special_points(Wavy(3.0, 7.0, 6.0, 5.0), PAPER_BOX)
