@@ -1,12 +1,22 @@
 """Lifting of closed joint-space loops and the induced solution permutations.
 
-A loop is lifted by continuation: each sample of the loop is reached by
-Newton correction from the previous lifted point, with adaptive sub-stepping
-whenever Newton works too hard.  A lift that comes too close to the
-singularity set is aborted loudly (continuation across a fold silently
-merges solution sheets), carrying the partial path for diagnosis.  The base
-solutions of a loop are lifted together, one array row each; every row
-converges, sub-steps and fails on its own, exactly as a lift of its own.
+The loop samples are solved exactly, SOLVE_BLOCK at a time, by the
+elimination core of :mod:`cuspforge.dkp`, and the roots flagged singular are
+dropped.  Match tables pair each root with its nearest root at the next
+sample; a step is clean when every such match is much closer than the
+second-nearest root, no two roots share a target and the root count stays
+the same.  A lift follows the tables by index across clean steps and its
+angle is unwrapped afterwards, so the path is continuous across the seam of
+the canonical angle window.
+
+Across any other step a lift falls back to continuation: Newton correction
+from the previous lifted point, with adaptive sub-stepping whenever Newton
+works too hard, after which it attaches to the roots again.  A lift that
+comes too close to the singularity set is aborted loudly (continuation
+across a fold silently merges solution sheets), carrying the partial path
+for diagnosis.  The base solutions of a loop are lifted together, one array
+row each; every row converges, sub-steps and fails on its own, exactly as
+a lift of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dkp import DkpSolutionSet, solve_dkp
+from .dkp import DkpSolutionSet, _solve_batch, solve_dkp
 from .errors import (
     DivergedLift,
     PermutationInconsistent,
@@ -27,6 +37,7 @@ from .maps import (
     JointPoint,
     MapFamily,
     WorkspacePoint,
+    coord_deltas,
     point_distances,
     reference_scales,
 )
@@ -35,6 +46,11 @@ SINGULAR_CLEARANCE_FACTOR = 1e-6
 FOLD_ZONE_FACTOR = 1e-2
 DEFAULT_SAMPLES_PER_TURN = 720
 MAX_SUBDIVISION = 14
+#: Loop samples solved per elimination batch; it bounds the solver's memory.
+SOLVE_BLOCK = 64
+#: A root follows its nearest root at the next sample only when that is
+#: closer than this share of the distance to the second-nearest.
+MATCH_RATIO = 0.25
 
 
 @dataclass(frozen=True)
@@ -175,12 +191,50 @@ def _newton_to_target(family, q, target, tol_abs, max_iter=12):
     return q, iters, ok
 
 
+def _nearest(family, pts, roots):
+    """For each point of ``pts`` (..., r, 2): the index of its nearest root
+    in ``roots`` (..., m, 2, NaN rows absent), and whether that root is
+    closer than MATCH_RATIO times the second-nearest."""
+    d = point_distances(family, pts[..., :, None, :], roots[..., None, :, :])
+    d = np.nan_to_num(d, nan=np.finfo(float).max)  # absent roots are far away
+    two = np.partition(d, 1, axis=-1)
+    return np.argmin(d, axis=-1), two[..., 0] < MATCH_RATIO * two[..., 1]
+
+
+def _root_tables(family, samples, tol):
+    """The real non-singular roots at every loop sample (n, m, 2, NaN rows
+    absent), and for every step k -> k + 1 the index at k + 1 of each root's
+    nearest root (n - 1, m) and whether the step is clean: every root's
+    match passes the ratio test, no two share a target and the root count
+    does not change.  Both are computed SOLVE_BLOCK samples at a time."""
+    blocks = []
+    for lo in range(0, len(samples), SOLVE_BLOCK):
+        keep, q, _, flags, _ = _solve_batch(family, samples[lo:lo + SOLVE_BLOCK], None, tol)
+        blocks.append(np.where((keep & ~flags)[..., None], q, np.nan))
+    roots = np.concatenate(blocks)
+    here = ~np.isnan(roots[..., 0])
+    other = ~np.eye(roots.shape[1], dtype=bool)
+    nxt, clean = [], []
+    for lo in range(0, len(samples) - 1, SOLVE_BLOCK):
+        k = np.arange(lo, min(lo + SOLVE_BLOCK, len(samples) - 1))
+        near, sure = _nearest(family, roots[k], roots[k + 1])
+        pair = here[k, :, None] & here[k, None, :] & other
+        nxt.append(near)
+        clean.append(np.all(sure | ~here[k], axis=1)
+                     & ~np.any(pair & (near[:, :, None] == near[:, None, :]), axis=(1, 2))
+                     & (np.sum(here[k], axis=1) == np.sum(here[k + 1], axis=1)))
+    return roots, np.concatenate(nxt), np.concatenate(clean)
+
+
 def _lift_batch(family: MapFamily, loop: JointLoop, starts, tol: float = 1e-9) -> list:
     """Continue every start solution along the loop, all rows together.
 
-    Each row runs the same Newton continuation, sub-stepping and checks as a
-    lift of its own.  Returns, for each start in order, its :class:`LoopLift`
-    or the error that ended it (with the partial path where there is one).
+    A row follows the exact roots of the loop samples across every clean
+    step of the match tables; across any other step it takes the Newton
+    continuation, sub-stepping and checks of a lift of its own, and then
+    attaches to a root again.  Returns, for each start in order, its
+    :class:`LoopLift` or the error that ended it (with the partial path
+    where there is one).
     """
     scales = reference_scales(family)
     jbar = SINGULAR_CLEARANCE_FACTOR * max(1.0, scales.jdet)
@@ -200,15 +254,16 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts, tol: float = 1e-9) -
             "start point does not solve the DKP at the loop base" if off_base[row]
             else "start point is singular; the lift is not defined")
 
-    paths = np.empty((len(loop.samples),) + q.shape)
+    samples = loop.samples
+    paths = np.full((len(samples),) + q.shape, np.nan)
     paths[0] = q
+    # row -> (step, last point, message) of a lift that met {J = 0}; the
+    # error is built once the paths are unwrapped.
+    stops = {}
     step = 0
 
     def singular_abort(row, q_at, jval, note):
-        partial = LoopLift(begin[row], WorkspacePoint(float(q_at[0]), float(q_at[1])),
-                           paths[:step, row].copy(), True)
-        errors[row] = SingularEncounter(
-            f"{note}: |J| = {jval:.3e} (clearance {jbar:.3e})", partial=partial)
+        stops[row] = (step, q_at, f"{note}: |J| = {jval:.3e} (clearance {jbar:.3e})")
 
     def advance(rows, q_from, t_from, t_to, depth):
         # Returns the rows that reach t_to and their points there.
@@ -242,11 +297,35 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts, tol: float = 1e-9) -
         end_rows, q_end = advance(mid_rows, q_mid, mid, t_to, depth + 1)
         return np.concatenate([rows[done], end_rows]), np.concatenate([cand[done], q_end])
 
+    roots, nxt, clean = _root_tables(family, samples, tol)
     rows = np.flatnonzero(~rejected)
-    q = q[rows]
-    for step in range(1, len(loop.samples)):
-        rows, q = advance(rows, q, loop.samples[step - 1], loop.samples[step], 0)
-        paths[step, rows] = q
+    at, sure = _nearest(family, q[rows], roots[0])
+    at[~sure] = -1  # the root each row is on, -1 for none
+    for step in range(1, len(samples)):
+        chase = (at >= 0) & clean[step - 1]
+        at = np.where(chase, nxt[step - 1, at], -1)
+        paths[step, rows[chase]] = roots[step, at[chase]]
+        if chase.all():
+            continue
+        moved, q_to = advance(rows[~chase], paths[step - 1, rows[~chase]],
+                              samples[step - 1], samples[step], 0)
+        paths[step, moved] = q_to
+        on = chase | np.isin(rows, moved)
+        rows, at = rows[on], at[on]
+        near, sure = _nearest(family, paths[step, rows[at < 0]], roots[step])
+        at[at < 0] = np.where(sure, near, -1)
+
+    # Roots come with canonical angles: summing the wrapped steps makes each
+    # path continuous.
+    if family.periodic:
+        steps = coord_deltas(family, paths[1:], paths[:-1])[..., 0]
+        paths[1:, :, 0] = paths[0, :, 0] + np.cumsum(steps, axis=0)
+    for row, (at_step, q_at, note) in stops.items():
+        last = paths[at_step - 1, row]
+        end = last + coord_deltas(family, q_at, last)
+        errors[row] = SingularEncounter(note, partial=LoopLift(
+            begin[row], WorkspacePoint(float(end[0]), float(end[1])),
+            paths[:at_step, row].copy(), True))
 
     return [LoopLift(begin[r], WorkspacePoint(*(float(w) for w in paths[-1, r])),
                      paths[:, r].copy(), False) if errors[r] is None else errors[r]

@@ -48,6 +48,9 @@ COEFF_FLOOR = 1e-12
 #: multiple roots, scattered by about 1e-4.
 RESULTANT_DEGREE = 12
 SEED_RING = 1e-3
+#: Gauss-Newton iterations without a new best residual, above the tolerance,
+#: after which a seed is given up.
+STALL_ITERATIONS = 10
 
 
 class PointKind(enum.Enum):
@@ -136,12 +139,23 @@ def detection_system(family: MapFamily, q) -> DetectionResidual:
     return DetectionResidual(float(r[0]), float(r[1]), float(r[2]))
 
 
-def _gauss_newton(family: MapFamily, seeds, step_cap, max_iter=80):
-    """Damped Gauss-Newton on the 3-equation detection system, vectorized."""
+def _gauss_newton(family: MapFamily, seeds, step_cap, tol, max_iter=80):
+    """Damped Gauss-Newton on the 3-equation detection system, vectorized.
+
+    A row stops when its step vanishes or leaves the finite numbers, or
+    when its residual has stayed above ``tol`` and not improved on its best
+    for STALL_ITERATIONS iterations.
+    """
     q = np.array(seeds, dtype=float)
     active = np.ones(len(q), dtype=bool)
-    for _ in range(max_iter):
-        r, a = _detection_batch(family, q[active])
+    best = np.full(len(q), np.inf)
+    best_at = np.zeros(len(q), dtype=int)  # the iteration of each row's best
+    for it in range(max_iter):
+        idx = np.flatnonzero(active)
+        r, a = _detection_batch(family, q[idx])
+        res = np.max(np.abs(r), axis=-1)
+        better = res < best[idx]
+        best[idx[better]], best_at[idx[better]] = res[better], it
         # Normal equations M dq = -g with M = A^T A and g = A^T r.
         a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
         m00 = a0[:, 0] * a0[:, 0] + a1[:, 0] * a1[:, 0] + a2[:, 0] * a2[:, 0]
@@ -158,9 +172,9 @@ def _gauss_newton(family: MapFamily, seeds, step_cap, max_iter=80):
         over = norms > step_cap
         if np.any(over):
             dq[over] *= (step_cap / norms[over])[:, None]
-        q[active] += dq
-        still = (norms > 1e-15) & np.all(np.isfinite(q[active]), axis=1)
-        idx = np.flatnonzero(active)
+        q[idx] += dq
+        still = ((norms > 1e-15) & np.all(np.isfinite(q[idx]), axis=1)
+                 & ((best[idx] < tol) | (it - best_at[idx] < STALL_ITERATIONS)))
         active[idx[~still]] = False
         if not np.any(active):
             break
@@ -404,16 +418,16 @@ def _from_seeds(family: MapFamily, box, seeds, tol):
     diag = math.hypot(x1 - x0, y1 - y0)
     # A seed at a pole of q / A (A = 0) can diverge; it is dropped here.
     with np.errstate(over="ignore", invalid="ignore"):
-        converged, residuals = _gauss_newton(family, seeds, diag / 8.0)
+        converged, residuals = _gauss_newton(family, seeds, diag / 8.0, tol)
     candidates = converged[(residuals < tol) & np.all(np.isfinite(converged), axis=1)]
 
-    # Keep only candidates inside the search box (angle folded for periodic
-    # families so a wrap-around hit still counts as inside).
+    # Keep only candidates inside the search box; for periodic families the
+    # angle is taken in [x0, x0 + 2 pi) for the test and reported canonical.
     if family.periodic:
         candidates[:, 0] = canonical_phi(candidates[:, 0])
         inside = (candidates[:, 1] >= y0 - 1e-9) & (candidates[:, 1] <= y1 + 1e-9)
         if (x1 - x0) < FULL_CIRCLE:
-            inside &= (candidates[:, 0] >= x0 - 1e-9) & (candidates[:, 0] <= x1 + 1e-9)
+            inside &= np.mod(candidates[:, 0] - x0 + 1e-9, TWO_PI) <= x1 - x0 + 2e-9
     else:
         inside = np.all(
             (candidates >= [x0 - 1e-9, y0 - 1e-9]) & (candidates <= [x1 + 1e-9, y1 + 1e-9]),

@@ -1,9 +1,11 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from cuspforge import (
+    CuspforgeError,
     JointLoop,
     PreconditionViolated,
     SingularEncounter,
@@ -14,8 +16,11 @@ from cuspforge import (
     loop_clearance,
     loop_permutation,
     make_family,
+    monodromy,
     solve_dkp,
+    trace_singularity_curves,
 )
+from cuspforge.cli import main
 
 @pytest.fixture(scope="module")
 def inline_loop_setup(exact_family, exact_trace):
@@ -159,6 +164,132 @@ class TestBatchedLifts:
         assert (got.start, got.end, got.crossed_singularity) == (
             want.start, want.end, want.crossed_singularity)
         assert got.path.tobytes() == want.path.tobytes()
+
+
+def newton_only(fn, *args, **kwargs):
+    """fn with the match ratio at 0, which sends every step of every lift
+    through the Newton continuation."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monodromy, "MATCH_RATIO", 0.0)
+        return fn(*args, **kwargs)
+
+
+def outcome(family, loop):
+    try:
+        return loop_permutation(family, loop)
+    except CuspforgeError as exc:
+        return exc
+
+
+def assert_close_lifts(got, want):
+    assert (got.start, got.crossed_singularity) == (want.start, want.crossed_singularity)
+    assert got.path.shape == want.path.shape
+    assert np.max(np.abs(got.path - want.path)) < 1e-7
+    assert np.max(np.abs(np.subtract(got.end, want.end))) < 1e-7
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        # |J| in a SingularEncounter message is read at a Newton iterate.
+        assert str(got).split(":")[0] == str(want).split(":")[0]
+        if getattr(want, "partial", None) is not None:
+            assert_close_lifts(got.partial, want.partial)
+        return
+    assert got.mapping == want.mapping
+    for a, b in zip(got.lifts, want.lifts, strict=True):
+        assert_close_lifts(a, b)
+
+
+@pytest.fixture(scope="module")
+def paper_loops(tmp_path_factory):
+    """The loops that reproduce-paper lifts, and its count of Newton solves."""
+    loops, solves = [], []
+    lift_batch, to_target = monodromy._lift_batch, monodromy._newton_to_target
+
+    def recording(family, loop, starts, **kwargs):
+        loops.append((family, loop))
+        return lift_batch(family, loop, starts, **kwargs)
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return to_target(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monodromy, "_lift_batch", recording)
+        mp.setattr(monodromy, "_newton_to_target", counting)
+        assert main(["reproduce-paper", "--out", str(tmp_path_factory.mktemp("paper"))]) == 0
+    return loops, len(solves)
+
+
+def random_circles(family, count=4):
+    """Seeded circles over the image of the family's reach box."""
+    jcs = image_curves(family, trace_singularity_curves(family))
+    pts = np.concatenate([c.vertices for c in jcs.curves])
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    rng = np.random.default_rng(zlib.crc32(family.kind.encode()))
+    for _ in range(count):
+        center = lo + (hi - lo) * rng.uniform(0.2, 0.8, 2)
+        radius = float(np.max(hi - lo)) * rng.uniform(0.05, 0.3)
+        yield loop_clearance(circle_loop(tuple(center), radius, samples_per_turn=360), jcs)
+
+
+class TestExactRootLifts:
+    """Lifts that follow the exact roots of the loop samples agree with the
+    Newton continuation: the same permutations and errors, paths within
+    1e-7."""
+
+    def test_paper_loops_make_no_newton_solve(self, paper_loops):
+        loops, solves = paper_loops
+        assert len(loops) == 3
+        assert solves == 0
+
+    def test_paper_loops_agree_with_newton(self, paper_loops):
+        loops, _ = paper_loops
+        mappings = []
+        for family, loop in loops:
+            perm = loop_permutation(family, loop)
+            assert_same_outcome(perm, newton_only(loop_permutation, family, loop))
+            mappings.append(perm.mapping)
+        assert mappings == [(0, 1, 3, 2), (0, 1, 3, 2), (1, 0)]
+
+    @pytest.mark.parametrize("name", ["exact", "offset", "square", "quarto"])
+    def test_random_circles_agree_with_newton(self, request, name):
+        family = request.getfixturevalue(f"{name}_family")
+        for loop in random_circles(family):
+            assert loop.min_singular_clearance > 0.0
+            assert_same_outcome(outcome(family, loop), newton_only(outcome, family, loop))
+
+    def test_fold_crossing_fails_as_newton_does(self, square_family):
+        center = eval_map(square_family, (2.0 * math.cos(1.3), 2.0 * math.sin(1.3)))
+        loop = circle_loop(tuple(center), 0.5, start_angle=math.pi / 2, samples_per_turn=360)
+        starts = solve_dkp(square_family, loop.base).solutions + [(0.0, 1.0)]
+        got = monodromy._lift_batch(square_family, loop, starts)
+        want = newton_only(monodromy._lift_batch, square_family, loop, starts)
+        assert [type(w) for w in want] == [monodromy.LoopLift, SingularEncounter,
+                                           SingularEncounter, monodromy.LoopLift,
+                                           PreconditionViolated]
+        for g, w in zip(got, want, strict=True):
+            if isinstance(w, monodromy.LoopLift):
+                assert_close_lifts(g, w)
+            else:
+                assert_same_outcome(g, w)
+
+    def test_lift_across_the_angle_seam_is_continuous(self, exact_family):
+        # A small loop around the image of (-pi/2, 2): the lifted angle
+        # crosses the seam of the canonical window [-pi/2, 3 pi/2) twice.
+        center = eval_map(exact_family, (-0.5 * math.pi, 2.0))
+        loop = circle_loop(tuple(center), 2.0, samples_per_turn=360)
+        sols = solve_dkp(exact_family, loop.base).solutions
+        start = min(sols, key=lambda s: math.hypot(math.remainder(s.phi + 0.5 * math.pi,
+                                                                  2.0 * math.pi), s.y - 2.0))
+        lift = lift_loop(exact_family, loop, start)
+        phi = lift.path[:, 0]
+        assert np.max(np.abs(np.diff(phi))) < 0.01
+        seam = start.phi + math.remainder(-0.5 * math.pi - start.phi, 2.0 * math.pi)
+        assert np.min(phi) < seam < np.max(phi)
+        assert (lift.end.phi, lift.end.y) == pytest.approx((start.phi, start.y), abs=1e-9)
+        assert_close_lifts(lift, newton_only(lift_loop, exact_family, loop, start))
 
 
 class TestValidation:

@@ -14,6 +14,7 @@ from cuspforge import (
     find_special_points,
     make_family,
     quadratic_expansion,
+    trace_singularity_curves,
 )
 from cuspforge.maps import wrap_delta
 from cuspforge.singular import _detection_batch
@@ -166,6 +167,20 @@ class TestOffsetManipulator:
         for a, b in zip(halved, offset_specials):
             assert a.kind == b.kind
             assert periodic_dist(a.location, b.location) < 1e-8
+
+    def test_window_past_the_canonical_range(self, offset_family):
+        # (6.0, 6.5) is (-0.28, 0.22) shifted by 2 pi: the same cusp, still
+        # reported with its canonical angle, and flagged on the trace.
+        box = ((6.0, 6.5), (-8.0, 8.0))
+        (shifted,) = find_special_points(offset_family, box)
+        (near_zero,) = find_special_points(offset_family, ((-0.5, 0.5), (-8.0, 8.0)))
+        assert shifted.kind == near_zero.kind == PointKind.CUSP
+        assert periodic_dist(shifted.location, near_zero.location) < 1e-12
+        assert -0.5 * math.pi <= shifted.location.phi < 1.5 * math.pi
+        cs = trace_singularity_curves(offset_family, box)
+        flagged = [c.vertices[i] for c in cs.curves for i in c.cusp_indices]
+        assert len(flagged) == 1
+        assert periodic_dist(flagged[0], shifted.location) < 1e-12
 
 
 class TestNormalForms:
