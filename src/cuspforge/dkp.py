@@ -12,11 +12,12 @@ is linear in y, and substituting it into the other leaves one polynomial:
   solutions of u = x^2, v = y^2 are added as candidates.
 
 A batch of targets is solved at once: the roots are the eigenvalues of
-stacked companion matrices, real roots are polished by Newton on the
-original system and accepted by residual, and the lines where the
-elimination divides by zero add explicit candidates.  Coinciding candidates,
-such as the double root over a point of the fold image, are merged, so each
-solution is reported once, and flagged when |J| vanishes there.
+stacked companion matrices, the finite real roots are polished by Newton on
+the original system and accepted by residual, and the lines where the
+elimination divides by zero add explicit candidates.  Only accepted
+candidates are merged where they coincide, such as the double root over a
+point of the fold image, so each solution is reported once, and flagged
+when |J| vanishes there.
 """
 
 from __future__ import annotations
@@ -253,6 +254,8 @@ def _merge(family, q, resid, ok, tu, tv, tol_abs):
     multiple root is the in-between point.
     """
     n, m = ok.shape
+    if m == 0:
+        return ok, q, resid, resid
     diag = np.eye(m, dtype=bool)
     delta = coord_deltas(family, q[:, :, None, :], q[:, None, :, :])
     near = ok[:, :, None] & ok[:, None, :] & (np.max(np.abs(delta), axis=-1) < MERGE_RADIUS)
@@ -288,20 +291,26 @@ def _solve_batch(family: MapFamily, targets, box, tol):
 
     Returns the mask of solutions (n, m) and, under it, their points
     (n, m, 2), residuals and multiplicity flags, plus the mask of those
-    outside an explicit box.
+    outside an explicit box.  m is the largest number of candidates a row
+    accepted, and each row holds its accepted candidates first, in order.
     """
     tu, tv = targets[:, 0], targets[:, 1]
     candidates, _ = _ELIMINATION[family.kind]
     # Candidates off the real line or on a division-by-zero line are NaN or
-    # infinite; they fail the residual test instead of raising.
+    # infinite; they are not polished and fail the residual test.
     with np.errstate(divide="ignore", invalid="ignore"):
-        cand = candidates(family, tu, tv)
-        n, m, _ = cand.shape
-        q, resid = _polish(family, cand.reshape(-1, 2), np.repeat(tu, m), np.repeat(tv, m))
-        q, resid = q.reshape(n, m, 2), resid.reshape(n, m)
+        q = candidates(family, tu, tv)
+        finite = np.all(np.isfinite(q), axis=-1)
+        row, _ = np.nonzero(finite)
+        resid = np.full(finite.shape, np.inf)
+        q[finite], resid[finite] = _polish(family, q[finite], tu[row], tv[row])
         tol_abs = tol * (1.0 + np.maximum(np.abs(tu), np.abs(tv)))[:, None]
-        keep, q, resid, jdet = _merge(family, q, resid, resid < tol_abs, tu, tv,
-                                      tol_abs[:, :, None])
+        ok = resid < tol_abs
+        # Candidates not accepted never link; the stable order keeps each
+        # cluster's first member and representative.
+        order = np.argsort(~ok, axis=1, kind="stable")[:, :np.max(np.sum(ok, axis=1), initial=0)]
+        at = (np.arange(len(ok))[:, None], order)
+        keep, q, resid, jdet = _merge(family, q[at], resid[at], ok[at], tu, tv, tol_abs[:, :, None])
     scales = reference_scales(family, box)
     flags = jdet < SINGULAR_FLAG_FACTOR * max(1.0, scales.jdet)
     if family.periodic:

@@ -1,13 +1,13 @@
 """Lifting of closed joint-space loops and the induced solution permutations.
 
-The loop samples are solved exactly, SOLVE_BLOCK at a time, by the
-elimination core of :mod:`cuspforge.dkp`, and the roots flagged singular are
-dropped.  Match tables pair each root with its nearest root at the next
-sample; a step is clean when every such match is much closer than the
-second-nearest root, no two roots share a target and the root count stays
-the same.  A lift follows the tables by index across clean steps and its
-angle is unwrapped afterwards, so the path is continuous across the seam of
-the canonical angle window.
+The loop samples are solved exactly, in one batch, by the elimination core
+of :mod:`cuspforge.dkp`, and the roots flagged singular are dropped.  Match
+tables pair each root with its nearest root at the next sample; a step is
+clean when every such match is much closer than the second-nearest root, no
+two roots share a target and the root count stays the same.  A lift follows
+the tables by index across clean steps and its angle is unwrapped
+afterwards, so the path is continuous across the seam of the canonical
+angle window.
 
 Across any other step a lift falls back to continuation: Newton correction
 from the previous lifted point, with adaptive sub-stepping whenever Newton
@@ -46,8 +46,6 @@ SINGULAR_CLEARANCE_FACTOR = 1e-6
 FOLD_ZONE_FACTOR = 1e-2
 DEFAULT_SAMPLES_PER_TURN = 720
 MAX_SUBDIVISION = 14
-#: Loop samples solved per elimination batch; it bounds the solver's memory.
-SOLVE_BLOCK = 64
 #: A root follows its nearest root at the next sample only when that is
 #: closer than this share of the distance to the second-nearest.
 MATCH_RATIO = 0.25
@@ -74,11 +72,9 @@ class JointLoop:
 
     def refined(self, factor: int) -> "JointLoop":
         """Insert factor-1 linear subdivisions between consecutive samples."""
-        pts = [self.samples[0]]
-        for a, b in zip(self.samples[:-1], self.samples[1:]):
-            for k in range(1, factor + 1):
-                pts.append(a + (b - a) * (k / factor))
-        out = np.array(pts)
+        a, b = self.samples[:-1, None], self.samples[1:, None]
+        steps = a + (b - a) * (np.arange(1, factor + 1) / factor)[:, None]
+        out = np.concatenate([self.samples[:1], steps.reshape(-1, 2)])
         out[-1] = self.samples[0]
         return JointLoop(out, self.min_singular_clearance)
 
@@ -101,21 +97,31 @@ def circle_loop(center, radius, *, turns: int = 1,
     return JointLoop(samples)
 
 
+def _point_segment_distance(p, v):
+    """Smallest distance from the points p (k, 2) to the polyline v (s, 2)."""
+    (ax, ay), (bx, by) = v[:-1].T, np.diff(v, axis=0).T
+    dx, dy = p[:, None, 0] - ax, p[:, None, 1] - ay
+    t = np.clip((dx * bx + dy * by) / np.maximum(bx * bx + by * by, 1e-300), 0.0, 1.0)
+    return math.sqrt(float(np.min((dx - t * bx) ** 2 + (dy - t * by) ** 2)))
+
+
 def loop_clearance(loop: JointLoop, joint_curves) -> JointLoop:
-    """Attach the smallest distance from the loop to the image curves."""
-    best = math.inf
-    for poly in joint_curves.curves:
-        v = poly.vertices
-        if len(v) < 2:
-            continue
-        p = loop.samples[:, None, :]
-        a, b = v[None, :-1, :], v[None, 1:, :]
-        ab = b - a
-        denom = np.maximum(np.sum(ab * ab, axis=-1), 1e-300)
-        t = np.clip(np.sum((p - a) * ab, axis=-1) / denom, 0.0, 1.0)
-        proj = a + t[..., None] * ab
-        best = min(best, float(np.min(np.linalg.norm(p - proj, axis=-1))))
-    return JointLoop(loop.samples, best)
+    """Attach the smallest distance between a segment of the loop and one of
+    the image curves: 0 where the loop crosses a curve."""
+    p, best = loop.samples, math.inf
+    (px, py), (rx, ry) = p[:-1].T[:, :, None], np.diff(p, axis=0).T[:, :, None]
+    for v in (poly.vertices for poly in joint_curves.curves if len(poly.vertices) > 1):
+        # p + s r meets v + t w where 0 <= s, t <= 1; parallel segments give
+        # NaN, and meet only where an end point lies on the other.
+        (wx, wy), dx, dy = np.diff(v, axis=0).T, v[:-1, 0] - px, v[:-1, 1] - py
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den = rx * wy - ry * wx
+            s = (dx * wy - dy * wx) / den
+            t = (dx * ry - dy * rx) / den
+        if np.any((s >= 0.0) & (s <= 1.0) & (t >= 0.0) & (t <= 1.0)):
+            return JointLoop(p, 0.0)
+        best = min(best, _point_segment_distance(p, v), _point_segment_distance(v, p))
+    return JointLoop(p, best)
 
 
 @dataclass(frozen=True)
@@ -206,24 +212,19 @@ def _root_tables(family, samples, tol):
     absent), and for every step k -> k + 1 the index at k + 1 of each root's
     nearest root (n - 1, m) and whether the step is clean: every root's
     match passes the ratio test, no two share a target and the root count
-    does not change.  Both are computed SOLVE_BLOCK samples at a time."""
-    blocks = []
-    for lo in range(0, len(samples), SOLVE_BLOCK):
-        keep, q, _, flags, _ = _solve_batch(family, samples[lo:lo + SOLVE_BLOCK], None, tol)
-        blocks.append(np.where((keep & ~flags)[..., None], q, np.nan))
-    roots = np.concatenate(blocks)
+    does not change.  All samples are solved and matched at once."""
+    keep, q, _, flags, _ = _solve_batch(family, samples, None, tol)
+    roots = np.where((keep & ~flags)[..., None], q, np.nan)
+    # The ratio test reads the two nearest roots, present or absent.
+    roots = np.pad(roots, ((0, 0), (0, max(0, 2 - roots.shape[1])), (0, 0)),
+                   constant_values=np.nan)
     here = ~np.isnan(roots[..., 0])
-    other = ~np.eye(roots.shape[1], dtype=bool)
-    nxt, clean = [], []
-    for lo in range(0, len(samples) - 1, SOLVE_BLOCK):
-        k = np.arange(lo, min(lo + SOLVE_BLOCK, len(samples) - 1))
-        near, sure = _nearest(family, roots[k], roots[k + 1])
-        pair = here[k, :, None] & here[k, None, :] & other
-        nxt.append(near)
-        clean.append(np.all(sure | ~here[k], axis=1)
-                     & ~np.any(pair & (near[:, :, None] == near[:, None, :]), axis=(1, 2))
-                     & (np.sum(here[k], axis=1) == np.sum(here[k + 1], axis=1)))
-    return roots, np.concatenate(nxt), np.concatenate(clean)
+    near, sure = _nearest(family, roots[:-1], roots[1:])
+    pair = here[:-1, :, None] & here[:-1, None, :] & ~np.eye(roots.shape[1], dtype=bool)
+    clean = (np.all(sure | ~here[:-1], axis=1)
+             & ~np.any(pair & (near[:, :, None] == near[:, None, :]), axis=(1, 2))
+             & (np.sum(here[:-1], axis=1) == np.sum(here[1:], axis=1)))
+    return roots, near, clean
 
 
 def _lift_batch(family: MapFamily, loop: JointLoop, starts, tol: float = 1e-9) -> list:

@@ -63,11 +63,12 @@ def write_curves_csv(path, cs: CurveSet | JointCurveSet, coord_names=("c1", "c2"
         writer = csv.writer(fh)
         writer.writerow(["curve", "kind", "closed", "vertex", "is_cusp",
                          coord_names[0], coord_names[1]])
+        # The rows csv.writer would write, "\r\n" included: no field needs quoting.
         for ci, poly in enumerate(cs.curves):
             cusps = set(poly.cusp_indices)
-            for vi, (x, y) in enumerate(poly.vertices):
-                writer.writerow([ci, poly.kind, int(poly.closed), vi,
-                                 int(vi in cusps), fmt(x), fmt(y)])
+            head = f"{ci},{poly.kind},{int(poly.closed)},"
+            fh.write("".join(f"{head}{vi},{int(vi in cusps)},{x:.12g},{y:.12g}\r\n"
+                             for vi, (x, y) in enumerate(poly.vertices.tolist())))
 
 
 def write_solutions_csv(path, sols: DkpSolutionSet):
@@ -141,10 +142,9 @@ class _Canvas:
         return px, py
 
     def path_d(self, vertices, closed):
-        cmds = []
-        for i, (x, y) in enumerate(vertices):
-            px, py = self.to_px(x, y)
-            cmds.append(f"{'M' if i == 0 else 'L'}{px:.2f},{py:.2f}")
+        px, py = self.to_px(vertices[:, 0], vertices[:, 1])
+        pts = " L".join(f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist()))
+        cmds = ["M" + pts] if pts else []
         if closed:
             cmds.append("Z")
         return " ".join(cmds)
@@ -152,13 +152,8 @@ class _Canvas:
 
 def _split_at_seam(vertices):
     """Split a polyline where the angle wraps across the window seam."""
-    pieces, start = [], 0
-    for i in range(1, len(vertices)):
-        if abs(vertices[i, 0] - vertices[i - 1, 0]) > math.pi:
-            pieces.append(vertices[start:i])
-            start = i
-    pieces.append(vertices[start:])
-    return [p for p in pieces if len(p) >= 2]
+    cuts = np.flatnonzero(np.abs(np.diff(vertices[:, 0])) > math.pi) + 1
+    return [p for p in np.split(vertices, cuts) if len(p) >= 2]
 
 
 def write_svg(spec: PlotSpec, scene: PlotScene, *, periodic_x: bool = False):
@@ -269,10 +264,7 @@ def workspace_plot(path, family: MapFamily, box, cs: CurveSet, *,
     curves = CurveSet(list(cs.curves), list(cs.isolated_points))
     if characteristics is not None:
         curves.curves.extend(characteristics.curves)
-    cusps = []
-    for poly in cs.curves:
-        for vi in poly.cusp_indices:
-            cusps.append(tuple(poly.vertices[vi]))
+    cusps = [tuple(poly.vertices[vi]) for poly in cs.curves for vi in poly.cusp_indices]
     if layers is None:
         layers = [LAYER_SINGULARITY, LAYER_CUSPS, LAYER_ISOLATED]
         if characteristics is not None:
@@ -292,10 +284,7 @@ def joint_plot(path, family: MapFamily, box, jcs: JointCurveSet, *,
                countmap: CountMap | None = None, loop: JointLoop | None = None,
                layers=None, size=(720, 720)):
     """Standard joint-space figure: image curves, cusp images, count layer."""
-    cusps = []
-    for poly in jcs.curves:
-        for vi in poly.cusp_indices:
-            cusps.append(tuple(poly.vertices[vi]))
+    cusps = [tuple(poly.vertices[vi]) for poly in jcs.curves for vi in poly.cusp_indices]
     if layers is None:
         layers = [LAYER_SINGULARITY, LAYER_CUSPS, LAYER_ISOLATED]
         if countmap is not None:

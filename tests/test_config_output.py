@@ -1,21 +1,29 @@
+import csv
 import math
 from xml.etree import ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspforge import (
+    KIND_CHARACTERISTIC,
+    KIND_SINGULARITY,
     AnalysisConfig,
     ConfigError,
+    CurveSet,
+    Polyline,
     count_map,
     emit_config,
     find_special_points,
     image_curves,
+    output,
     parse_config,
 )
 from cuspforge.config import family_from_config, joint_bounds, workspace_box
 from cuspforge.output import (
+    ALL_LAYERS,
     LAYER_COUNTS,
     LAYER_CUSPS,
     LAYER_SINGULARITY,
@@ -189,3 +197,61 @@ class TestSvgOutput:
                 if cmd == "L" and prev is not None:
                     assert abs(x - prev[0]) < 360.0
                 prev = (x, y)
+
+
+def reference_curves_csv(path, cs, coord_names=("c1", "c2")):
+    """The curve CSV as csv.writer writes it, one fmt call per value."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["curve", "kind", "closed", "vertex", "is_cusp",
+                         coord_names[0], coord_names[1]])
+        for ci, poly in enumerate(cs.curves):
+            cusps = set(poly.cusp_indices)
+            for vi, (x, y) in enumerate(poly.vertices):
+                writer.writerow([ci, poly.kind, int(poly.closed), vi,
+                                 int(vi in cusps), fmt(x), fmt(y)])
+
+
+def reference_path_d(canvas, vertices, closed):
+    """An SVG path, each vertex mapped to pixels on its own."""
+    cmds = []
+    for i, (x, y) in enumerate(vertices):
+        px, py = canvas.to_px(x, y)
+        cmds.append(f"{'M' if i == 0 else 'L'}{px:.2f},{py:.2f}")
+    if closed:
+        cmds.append("Z")
+    return " ".join(cmds)
+
+
+@pytest.fixture
+def odd_curves():
+    """Signed zero, tiny and huge values, and a curve of one vertex."""
+    return CurveSet([
+        Polyline(np.array([[-0.0, 1e-32], [1e20, -1e20], [0.5, -0.0], [-1e-32, 2.0]]),
+                 True, KIND_SINGULARITY, [1, 3]),
+        Polyline(np.array([[1.0, -0.0]]), False, KIND_CHARACTERISTIC),
+    ])
+
+
+class TestOutputMatchesReference:
+    def test_curves_csv(self, tmp_path, square_trace, offset_trace, odd_curves):
+        # The deltoid is closed with three cusps; the offset branches cross
+        # the angle seam.
+        for cs in (square_trace, offset_trace, odd_curves):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            write_curves_csv(got, cs, ("phi", "y"))
+            reference_curves_csv(want, cs, ("phi", "y"))
+            assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_svg(self, tmp_path, monkeypatch, offset_trace, odd_curves, periodic):
+        # Periodic curves are split at the seam; without the split a lift of
+        # one vertex is drawn as a path of its own.
+        curves = CurveSet(offset_trace.curves + odd_curves.curves)
+        scene = PlotScene(PAPER_BOX, curves=curves,
+                          lift_paths=[offset_trace.curves[0].vertices, [(0.5, 1.0)]])
+        got, want = tmp_path / "got.svg", tmp_path / "want.svg"
+        write_svg(PlotSpec(ALL_LAYERS, str(got)), scene, periodic_x=periodic)
+        monkeypatch.setattr(output._Canvas, "path_d", reference_path_d)
+        write_svg(PlotSpec(ALL_LAYERS, str(want)), scene, periodic_x=periodic)
+        assert got.read_bytes() == want.read_bytes()

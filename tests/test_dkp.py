@@ -6,8 +6,11 @@ import pytest
 
 from cuspforge import (
     BoxTooSmall,
+    PointKind,
     count_map,
+    dkp,
     eval_map,
+    find_special_points,
     image_curves,
     make_family,
     solve_dkp,
@@ -15,7 +18,7 @@ from cuspforge import (
 )
 from cuspforge.maps import coord_deltas
 
-from conftest import PAPER_BOX
+from conftest import NORMAL_BOX, PAPER_BOX
 from gridscan import grid_count
 from multistart import multistart_solutions
 
@@ -169,6 +172,49 @@ class TestDegenerateLines:
         family = make_family("quarto_unfolded", a=a, b=b)
         for q in ((1.2, 0.8), (-0.6, 2.1), (2.0, -1.5)):
             self._assert_found(family, q, WIDE_BOX)
+
+
+class TestBatchCompaction:
+    """A batch keeps as many candidates per row as its row with the most
+    accepted ones; every row still gives what a solve of its own gives."""
+
+    @staticmethod
+    def _widths_of_rows_solved_alone(family, targets):
+        keep, q, resid, flags, _ = dkp._solve_batch(family, np.array(targets), None, 1e-9)
+        widths = []
+        for i, target in enumerate(targets):
+            alone = dkp._solve_batch(family, np.array([target]), None, 1e-9)
+            k = alone[0][0]
+            widths.append(len(k))
+            assert np.array_equal(keep[i], np.pad(k, (0, keep.shape[1] - len(k))))
+            for got, want in zip((q, resid, flags), alone[1:4]):
+                assert got[i][keep[i]].tobytes() == want[0][k].tobytes()
+        assert keep.shape[1] == max(widths)
+        return widths
+
+    def test_manipulator(self, offset_family, offset_specials, offset_trace):
+        cusp = next(p.location for p in offset_specials if p.kind is PointKind.CUSP)
+        fold = offset_trace.curves[0].vertices[300]
+        line = eval_map(offset_family, (math.pi, -4.0))  # on sin(phi) = 0
+        widths = self._widths_of_rows_solved_alone(offset_family, [
+            (-100.0, -100.0), eval_map(offset_family, fold), eval_map(offset_family, cusp),
+            (line.u, line.v - 1e-7)])
+        assert widths == [0, 2, 4, 8]
+
+    def test_quarto(self, quarto_family, quarto_trace):
+        specials = find_special_points(quarto_family, NORMAL_BOX)
+        cusp = next(p.location for p in specials if p.kind is PointKind.CUSP)
+        fold = quarto_trace.curves[0].vertices[200]
+        widths = self._widths_of_rows_solved_alone(quarto_family, [
+            (-100.0, -100.0), eval_map(quarto_family, fold), eval_map(quarto_family, cusp)])
+        assert widths == [0, 2, 4]
+        # Near a = b = 0 the solutions of u = x^2, v = y^2 are candidates
+        # too, for the targets far enough from the origin.
+        small = make_family("quarto_unfolded", a=3e-6, b=3e-6)
+        widths = self._widths_of_rows_solved_alone(small, [
+            (-1.0, -1.0), eval_map(small, (2.0, 4.5e-12)), eval_map(small, (1.2, 0.8)),
+            eval_map(small, (3.0, -4.0))])
+        assert widths == [0, 2, 4, 8]
 
 
 class TestOracleAgreement:

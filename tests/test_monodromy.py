@@ -223,7 +223,8 @@ def paper_loops(tmp_path_factory):
 
 
 def random_circles(family, count=4):
-    """Seeded circles over the image of the family's reach box."""
+    """Seeded circles over the image of the family's reach box, with the
+    image curves."""
     jcs = image_curves(family, trace_singularity_curves(family))
     pts = np.concatenate([c.vertices for c in jcs.curves])
     lo, hi = pts.min(axis=0), pts.max(axis=0)
@@ -231,7 +232,22 @@ def random_circles(family, count=4):
     for _ in range(count):
         center = lo + (hi - lo) * rng.uniform(0.2, 0.8, 2)
         radius = float(np.max(hi - lo)) * rng.uniform(0.05, 0.3)
-        yield loop_clearance(circle_loop(tuple(center), radius, samples_per_turn=360), jcs)
+        yield loop_clearance(circle_loop(tuple(center), radius, samples_per_turn=360), jcs), jcs
+
+
+def crosses(loop, jcs):
+    """Whether a segment of the loop crosses a segment of an image curve:
+    each segment's end points lie strictly on opposite sides of the other."""
+    def side(a, b, c):
+        return np.sign((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+                       - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+
+    p, q = loop.samples[:-1, None], loop.samples[1:, None]
+    for curve in jcs.curves:
+        a, b = curve.vertices[None, :-1], curve.vertices[None, 1:]
+        if np.any((side(p, q, a) * side(p, q, b) < 0) & (side(a, b, p) * side(a, b, q) < 0)):
+            return True
+    return False
 
 
 class TestExactRootLifts:
@@ -256,8 +272,11 @@ class TestExactRootLifts:
     @pytest.mark.parametrize("name", ["exact", "offset", "square", "quarto"])
     def test_random_circles_agree_with_newton(self, request, name):
         family = request.getfixturevalue(f"{name}_family")
-        for loop in random_circles(family):
-            assert loop.min_singular_clearance > 0.0
+        for loop, jcs in random_circles(family):
+            if crosses(loop, jcs):
+                assert loop.min_singular_clearance == 0.0
+            else:
+                assert loop.min_singular_clearance > 0.0
             assert_same_outcome(outcome(family, loop), newton_only(outcome, family, loop))
 
     def test_fold_crossing_fails_as_newton_does(self, square_family):
@@ -309,6 +328,12 @@ class TestValidation:
 
     def test_start_must_solve_the_base(self, exact_family):
         loop = circle_loop((81.0, 144.0), 5.0, samples_per_turn=90)
+        with pytest.raises(PreconditionViolated):
+            lift_loop(exact_family, loop, (0.0, 1.0))
+
+    def test_loop_off_the_image(self, exact_family):
+        # No sample of this loop has a root.
+        loop = circle_loop((-100.0, -100.0), 5.0, samples_per_turn=90)
         with pytest.raises(PreconditionViolated):
             lift_loop(exact_family, loop, (0.0, 1.0))
 
