@@ -22,7 +22,6 @@ from .maps import (
     DET_NORMALIZATION,
     FAMILY_KINDS,
     ComplexSquareUnfolded,
-    Jet2,
     JointPoint,
     MapFamily,
     QuartoUnfolded,
@@ -30,10 +29,7 @@ from .maps import (
     Rpr2PrOffset,
     WorkspacePoint,
     canonical_phi,
-    eval_jet,
     eval_map,
-    jacobian_det,
-    jacobian_det_gradient,
     make_family,
     reference_scales,
 )

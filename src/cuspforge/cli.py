@@ -169,9 +169,7 @@ def cmd_regions(args) -> int:
     cm = count_map(family, bounds, resolution, box=box)
     out = _outdir(args)
     output.write_countmap_csv(out / "regions.csv", cm)
-    scene = output.PlotScene(box=bounds, countmap=cm, axis_labels=family.output_names)
-    output.write_svg(output.PlotSpec((output.LAYER_COUNTS,), str(out / "regions.svg")),
-                     scene)
+    output.write_svg(out / "regions.svg", bounds, labels=family.output_names, countmap=cm)
     values, freq = np.unique(cm.counts, return_counts=True)
     summary = ", ".join(f"{v}:{f}" for v, f in zip(values, freq))
     print(f"count histogram over {resolution}x{resolution} cells: {summary}")
@@ -419,20 +417,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify one point of the singularity set")
     add_common(p)
-    p.add_argument("--point", required=True, help="workspace point as 'phi,y'")
+    p.add_argument("--point", required=True,
+                   help="workspace point as 'phi,y' (a negative phi needs '=': "
+                        "--point=-0.0023,2.9069)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("dkp", help="solve the direct kinematic problem",
                        description="CSV schema: phi, y, residual, multiplicity_flag.")
     add_common(p)
-    p.add_argument("--target", required=True, help="joint target as 'u,v'")
+    p.add_argument("--target", required=True,
+                   help="joint target as 'u,v' (a negative u needs '=': --target=-1,0.5)")
     p.set_defaults(func=cmd_dkp)
 
     p = sub.add_parser("regions", help="solution-count map over a joint window",
                        description="CSV schema: u, v, count (cell centers; -1 marks "
                                    "a failed cell).")
     add_common(p)
-    p.add_argument("--bounds", help="joint window as 'u_min,u_max,v_min,v_max'")
+    p.add_argument("--bounds", help="joint window as 'u_min,u_max,v_min,v_max' (a "
+                                    "negative u_min needs '=': --bounds=-2,6,-2,6)")
     p.add_argument("--resolution", type=int, help="cells per axis (default 32)")
     p.set_defaults(func=cmd_regions)
 
@@ -440,12 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Loop from --center/--radius/--turns or from a "
                                    "CSV of u,v samples via --loop-csv.")
     add_common(p)
-    p.add_argument("--center", help="circle center as 'u,v'")
+    p.add_argument("--center", help="circle center as 'u,v' (a negative u needs '=': "
+                                    "--center=-1.5,0.5)")
     p.add_argument("--radius", type=float, help="circle radius")
     p.add_argument("--turns", type=int, default=1, help="number of revolutions")
     p.add_argument("--samples", type=int, default=720, help="samples per revolution")
     p.add_argument("--loop-csv", help="CSV file with u,v loop samples")
-    p.add_argument("--start", help="lift only this start point 'phi,y'")
+    p.add_argument("--start", help="lift only this start point 'phi,y' (a negative phi "
+                                   "needs '=': --start=-0.2,10.8)")
     p.set_defaults(func=cmd_monodromy)
 
     p = sub.add_parser("reproduce-paper",

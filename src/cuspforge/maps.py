@@ -43,20 +43,6 @@ class JointPoint(NamedTuple):
     v: float
 
 
-@dataclass(frozen=True)
-class Jet2:
-    """Value, Jacobian and symmetric second-derivative tensor at a point.
-
-    ``jac[i, j]`` is d(output i)/d(input j); ``hess[i, j, k]`` is the second
-    partial of output i with respect to inputs j and k (symmetric in j, k).
-    Input order is (phi, y) resp. (x, y).
-    """
-
-    value: JointPoint
-    jac: np.ndarray
-    hess: np.ndarray
-
-
 def canonical_phi(phi):
     """Reduce an angle into the reporting window [-pi/2, 3*pi/2)."""
     return np.mod(np.asarray(phi, dtype=float) + 0.5 * math.pi, TWO_PI) - 0.5 * math.pi
@@ -427,25 +413,6 @@ def eval_map(family: MapFamily, q) -> JointPoint:
     """Evaluate the map at a workspace point."""
     u, v = family.evaluate(q[0], q[1])
     return JointPoint(float(u), float(v))
-
-
-def eval_jet(family: MapFamily, q) -> Jet2:
-    """Evaluate value, analytic Jacobian and Hessian tensor at a point."""
-    u, v = family.evaluate(q[0], q[1])
-    jac = family.jacobian(q[0], q[1])
-    hess = family.hessian(q[0], q[1])
-    return Jet2(JointPoint(float(u), float(v)), np.asarray(jac, float), np.asarray(hess, float))
-
-
-def jacobian_det(family: MapFamily, q) -> float:
-    """Normalized Jacobian determinant (raw determinant / DET_NORMALIZATION)."""
-    return float(family.jdet(q[0], q[1]))
-
-
-def jacobian_det_gradient(family: MapFamily, q) -> tuple[float, float]:
-    """Exact gradient (d/dphi, d/dy) of the normalized determinant."""
-    jphi, jy = family.jdet_grad(q[0], q[1])
-    return float(jphi), float(jy)
 
 
 def coord_deltas(family: MapFamily, pts, ref):

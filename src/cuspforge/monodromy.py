@@ -49,6 +49,8 @@ MAX_SUBDIVISION = 14
 #: A root follows its nearest root at the next sample only when that is
 #: closer than this share of the distance to the second-nearest.
 MATCH_RATIO = 0.25
+#: Loop segments that ``loop_clearance`` measures against a curve at once.
+CLEARANCE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -107,20 +109,26 @@ def _point_segment_distance(p, v):
 
 def loop_clearance(loop: JointLoop, joint_curves) -> JointLoop:
     """Attach the smallest distance between a segment of the loop and one of
-    the image curves: 0 where the loop crosses a curve."""
+    the image curves: 0 where the loop crosses a curve.
+
+    The loop is measured CLEARANCE_BLOCK segments at a time, so no
+    temporary holds more than that many times a curve's segments."""
     p, best = loop.samples, math.inf
-    (px, py), (rx, ry) = p[:-1].T[:, :, None], np.diff(p, axis=0).T[:, :, None]
-    for v in (poly.vertices for poly in joint_curves.curves if len(poly.vertices) > 1):
-        # p + s r meets v + t w where 0 <= s, t <= 1; parallel segments give
-        # NaN, and meet only where an end point lies on the other.
-        (wx, wy), dx, dy = np.diff(v, axis=0).T, v[:-1, 0] - px, v[:-1, 1] - py
-        with np.errstate(divide="ignore", invalid="ignore"):
-            den = rx * wy - ry * wx
-            s = (dx * wy - dy * wx) / den
-            t = (dx * ry - dy * rx) / den
-        if np.any((s >= 0.0) & (s <= 1.0) & (t >= 0.0) & (t <= 1.0)):
-            return JointLoop(p, 0.0)
-        best = min(best, _point_segment_distance(p, v), _point_segment_distance(v, p))
+    curves = [poly.vertices for poly in joint_curves.curves if len(poly.vertices) > 1]
+    for i in range(0, len(p) - 1, CLEARANCE_BLOCK):
+        q = p[i:i + CLEARANCE_BLOCK + 1]
+        (px, py), (rx, ry) = q[:-1].T[:, :, None], np.diff(q, axis=0).T[:, :, None]
+        for v in curves:
+            # q + s r meets v + t w where 0 <= s, t <= 1; parallel segments
+            # give NaN, and meet only where an end point lies on the other.
+            (wx, wy), dx, dy = np.diff(v, axis=0).T, v[:-1, 0] - px, v[:-1, 1] - py
+            with np.errstate(divide="ignore", invalid="ignore"):
+                den = rx * wy - ry * wx
+                s = (dx * wy - dy * wx) / den
+                t = (dx * ry - dy * rx) / den
+            if np.any((s >= 0.0) & (s <= 1.0) & (t >= 0.0) & (t <= 1.0)):
+                return JointLoop(p, 0.0)
+            best = min(best, _point_segment_distance(q, v), _point_segment_distance(v, q))
     return JointLoop(p, best)
 
 

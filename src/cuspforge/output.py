@@ -1,17 +1,19 @@
 """Deterministic CSV and SVG emission.
 
 Floating values in CSV files are printed with 12 significant digits, so
-identical inputs produce byte-identical files.  SVG plots map the analysis
-box linearly onto the canvas with the y-axis pointing up; singularity curves
-are drawn in blue and characteristic curves in green, with one path element
-per branch and one marker per special point.
+identical inputs produce byte-identical files.  ``write_svg`` draws exactly
+the data it is given on a 720 x 720 canvas, mapping the plotted box linearly
+onto it with the y-axis pointing up: an optional solution-count heat layer,
+singularity curves in blue and characteristic curves in green (one path
+element per branch), a joint loop, lifted paths, and one marker per cusp or
+isolated point.  ``workspace_plot`` and ``joint_plot`` derive those markers
+and the axis labels from a curve set and its family.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -22,16 +24,8 @@ from .monodromy import JointLoop, LoopLift
 from .singular import DISPLAY_NAMES, SpecialPoint
 from .trace import KIND_CHARACTERISTIC, KIND_SINGULARITY, CurveSet, JointCurveSet
 
-LAYER_SINGULARITY = "singularity"
-LAYER_CHARACTERISTIC = "characteristic"
-LAYER_CUSPS = "cusps"
-LAYER_ISOLATED = "isolated"
-LAYER_COUNTS = "counts"
-LAYER_LOOP = "loop"
-LAYER_LIFT = "lift"
-ALL_LAYERS = (LAYER_SINGULARITY, LAYER_CHARACTERISTIC, LAYER_CUSPS,
-              LAYER_ISOLATED, LAYER_COUNTS, LAYER_LOOP, LAYER_LIFT)
-
+#: Width and height of every SVG canvas, in pixels.
+SIZE = 720
 CURVE_COLORS = {KIND_SINGULARITY: "#1f4fd8", KIND_CHARACTERISTIC: "#1f9d3a"}
 CURVE_WIDTHS = {KIND_SINGULARITY: 2.2, KIND_CHARACTERISTIC: 1.2}
 COUNT_COLORS = {
@@ -97,48 +91,17 @@ def write_lift_csv(path, loop: JointLoop, lift: LoopLift):
             writer.writerow([i, fmt(u), fmt(v), fmt(phi), fmt(y)])
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    """Which layers to draw, where to write the SVG, and the canvas size."""
-
-    layers: tuple[str, ...]
-    output_path: str
-    size: tuple[int, int] = (720, 720)
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ValueError("layer list must be non-empty")
-        unknown = [l for l in self.layers if l not in ALL_LAYERS]
-        if unknown:
-            raise ValueError(f"unknown layers: {unknown}")
-
-
-@dataclass
-class PlotScene:
-    """Data pool a plot draws from; layers without data are skipped."""
-
-    box: tuple[tuple[float, float], tuple[float, float]]
-    curves: CurveSet | JointCurveSet | None = None
-    cusp_points: list = field(default_factory=list)
-    isolated_points: list = field(default_factory=list)
-    countmap: CountMap | None = None
-    loop: JointLoop | None = None
-    lift_paths: list = field(default_factory=list)
-    axis_labels: tuple[str, str] = ("", "")
-
-
 class _Canvas:
     MARGIN = 40.0
 
-    def __init__(self, box, size):
+    def __init__(self, box):
         (self.x0, self.x1), (self.y0, self.y1) = box
-        self.width, self.height = size
-        self.sx = (self.width - 2 * self.MARGIN) / (self.x1 - self.x0)
-        self.sy = (self.height - 2 * self.MARGIN) / (self.y1 - self.y0)
+        self.sx = (SIZE - 2 * self.MARGIN) / (self.x1 - self.x0)
+        self.sy = (SIZE - 2 * self.MARGIN) / (self.y1 - self.y0)
 
     def to_px(self, x, y):
         px = self.MARGIN + (x - self.x0) * self.sx
-        py = self.height - self.MARGIN - (y - self.y0) * self.sy
+        py = SIZE - self.MARGIN - (y - self.y0) * self.sy
         return px, py
 
     def path_d(self, vertices, closed):
@@ -156,28 +119,36 @@ def _split_at_seam(vertices):
     return [p for p in np.split(vertices, cuts) if len(p) >= 2]
 
 
-def write_svg(spec: PlotSpec, scene: PlotScene, *, periodic_x: bool = False):
-    """Render the selected layers into a standalone SVG file."""
-    canvas = _Canvas(scene.box, spec.size)
+def write_svg(path, box, *, labels=("", ""), curves=(), cusps=(), isolated=(),
+              countmap: CountMap | None = None, loop: JointLoop | None = None,
+              lifts=(), periodic_x: bool = False):
+    """Draw exactly the given data into a standalone SVG file.
+
+    ``box`` is the plotted window ((x0, x1), (y0, y1)); ``curves`` are
+    polylines (singularity ones drawn before characteristic ones),
+    ``cusps`` and ``isolated`` are (x, y) markers, ``lifts`` are (n, 2)
+    paths, and ``labels`` name the horizontal and vertical axes.  With
+    ``periodic_x`` the curves and lifts are split where the angle wraps.
+    """
+    canvas = _Canvas(box)
     svg = ET.Element("svg", {
         "xmlns": "http://www.w3.org/2000/svg",
-        "width": str(spec.size[0]),
-        "height": str(spec.size[1]),
-        "viewBox": f"0 0 {spec.size[0]} {spec.size[1]}",
+        "width": str(SIZE),
+        "height": str(SIZE),
+        "viewBox": f"0 0 {SIZE} {SIZE}",
     })
     ET.SubElement(svg, "rect", {
-        "x": "0", "y": "0", "width": str(spec.size[0]), "height": str(spec.size[1]),
+        "x": "0", "y": "0", "width": str(SIZE), "height": str(SIZE),
         "fill": "white"})
 
-    if LAYER_COUNTS in spec.layers and scene.countmap is not None:
-        cm = scene.countmap
-        (u0, u1), (v0, v1) = cm.bounds
-        nu, nv = cm.resolution
+    if countmap is not None:
+        (u0, u1), (v0, v1) = countmap.bounds
+        nu, nv = countmap.resolution
         du, dv = (u1 - u0) / nu, (v1 - v0) / nv
         group = ET.SubElement(svg, "g", {"class": "countmap"})
         for i in range(nu):
             for j in range(nv):
-                count = int(cm.counts[i, j])
+                count = int(countmap.counts[i, j])
                 px0, py0 = canvas.to_px(u0 + i * du, v0 + (j + 1) * dv)
                 color = COUNT_COLORS.get(count, "#b10026")
                 ET.SubElement(group, "rect", {
@@ -194,106 +165,78 @@ def write_svg(spec: PlotSpec, scene: PlotScene, *, periodic_x: bool = False):
         "height": f"{(canvas.y1 - canvas.y0) * canvas.sy:.2f}",
         "fill": "none", "stroke": "#404040", "stroke-width": "1"})
 
-    if scene.curves is not None:
-        for kind, layer in ((KIND_SINGULARITY, LAYER_SINGULARITY),
-                            (KIND_CHARACTERISTIC, LAYER_CHARACTERISTIC)):
-            if layer not in spec.layers:
+    for kind, color in CURVE_COLORS.items():
+        for poly in curves:
+            if poly.kind != kind:
                 continue
-            for poly in scene.curves.by_kind(kind):
-                pieces = (_split_at_seam(poly.vertices) if periodic_x
-                          else [poly.vertices])
-                d = " ".join(canvas.path_d(p, poly.closed and len(pieces) == 1)
-                             for p in pieces)
-                if not d:
-                    continue
-                ET.SubElement(svg, "path", {
-                    "class": kind, "d": d, "fill": "none",
-                    "stroke": CURVE_COLORS[kind],
-                    "stroke-width": str(CURVE_WIDTHS[kind])})
+            pieces = _split_at_seam(poly.vertices) if periodic_x else [poly.vertices]
+            d = " ".join(canvas.path_d(p, poly.closed and len(pieces) == 1)
+                         for p in pieces)
+            if not d:
+                continue
+            ET.SubElement(svg, "path", {
+                "class": kind, "d": d, "fill": "none", "stroke": color,
+                "stroke-width": str(CURVE_WIDTHS[kind])})
 
-    if LAYER_LOOP in spec.layers and scene.loop is not None:
+    if loop is not None:
         ET.SubElement(svg, "path", {
-            "class": "loop", "d": canvas.path_d(scene.loop.samples, False),
+            "class": "loop", "d": canvas.path_d(loop.samples, False),
             "fill": "none", "stroke": "#202020", "stroke-width": "1.2",
             "stroke-dasharray": "6,4"})
 
-    if LAYER_LIFT in spec.layers:
-        for pathline in scene.lift_paths:
-            pieces = _split_at_seam(np.asarray(pathline)) if periodic_x else [np.asarray(pathline)]
-            d = " ".join(canvas.path_d(p, False) for p in pieces)
-            ET.SubElement(svg, "path", {
-                "class": "lift", "d": d, "fill": "none",
-                "stroke": "#9016a8", "stroke-width": "1.4",
-                "stroke-dasharray": "2,3"})
+    for pathline in lifts:
+        pieces = _split_at_seam(np.asarray(pathline)) if periodic_x else [np.asarray(pathline)]
+        d = " ".join(canvas.path_d(p, False) for p in pieces)
+        ET.SubElement(svg, "path", {
+            "class": "lift", "d": d, "fill": "none",
+            "stroke": "#9016a8", "stroke-width": "1.4",
+            "stroke-dasharray": "2,3"})
 
-    if LAYER_CUSPS in spec.layers:
-        for p in scene.cusp_points:
-            px, py = canvas.to_px(p[0], p[1])
-            ET.SubElement(svg, "circle", {
-                "class": "cusp", "cx": f"{px:.2f}", "cy": f"{py:.2f}",
-                "r": "4.5", "fill": "#d8261f", "stroke": "white",
-                "stroke-width": "1"})
+    for p in cusps:
+        px, py = canvas.to_px(p[0], p[1])
+        ET.SubElement(svg, "circle", {
+            "class": "cusp", "cx": f"{px:.2f}", "cy": f"{py:.2f}",
+            "r": "4.5", "fill": "#d8261f", "stroke": "white",
+            "stroke-width": "1"})
 
-    if LAYER_ISOLATED in spec.layers:
-        for p in scene.isolated_points:
-            px, py = canvas.to_px(p[0], p[1])
-            ET.SubElement(svg, "circle", {
-                "class": "isolated", "cx": f"{px:.2f}", "cy": f"{py:.2f}",
-                "r": "5", "fill": "none", "stroke": "#1f4fd8",
-                "stroke-width": "2"})
+    for p in isolated:
+        px, py = canvas.to_px(p[0], p[1])
+        ET.SubElement(svg, "circle", {
+            "class": "isolated", "cx": f"{px:.2f}", "cy": f"{py:.2f}",
+            "r": "5", "fill": "none", "stroke": "#1f4fd8",
+            "stroke-width": "2"})
 
-    if scene.axis_labels[0]:
+    if labels[0]:
         label = ET.SubElement(svg, "text", {
-            "x": f"{spec.size[0] - 24:.0f}", "y": f"{spec.size[1] - 14:.0f}",
+            "x": f"{SIZE - 24}", "y": f"{SIZE - 14}",
             "font-size": "15", "font-family": "sans-serif"})
-        label.text = scene.axis_labels[0]
-    if scene.axis_labels[1]:
+        label.text = labels[0]
+    if labels[1]:
         label = ET.SubElement(svg, "text", {
             "x": "10", "y": "24", "font-size": "15", "font-family": "sans-serif"})
-        label.text = scene.axis_labels[1]
+        label.text = labels[1]
 
     tree = ET.ElementTree(svg)
     ET.indent(tree)
-    tree.write(spec.output_path, encoding="unicode", xml_declaration=True)
+    tree.write(path, encoding="unicode", xml_declaration=True)
+
+
+def _cusp_points(cs: CurveSet | JointCurveSet):
+    return sorted(tuple(poly.vertices[vi]) for poly in cs.curves for vi in poly.cusp_indices)
 
 
 def workspace_plot(path, family: MapFamily, box, cs: CurveSet, *,
-                   characteristics: CurveSet | None = None,
-                   lift_paths=(), layers=None, size=(720, 720)):
+                   characteristics: CurveSet | None = None, lift_paths=()):
     """Standard workspace figure: curves, cusp markers, isolated points."""
-    curves = CurveSet(list(cs.curves), list(cs.isolated_points))
-    if characteristics is not None:
-        curves.curves.extend(characteristics.curves)
-    cusps = [tuple(poly.vertices[vi]) for poly in cs.curves for vi in poly.cusp_indices]
-    if layers is None:
-        layers = [LAYER_SINGULARITY, LAYER_CUSPS, LAYER_ISOLATED]
-        if characteristics is not None:
-            layers.append(LAYER_CHARACTERISTIC)
-        if len(lift_paths):
-            layers.append(LAYER_LIFT)
-    scene = PlotScene(
-        box=box, curves=curves, cusp_points=sorted(cusps),
-        isolated_points=[tuple(p) for p in cs.isolated_points],
-        lift_paths=list(lift_paths),
-        axis_labels=family.input_names)
-    write_svg(PlotSpec(tuple(layers), str(path), size), scene,
+    curves = cs.curves + (characteristics.curves if characteristics is not None else [])
+    write_svg(path, box, labels=family.input_names, curves=curves,
+              cusps=_cusp_points(cs), isolated=cs.isolated_points, lifts=lift_paths,
               periodic_x=family.periodic)
 
 
 def joint_plot(path, family: MapFamily, box, jcs: JointCurveSet, *,
-               countmap: CountMap | None = None, loop: JointLoop | None = None,
-               layers=None, size=(720, 720)):
+               countmap: CountMap | None = None, loop: JointLoop | None = None):
     """Standard joint-space figure: image curves, cusp images, count layer."""
-    cusps = [tuple(poly.vertices[vi]) for poly in jcs.curves for vi in poly.cusp_indices]
-    if layers is None:
-        layers = [LAYER_SINGULARITY, LAYER_CUSPS, LAYER_ISOLATED]
-        if countmap is not None:
-            layers.append(LAYER_COUNTS)
-        if loop is not None:
-            layers.append(LAYER_LOOP)
-    scene = PlotScene(
-        box=box, curves=jcs, cusp_points=sorted(cusps),
-        isolated_points=[tuple(p) for p in jcs.isolated_points],
-        countmap=countmap, loop=loop,
-        axis_labels=family.output_names)
-    write_svg(PlotSpec(tuple(layers), str(path), size), scene, periodic_x=False)
+    write_svg(path, box, labels=family.output_names, curves=jcs.curves,
+              cusps=_cusp_points(jcs), isolated=jcs.isolated_points,
+              countmap=countmap, loop=loop)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dkp import solve_dkp
-from .errors import CuspforgeError
 from .maps import (
     TWO_PI,
     JointPoint,
@@ -349,33 +348,22 @@ def _sorted_window(family, xs, x, radius):
     return idx
 
 
-def characteristic_curves(
-    family: MapFamily,
-    cs: CurveSet,
-    *,
-    step: float | None = None,
-    dkp_box=None,
-) -> CurveSet:
+def characteristic_curves(family: MapFamily, cs: CurveSet) -> CurveSet:
     """Characteristic curves: the other preimages of the singular images.
 
     For every vertex p of every singularity branch, the direct kinematic
-    problem is solved at eval_map(p) and all solutions that do not lie on
-    the singularity curve itself (the ones not flagged as multiple roots)
+    problem is solved at eval_map(p) and all real solutions that do not lie
+    on the singularity curve itself (the ones not flagged as multiple roots)
     are collected, then chained into polylines by nearest-neighbor
-    continuation (maximum jump 3x the tracing step).
-    With ``dkp_box=None`` every real preimage counts; with an explicit box,
-    vertices with a preimage outside it are skipped and logged.
+    continuation (maximum jump 3x the median vertex spacing of the branches).
     """
     singular = cs.by_kind(KIND_SINGULARITY)
     if not singular:
         return CurveSet([], [])
-    if step is None:
-        spacing = [np.median(np.linalg.norm(np.diff(c.vertices, axis=0), axis=1))
-                   for c in singular if len(c) > 1]
-        step = float(np.median(spacing)) if spacing else 1e-2
-
-    scales = reference_scales(family, dkp_box)
-    jtol = 1e-10 * max(1.0, scales.jdet)
+    spacing = [np.median(np.linalg.norm(np.diff(c.vertices, axis=0), axis=1))
+               for c in singular if len(c) > 1]
+    step = float(np.median(spacing)) if spacing else 1e-2
+    jtol = 1e-10 * max(1.0, reference_scales(family).jdet)
 
     def source_points(poly):
         # The partner preimage recedes from a cusp about twice as fast as
@@ -396,12 +384,7 @@ def characteristic_curves(
     for poly in singular:
         for vertex in source_points(poly):
             target = family.evaluate(vertex[0], vertex[1])
-            try:
-                sols = solve_dkp(family, (float(target[0]), float(target[1])), box=dkp_box)
-            except CuspforgeError as exc:
-                log.debug("characteristic solve skipped at (%g, %g): %s",
-                          vertex[0], vertex[1], exc)
-                continue
+            sols = solve_dkp(family, (float(target[0]), float(target[1])))
             # The vertex's own preimage is a double root, reported once and
             # flagged; so is every other preimage on the singularity curve.
             cloud.extend([sol.phi, sol.y] for sol, on_curve

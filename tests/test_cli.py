@@ -36,6 +36,15 @@ phi_max = 4
 y_max = 4
 """
 
+SQUARE_CFG = """\
+family = complex_square_unfolded
+a = 1
+b = -1
+phi_min = -4
+phi_max = 4
+y_max = 4
+"""
+
 
 def write_cfg(tmp_path, text, name="analysis.cfg"):
     path = tmp_path / name
@@ -90,6 +99,17 @@ class TestDkp:
         sols = sorted((round(float(r[0]), 6), round(float(r[1]), 6))
                       for r in rows[1:])
         assert sols == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
+
+    def test_negative_target_joined_with_equals(self, tmp_path, capsys):
+        # argparse reads a separate "-1,0.5" as an option, not as the value.
+        cfg = write_cfg(tmp_path, SQUARE_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["dkp", "--config", cfg, "--target", "-1,0.5", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert main(["dkp", "--config", cfg, "--target=-1,0.5", "--out", str(tmp_path)]) == 0
+        assert "4 solution(s) of (-1, 0.5)" in capsys.readouterr().out
+        assert len(read_csv(tmp_path / "dkp.csv")) == 1 + 4
 
     def test_deterministic_output(self, tmp_path):
         # No y_max: solve over the full reach box so nothing escapes.

@@ -23,12 +23,6 @@ from cuspforge import (
 )
 from cuspforge.config import family_from_config, joint_bounds, workspace_box
 from cuspforge.output import (
-    ALL_LAYERS,
-    LAYER_COUNTS,
-    LAYER_CUSPS,
-    LAYER_SINGULARITY,
-    PlotScene,
-    PlotSpec,
     fmt,
     joint_plot,
     workspace_plot,
@@ -166,18 +160,14 @@ class TestSvgOutput:
         counts = {int(r.get("data-count")) for r in rects}
         assert counts.issubset({-1, 0, 1, 2, 3, 4})
 
-    def test_plotspec_validation(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            PlotSpec((), "x.svg")
-        with pytest.raises(ValueError, match="unknown layers"):
-            PlotSpec(("sparkles",), "x.svg")
-
-    def test_scene_without_requested_data_is_fine(self, tmp_path):
-        spec = PlotSpec((LAYER_SINGULARITY, LAYER_CUSPS, LAYER_COUNTS),
-                        str(tmp_path / "empty.svg"))
-        write_svg(spec, PlotScene(box=((0.0, 1.0), (0.0, 1.0))))
-        root = ET.parse(tmp_path / "empty.svg").getroot()
+    def test_write_svg_without_data_is_valid(self, tmp_path):
+        path = tmp_path / "empty.svg"
+        write_svg(path, ((0.0, 1.0), (0.0, 1.0)))
+        root = ET.parse(path).getroot()
         assert root.tag.endswith("svg")
+        assert root.get("width") == root.get("height") == "720"
+        ns = {"s": "http://www.w3.org/2000/svg"}
+        assert not root.findall(".//s:path", ns) + root.findall(".//s:circle", ns)
 
     def test_periodic_seam_is_split(self, tmp_path, offset_family, offset_trace):
         # Branches wrapping across phi = 3*pi/2 must not draw a full-width
@@ -247,11 +237,11 @@ class TestOutputMatchesReference:
     def test_svg(self, tmp_path, monkeypatch, offset_trace, odd_curves, periodic):
         # Periodic curves are split at the seam; without the split a lift of
         # one vertex is drawn as a path of its own.
-        curves = CurveSet(offset_trace.curves + odd_curves.curves)
-        scene = PlotScene(PAPER_BOX, curves=curves,
-                          lift_paths=[offset_trace.curves[0].vertices, [(0.5, 1.0)]])
+        data = dict(curves=offset_trace.curves + odd_curves.curves,
+                    lifts=[offset_trace.curves[0].vertices, [(0.5, 1.0)]],
+                    periodic_x=periodic)
         got, want = tmp_path / "got.svg", tmp_path / "want.svg"
-        write_svg(PlotSpec(ALL_LAYERS, str(got)), scene, periodic_x=periodic)
+        write_svg(got, PAPER_BOX, **data)
         monkeypatch.setattr(output._Canvas, "path_d", reference_path_d)
-        write_svg(PlotSpec(ALL_LAYERS, str(want)), scene, periodic_x=periodic)
+        write_svg(want, PAPER_BOX, **data)
         assert got.read_bytes() == want.read_bytes()

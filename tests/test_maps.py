@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspforge import (
-    DET_NORMALIZATION,
-    eval_jet,
-    eval_map,
-    jacobian_det,
-    jacobian_det_gradient,
-    make_family,
-)
+from cuspforge import DET_NORMALIZATION, eval_map, make_family
 from cuspforge.maps import canonical_phi, dedup_mask, point_distances, wrap_delta
 
 from gridscan import fd_hessian, fd_jacobian, fd_jdet_grad
@@ -50,33 +43,31 @@ class TestReferenceValues:
 
     def test_inline_jacobian_vanishes_at_corank2_points(self, exact_family):
         for phi in (0.0, math.pi):
-            jet = eval_jet(exact_family, (phi, 0.0))
-            assert np.max(np.abs(jet.jac)) < 1e-12
+            assert np.max(np.abs(exact_family.jacobian(phi, 0.0))) < 1e-12
 
     def test_quarto_jacobian_is_diagonal(self):
         fam = make_family("quarto_unfolded", a=0.0, b=0.0)
-        jet = eval_jet(fam, (1.0, 1.0))
-        assert np.allclose(jet.jac, np.diag([2.0, 2.0]))
+        assert np.allclose(fam.jacobian(1.0, 1.0), np.diag([2.0, 2.0]))
 
     def test_offset_jacobian_matches_finite_differences(self, offset_family):
-        jet = eval_jet(offset_family, (0.3, 1.7))
+        jac = offset_family.jacobian(0.3, 1.7)
         fd = fd_jacobian(offset_family, 0.3, 1.7)
-        assert np.max(np.abs(jet.jac - fd)) / np.max(np.abs(fd)) < 1e-6
+        assert np.max(np.abs(jac - fd)) / np.max(np.abs(fd)) < 1e-6
 
     def test_complex_square_det_is_shifted_circle(self):
         fam = make_family("complex_square_unfolded", a=1.0, b=-1.0)
         theta = np.linspace(0.0, 2.0 * math.pi, 37)
         on_circle = fam.jdet(2.0 * np.cos(theta), 2.0 * np.sin(theta))
         assert np.max(np.abs(on_circle)) < 1e-12
-        assert abs(jacobian_det(fam, (1.0, 1.0)) - (1.0 + 1.0 - 4.0)) < 1e-12
+        assert abs(fam.jdet(1.0, 1.0) - (1.0 + 1.0 - 4.0)) < 1e-12
 
     def test_quarto_det_is_hyperbola(self):
         fam = make_family("quarto_unfolded", a=1.0, b=1.0)
-        assert jacobian_det(fam, (2.0, 0.5)) == 0.0
-        assert jacobian_det(fam, (2.0, 1.0)) == 1.0
+        assert fam.jdet(2.0, 0.5) == 0.0
+        assert fam.jdet(2.0, 1.0) == 1.0
 
     def test_inline_det_vanishes_at_origin(self, exact_family):
-        assert jacobian_det(exact_family, (0.0, 0.0)) == 0.0
+        assert exact_family.jdet(0.0, 0.0) == 0.0
 
 
 class TestDerivativeConsistency:
@@ -140,12 +131,15 @@ class TestDerivativeConsistency:
         assert np.max(np.abs(jyy - fyy) / scale) < 1e-4
 
     def test_scalar_wrappers_match_vector_methods(self, offset_family):
+        # At a scalar point the methods give one value, a 2x2 Jacobian, a
+        # 2x2x2 Hessian tensor, a determinant and its two partials.
         q = (0.37, -2.1)
-        jet = eval_jet(offset_family, q)
-        assert jet.value == eval_map(offset_family, q)
-        assert jacobian_det(offset_family, q) == float(offset_family.jdet(*q))
-        assert jacobian_det_gradient(offset_family, q) == tuple(
-            float(g) for g in offset_family.jdet_grad(*q))
+        u, v = offset_family.evaluate(*q)
+        assert eval_map(offset_family, q) == (float(u), float(v))
+        assert np.shape(offset_family.jacobian(*q)) == (2, 2)
+        assert np.shape(offset_family.hessian(*q)) == (2, 2, 2)
+        assert np.shape(offset_family.jdet(*q)) == ()
+        assert np.shape(offset_family.jdet_grad(*q)) == (2,)
 
 
 class TestOffsetSpecializesToInline:

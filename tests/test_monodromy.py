@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -309,6 +310,53 @@ class TestExactRootLifts:
         assert np.min(phi) < seam < np.max(phi)
         assert (lift.end.phi, lift.end.y) == pytest.approx((start.phi, start.y), abs=1e-9)
         assert_close_lifts(lift, newton_only(lift_loop, exact_family, loop, start))
+
+
+@pytest.fixture(scope="module")
+def offset_reach_loops(offset_family):
+    """The offset manipulator's image over its reach box (2247 vertices),
+    a 721-sample circle between the deltoid and the outer branches, as
+    reproduce-paper lifts it, and one that crosses the deltoid."""
+    jcs = image_curves(offset_family, trace_singularity_curves(offset_family))
+    oval = [c for c in jcs.curves if c.closed][0].vertices
+    centroid = oval.mean(axis=0)
+    radii = np.linalg.norm(oval - centroid, axis=1)
+    r_out = min(float(np.min(np.linalg.norm(c.vertices - centroid, axis=1)))
+                for c in jcs.curves if not c.closed)
+    clear = circle_loop(tuple(centroid), math.sqrt(float(np.max(radii)) * r_out))
+    crossing = circle_loop(tuple(centroid), float(np.mean(radii[[radii.argmin(),
+                                                                radii.argmax()]])))
+    return jcs, clear, crossing
+
+
+class TestLoopClearance:
+    """The loop is measured against the curves a block of segments at a
+    time: the same value as one pass over all segments, in little memory."""
+
+    @pytest.mark.parametrize("block", [1, 7, monodromy.CLEARANCE_BLOCK])
+    def test_blocks_give_the_unblocked_value(self, monkeypatch, offset_reach_loops, block):
+        jcs, clear, crossing = offset_reach_loops
+
+        def clearances():
+            return [loop_clearance(loop, jcs).min_singular_clearance for loop in (clear, crossing)]
+
+        monkeypatch.setattr(monodromy, "CLEARANCE_BLOCK", len(clear.samples))
+        want = clearances()
+        monkeypatch.setattr(monodromy, "CLEARANCE_BLOCK", block)
+        assert clearances() == want
+        assert want[0] > 1.0 and want[1] == 0.0
+
+    def test_peak_memory_is_bounded(self, offset_reach_loops):
+        # One pass over all 720 segments peaks at about 63 MB.
+        jcs, clear, _ = offset_reach_loops
+        assert len(clear.samples) == 721
+        tracemalloc.start()
+        try:
+            loop_clearance(clear, jcs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestValidation:

@@ -237,22 +237,14 @@ class TestNormalFormTraces:
 
 
 class TestCharacteristicCurves:
-    def test_tangency_at_cusps_complex_square(self, square_family):
-        step = 0.05
-        cs = trace_singularity_curves(square_family, NORMAL_BOX, step)
-        chars = characteristic_curves(square_family, cs,
-                                      dkp_box=((-10.0, 10.0), (-10.0, 10.0)))
-        assert chars.curves and all(c.kind == KIND_CHARACTERISTIC
-                                    for c in chars.curves)
-        self._assert_cusp_tangency(square_family, cs, chars, step)
-
     def test_tangency_at_cusps_complex_square_without_box(self, square_family):
-        # Without a dkp_box every real preimage counts, including the partner
-        # (-6, 0) of the cusp (2, 0), which lies on the edge of the family's
-        # default box.
+        # Every real preimage counts, including the partner (-6, 0) of the
+        # cusp (2, 0), which lies on the edge of the family's default box.
         step = 0.05
         cs = trace_singularity_curves(square_family, NORMAL_BOX, step)
         chars = characteristic_curves(square_family, cs)
+        assert chars.curves and all(c.kind == KIND_CHARACTERISTIC
+                                    for c in chars.curves)
         self._assert_cusp_tangency(square_family, cs, chars, step)
 
     def test_tangency_at_cusps_offset_manipulator(self, offset_family):
@@ -292,8 +284,7 @@ class TestCharacteristicCurves:
     def test_chain_jump_bound(self, square_family):
         step = 0.05
         cs = trace_singularity_curves(square_family, NORMAL_BOX, step)
-        chars = characteristic_curves(square_family, cs,
-                                      dkp_box=((-10.0, 10.0), (-10.0, 10.0)))
+        chars = characteristic_curves(square_family, cs)
         for chain in chars.curves:
             if len(chain) > 1:
                 gaps = np.linalg.norm(np.diff(chain.vertices, axis=0), axis=1)
