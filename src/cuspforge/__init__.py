@@ -57,7 +57,6 @@ from .trace import (
     KIND_CHARACTERISTIC,
     KIND_SINGULARITY,
     CurveSet,
-    JointCurveSet,
     Polyline,
     characteristic_curves,
     image_curves,

@@ -87,11 +87,11 @@ def cmd_cusps(args) -> int:
     output.write_special_points_csv(out / "cusps.csv", points)
     print(f"{len(points)} special point(s) in "
           f"[{box[0][0]:.6g}, {box[0][1]:.6g}] x [{box[1][0]:.6g}, {box[1][1]:.6g}]")
-    header = f"{'phi':>12} {'y':>12} {'kind':<20} {'delta':>12} {'residual':>10}"
+    header = f"{'phi':>18} {'y':>18} {'kind':<20} {'delta':>12} {'residual':>10}"
     print(header)
     for p in points:
         delta = "" if math.isnan(p.delta) else f"{p.delta:12.5g}"
-        print(f"{p.location.phi:12.6f} {p.location.y:12.6f} "
+        print(f"{p.location.phi:18.12g} {p.location.y:18.12g} "
               f"{DISPLAY_NAMES[p.kind]:<20} {delta:>12} {p.residual:10.2e}")
     print(f"wrote {out / 'cusps.csv'}")
     return 0
@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--point", required=True,
                    help="workspace point as 'phi,y' (a negative phi needs '=': "
-                        "--point=-0.0023,2.9069)")
+                        "--point=-0.00234328474958,2.90691669249)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("dkp", help="solve the direct kinematic problem",

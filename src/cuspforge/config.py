@@ -14,9 +14,9 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 from .maps import FAMILY_KINDS, MapFamily, make_family
 
-_FLOAT_KEYS = ("a1", "a2", "b1", "b2", "d", "a", "b",
-               "phi_min", "phi_max", "y_max",
-               "u_min", "u_max", "v_min", "v_max", "tol")
+_FAMILY_KEYS = ("a1", "a2", "b1", "b2", "d", "a", "b")
+_FLOAT_KEYS = _FAMILY_KEYS + ("phi_min", "phi_max", "y_max",
+                               "u_min", "u_max", "v_min", "v_max", "tol")
 
 
 @dataclass(frozen=True)
@@ -88,23 +88,22 @@ def load_config(path) -> AnalysisConfig:
 
 
 def family_from_config(cfg: AnalysisConfig) -> MapFamily:
-    """Build the map family, checking that the required parameters are set."""
-    manip = cfg.family in ("rpr2pr_exact", "rpr2pr_offset")
-    if manip:
-        missing = [k for k in ("a1", "a2", "b1", "b2") if getattr(cfg, k) is None]
-        if missing:
-            raise ConfigError(f"family {cfg.family} needs keys: {', '.join(missing)}")
-        params = {k: getattr(cfg, k) for k in ("a1", "a2", "b1", "b2")}
-        if cfg.family == "rpr2pr_offset":
-            params["d"] = cfg.d if cfg.d is not None else 0.0
-        try:
-            return make_family(cfg.family, **params)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    missing = [k for k in ("a", "b") if getattr(cfg, k) is None]
+    """Build the map family from the keys its class takes; a missing key, or a
+    family key that the class does not take, raises ConfigError."""
+    names = [f.name for f in fields(FAMILY_KINDS[cfg.family])]
+    params = {k: getattr(cfg, k) for k in names}
+    if cfg.family == "rpr2pr_offset" and params["d"] is None:
+        params["d"] = 0.0
+    missing = [k for k, v in params.items() if v is None]
     if missing:
         raise ConfigError(f"family {cfg.family} needs keys: {', '.join(missing)}")
-    return make_family(cfg.family, a=cfg.a, b=cfg.b)
+    extra = [k for k in _FAMILY_KEYS if k not in params and getattr(cfg, k) is not None]
+    if extra:
+        raise ConfigError(f"family {cfg.family} does not take keys: {', '.join(extra)}")
+    try:
+        return make_family(cfg.family, **params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def workspace_box(cfg: AnalysisConfig, family: MapFamily):

@@ -111,7 +111,7 @@ def _manipulator_terms(family, phi, tu, tv):
     """At the angles phi: D and N of the u - v equation D y = N, and p, c of
     the u-equation y^2 + 2 p y + c = 0."""
     a1, a2, b1, b2 = family.a1, family.a2, family.b1, family.b2
-    d = getattr(family, "d", 0.0)
+    d = family.d
     s, c = np.sin(phi), np.cos(phi)
     cap1 = b1 * c + d * s
     k1 = a1 * a1 + b1 * b1 + d * d

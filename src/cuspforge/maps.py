@@ -80,99 +80,14 @@ def _sym22(aa, ab, bb):
 
 
 @dataclass(frozen=True)
-class Rpr2PrExact:
-    """Planar 2RPR-PR manipulator with the moving joint on the anchor line.
-
-    Base anchors sit at (a1, 0) and (-a2, 0); the platform anchors sit on the
-    platform axis at signed offsets +b1 and -b2 from the joint, which slides
-    on the vertical axis at height y while the platform turns by phi.  The
-    outputs are the squared leg lengths.
-    """
-
-    a1: float
-    a2: float
-    b1: float
-    b2: float
-
-    kind = "rpr2pr_exact"
-    periodic = True
-    input_names = ("phi", "y")
-    output_names = ("l1_sq", "l2_sq")
-
-    def __post_init__(self):
-        for name in ("a1", "a2", "b1", "b2"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-
-    @property
-    def reach(self):
-        return self.a1 + self.a2 + self.b1 + self.b2
-
-    def default_box(self):
-        return (PHI_WINDOW, (-self.reach, self.reach))
-
-    def evaluate(self, phi, y):
-        s, c = _sincos(phi)
-        y = np.asarray(y, dtype=float)
-        u = y * y + 2.0 * self.b1 * y * s + self.a1**2 + self.b1**2 - 2.0 * self.a1 * self.b1 * c
-        v = y * y - 2.0 * self.b2 * y * s + self.a2**2 + self.b2**2 - 2.0 * self.a2 * self.b2 * c
-        return u, v
-
-    def jacobian(self, phi, y):
-        s, c = _sincos(phi)
-        y = np.asarray(y, dtype=float)
-        return _pack22(
-            2.0 * (self.b1 * y * c + self.a1 * self.b1 * s),
-            2.0 * (y + self.b1 * s),
-            2.0 * (-self.b2 * y * c + self.a2 * self.b2 * s),
-            2.0 * (y - self.b2 * s),
-        )
-
-    def hessian(self, phi, y):
-        s, c = _sincos(phi)
-        y = np.asarray(y, dtype=float)
-        two = np.full(np.broadcast_shapes(s.shape, y.shape), 2.0)
-        h0 = _sym22(-2.0 * self.b1 * y * s + 2.0 * self.a1 * self.b1 * c, 2.0 * self.b1 * c, two)
-        h1 = _sym22(2.0 * self.b2 * y * s + 2.0 * self.a2 * self.b2 * c, -2.0 * self.b2 * c, two)
-        return _pack222(h0, h1)
-
-    def jdet(self, phi, y):
-        s, c = _sincos(phi)
-        y = np.asarray(y, dtype=float)
-        kbb = self.b1 + self.b2
-        kab = self.a1 * self.b1 - self.a2 * self.b2
-        ka = self.a1 + self.a2
-        return kbb * c * y * y + kab * s * y - ka * self.b1 * self.b2 * s * s
-
-    def jdet_grad(self, phi, y):
-        s, c = _sincos(phi)
-        y = np.asarray(y, dtype=float)
-        kbb = self.b1 + self.b2
-        kab = self.a1 * self.b1 - self.a2 * self.b2
-        ka = self.a1 + self.a2
-        jphi = -kbb * s * y * y + kab * c * y - 2.0 * ka * self.b1 * self.b2 * s * c
-        jy = 2.0 * kbb * c * y + kab * s
-        return jphi, jy
-
-    def jdet_hess(self, phi, y):
-        s, c = _sincos(phi)
-        y = np.asarray(y, dtype=float)
-        kbb = self.b1 + self.b2
-        kab = self.a1 * self.b1 - self.a2 * self.b2
-        ka = self.a1 + self.a2
-        jpp = -kbb * c * y * y - kab * s * y - 2.0 * ka * self.b1 * self.b2 * (c * c - s * s)
-        jpy = -2.0 * kbb * s * y + kab * c
-        jyy = 2.0 * kbb * c * np.ones_like(y)
-        return jpp, jpy, jyy
-
-
-@dataclass(frozen=True)
 class Rpr2PrOffset:
-    """2RPR-PR manipulator whose moving joint is offset from the anchor line.
+    """Planar 2RPR-PR manipulator whose moving joint is offset from the anchor line.
 
-    Same geometry as :class:`Rpr2PrExact` except that the line through the
-    platform anchors is displaced by d from the joint (measured along the
-    platform normal).  d = 0 recovers the in-line manipulator exactly.
+    Base anchors sit at (a1, 0) and (-a2, 0); the platform anchors sit at
+    signed offsets +b1 and -b2 from the joint along the platform axis, on a
+    line displaced by d from the joint along the platform normal.  The joint
+    slides on the vertical axis at height y while the platform turns by phi.
+    The outputs are the squared leg lengths.
     """
 
     a1: float
@@ -274,6 +189,38 @@ class Rpr2PrOffset:
         jpy = -2.0 * kbb * s * y + kab * c + ka * d * s
         jyy = 2.0 * kbb * c * np.ones_like(y)
         return jpp, jpy, jyy
+
+
+@dataclass(frozen=True)
+class Rpr2PrExact:
+    """The in-line 2RPR-PR manipulator: :class:`Rpr2PrOffset` at d = 0.
+
+    The moving joint lies on the line through the platform anchors.  This is
+    the non-generic member of the offset family, so it shares that family's
+    formulas; ``d`` is a class constant, not a parameter.
+    """
+
+    a1: float
+    a2: float
+    b1: float
+    b2: float
+
+    kind = "rpr2pr_exact"
+    periodic = True
+    input_names = ("phi", "y")
+    output_names = ("l1_sq", "l2_sq")
+    d = 0.0
+
+    __post_init__ = Rpr2PrOffset.__post_init__
+    reach = Rpr2PrOffset.reach
+    default_box = Rpr2PrOffset.default_box
+    _axes = Rpr2PrOffset._axes
+    evaluate = Rpr2PrOffset.evaluate
+    jacobian = Rpr2PrOffset.jacobian
+    hessian = Rpr2PrOffset.hessian
+    jdet = Rpr2PrOffset.jdet
+    jdet_grad = Rpr2PrOffset.jdet_grad
+    jdet_hess = Rpr2PrOffset.jdet_hess
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .dkp import CountMap, DkpSolutionSet
 from .maps import MapFamily
 from .monodromy import JointLoop, LoopLift
 from .singular import DISPLAY_NAMES, SpecialPoint
-from .trace import KIND_CHARACTERISTIC, KIND_SINGULARITY, CurveSet, JointCurveSet
+from .trace import KIND_CHARACTERISTIC, KIND_SINGULARITY, CurveSet
 
 #: Width and height of every SVG canvas, in pixels.
 SIZE = 720
@@ -52,7 +52,7 @@ def write_special_points_csv(path, points: list[SpecialPoint]):
             ])
 
 
-def write_curves_csv(path, cs: CurveSet | JointCurveSet, coord_names=("c1", "c2")):
+def write_curves_csv(path, cs: CurveSet, coord_names=("c1", "c2")):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["curve", "kind", "closed", "vertex", "is_cusp",
@@ -221,7 +221,7 @@ def write_svg(path, box, *, labels=("", ""), curves=(), cusps=(), isolated=(),
     tree.write(path, encoding="unicode", xml_declaration=True)
 
 
-def _cusp_points(cs: CurveSet | JointCurveSet):
+def _cusp_points(cs: CurveSet):
     return sorted(tuple(poly.vertices[vi]) for poly in cs.curves for vi in poly.cusp_indices)
 
 
@@ -234,7 +234,7 @@ def workspace_plot(path, family: MapFamily, box, cs: CurveSet, *,
               periodic_x=family.periodic)
 
 
-def joint_plot(path, family: MapFamily, box, jcs: JointCurveSet, *,
+def joint_plot(path, family: MapFamily, box, jcs: CurveSet, *,
                countmap: CountMap | None = None, loop: JointLoop | None = None):
     """Standard joint-space figure: image curves, cusp images, count layer."""
     write_svg(path, box, labels=family.output_names, curves=jcs.curves,

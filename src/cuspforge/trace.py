@@ -87,21 +87,11 @@ class Polyline:
 
 @dataclass
 class CurveSet:
-    """Workspace curves plus isolated singular points with no curve through them."""
+    """Curves plus isolated singular points with no curve through them, in the
+    workspace or, as images, in the joint space."""
 
     curves: list[Polyline]
-    isolated_points: list[WorkspacePoint] = field(default_factory=list)
-
-    def by_kind(self, kind):
-        return [c for c in self.curves if c.kind == kind]
-
-
-@dataclass
-class JointCurveSet:
-    """Joint-space images of a workspace curve set."""
-
-    curves: list[Polyline]
-    isolated_points: list[JointPoint] = field(default_factory=list)
+    isolated_points: list[WorkspacePoint | JointPoint] = field(default_factory=list)
 
     def by_kind(self, kind):
         return [c for c in self.curves if c.kind == kind]
@@ -320,7 +310,7 @@ def trace_singularity_curves(
     return CurveSet(polylines, isolated)
 
 
-def image_curves(family: MapFamily, cs: CurveSet) -> JointCurveSet:
+def image_curves(family: MapFamily, cs: CurveSet) -> CurveSet:
     """Push a traced curve set forward to the joint space, vertex by vertex."""
     out = []
     for poly in cs.curves:
@@ -334,7 +324,7 @@ def image_curves(family: MapFamily, cs: CurveSet) -> JointCurveSet:
         ))
     images = [JointPoint(*(float(w) for w in family.evaluate(p.phi, p.y)))
               for p in cs.isolated_points]
-    return JointCurveSet(out, images)
+    return CurveSet(out, images)
 
 
 def _sorted_window(family, xs, x, radius):

@@ -71,6 +71,19 @@ class TestCusps:
         assert (2.6492, -2.219) in coords
 
 
+class TestCuspsTableClassifies:
+    @pytest.mark.parametrize("text", [EXACT_CFG, OFFSET_CFG], ids=["exact", "offset"])
+    def test_each_printed_point_classifies_to_its_printed_kind(self, tmp_path, capsys, text):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["cusps", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split() for line in lines[2:-1]]
+        assert rows
+        for phi, y, kind, *_ in rows:
+            assert main(["classify", "--config", cfg, f"--point={phi},{y}"]) == 0
+            assert capsys.readouterr().out.splitlines()[0].split(",")[0] == kind
+
+
 class TestClassify:
     def test_hyperbolic_report(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, EXACT_CFG)
@@ -230,6 +243,14 @@ class TestErrorPaths:
             main(["cusps", "--config", cfg, "--grid", "16"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [(EXACT_CFG + "d = 3\n", "d"),
+                                           (QUARTO_CFG + "a1 = 3\n", "a1")],
+                             ids=["exact-d", "quarto-a1"])
+    def test_key_the_family_does_not_take_is_exit_1(self, tmp_path, capsys, text, key):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["cusps", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert f"does not take keys: {key}" in capsys.readouterr().err
 
     def test_bad_point_syntax(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, EXACT_CFG)

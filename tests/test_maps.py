@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspforge import DET_NORMALIZATION, eval_map, make_family
+from cuspforge import DET_NORMALIZATION, Rpr2PrExact, eval_map, make_family
 from cuspforge.maps import canonical_phi, dedup_mask, point_distances, wrap_delta
 
 from gridscan import fd_hessian, fd_jacobian, fd_jdet_grad
@@ -148,10 +149,18 @@ class TestOffsetSpecializesToInline:
         rng = np.random.default_rng(21)
         phi = rng.uniform(-math.pi / 2, 3 * math.pi / 2, 1000)
         y = rng.uniform(-21.0, 21.0, 1000)
-        for attr in ("evaluate", "jacobian", "hessian", "jdet"):
+        for attr in ("evaluate", "jacobian", "hessian", "jdet", "jdet_grad", "jdet_hess"):
             got = np.asarray(getattr(degenerate, attr)(phi, y))
             want = np.asarray(getattr(exact_family, attr)(phi, y))
-            assert np.max(np.abs(got - want)) < 1e-12
+            assert np.array_equal(got, want), attr
+        assert degenerate.reach == exact_family.reach
+        assert degenerate.default_box() == exact_family.default_box()
+
+    def test_inline_family_takes_the_four_lengths_only(self):
+        assert [f.name for f in dataclasses.fields(Rpr2PrExact)] == ["a1", "a2", "b1", "b2"]
+        with pytest.raises(TypeError):
+            Rpr2PrExact(3.0, 7.0, 6.0, 5.0, d=1.0)
+        assert make_family("rpr2pr_exact", a1=3.0, a2=7.0, b1=6.0, b2=5.0).kind == "rpr2pr_exact"
 
 
 class TestPeriodicity:
