@@ -276,9 +276,10 @@ def _check_exact(report: _Report, family, points, cs, jcs):
     report.check(sum(len(c.cusp_indices) for c in cs.curves) == 0,
                  "in-line manipulator: no cusps")
 
-    # Double loop around the image of the isolated point.  Clearance is
-    # measured against the image of the full singular set (reach box), not
-    # just the branches clipped to the plotting window.
+    # One turn around the image of the isolated point; _swaps_two checks
+    # that the permutation squares to the identity.  Clearance is measured
+    # against the image of the full singular set (reach box), not just the
+    # branches clipped to the plotting window.
     target = JointPoint(81.0, 144.0)
     pts = np.concatenate([c.vertices for c in _reach_image(family).curves])
     clearance = float(np.min(np.linalg.norm(pts - np.array(target), axis=1)))

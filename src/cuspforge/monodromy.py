@@ -5,8 +5,10 @@ of :mod:`cuspforge.dkp`, and the roots flagged singular are dropped.  Match
 tables pair each root with its nearest root at the next sample; a step is
 clean when every such match is much closer than the second-nearest root, no
 two roots share a target and the root count stays the same.  A lift follows
-the tables by index across clean steps and its angle is unwrapped
-afterwards, so the path is continuous across the seam of the canonical
+the tables by index across clean steps; while every lift is on a root, the
+lifts cross a whole run of clean steps at once, and the run's roots are
+written into the paths in one indexing step.  The angles are unwrapped
+afterwards, so each path is continuous across the seam of the canonical
 angle window.
 
 Across any other step a lift falls back to continuation: Newton correction
@@ -239,9 +241,10 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts, tol: float = 1e-9) -
     """Continue every start solution along the loop, all rows together.
 
     A row follows the exact roots of the loop samples across every clean
-    step of the match tables; across any other step it takes the Newton
-    continuation, sub-stepping and checks of a lift of its own, and then
-    attaches to a root again.  Returns, for each start in order, its
+    step of the match tables, and while every row is on a root, all rows
+    cross a whole run of clean steps at once.  Across any other step a row
+    takes the Newton continuation, sub-stepping and checks of a lift of its
+    own, and then attaches to a root again.  Returns, for each start in order, its
     :class:`LoopLift` or the error that ended it (with the partial path
     where there is one).
     """
@@ -307,15 +310,24 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts, tol: float = 1e-9) -
         return np.concatenate([rows[done], end_rows]), np.concatenate([cand[done], q_end])
 
     roots, nxt, clean = _root_tables(family, samples, tol)
+    # The step that ends the run of clean steps from each step on.
+    run_end = np.append(np.flatnonzero(~clean) + 1, len(samples))
     rows = np.flatnonzero(~rejected)
     at, sure = _nearest(family, q[rows], roots[0])
     at[~sure] = -1  # the root each row is on, -1 for none
-    for step in range(1, len(samples)):
+    step = 1
+    while step < len(samples):
+        if clean[step - 1] and np.all(at >= 0):
+            end = run_end[np.searchsorted(run_end, step)]
+            ats = np.empty((end - step, len(at)), dtype=int)
+            for k in range(step, end):
+                ats[k - step] = at = nxt[k - 1, at]
+            paths[step:end, rows] = roots[np.arange(step, end)[:, None], ats]
+            step = end
+            continue
         chase = (at >= 0) & clean[step - 1]
         at = np.where(chase, nxt[step - 1, at], -1)
         paths[step, rows[chase]] = roots[step, at[chase]]
-        if chase.all():
-            continue
         moved, q_to = advance(rows[~chase], paths[step - 1, rows[~chase]],
                               samples[step - 1], samples[step], 0)
         paths[step, moved] = q_to
@@ -323,6 +335,7 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts, tol: float = 1e-9) -
         rows, at = rows[on], at[on]
         near, sure = _nearest(family, paths[step, rows[at < 0]], roots[step])
         at[at < 0] = np.where(sure, near, -1)
+        step += 1
 
     # Roots come with canonical angles: summing the wrapped steps makes each
     # path continuous.

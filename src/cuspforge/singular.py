@@ -48,9 +48,12 @@ COEFF_FLOOR = 1e-12
 #: multiple roots, scattered by about 1e-4.
 RESULTANT_DEGREE = 12
 SEED_RING = 1e-3
-#: Gauss-Newton iterations without a new best residual, above the tolerance,
-#: after which a seed is given up.
+#: Gauss-Newton iterations without halving the best residual, above the
+#: tolerance, after which a seed is given up.
 STALL_ITERATIONS = 10
+#: Share of the Jacobian scale below which |Jac| marks a corank-2 point,
+#: which Newton on grad J = 0 polishes.
+CORANK2_POLISH_FACTOR = 1e-3
 
 
 class PointKind(enum.Enum):
@@ -108,7 +111,8 @@ class QuadraticExpansion:
 
 
 def _detection_batch(family: MapFamily, pts):
-    """Residual 3-vectors and their analytic Jacobians at (n, 2) points."""
+    """Residual 3-vectors, their analytic Jacobians and the map Jacobians at
+    (n, 2) points."""
     phi = pts[..., 0]
     y = pts[..., 1]
     j = family.jdet(phi, y)
@@ -130,31 +134,46 @@ def _detection_batch(family: MapFamily, pts):
         for col, (d0, d1) in enumerate(((-jpy, jpp), (-jyy, jpy))):
             a[..., 1 + i, col] = (hess[..., i, 0, col] * t0 + hess[..., i, 1, col] * t1
                                   + (jac[..., i, 0] * d0 + jac[..., i, 1] * d1))
-    return r, a
+    return r, a, jac
 
 
 def detection_system(family: MapFamily, q) -> DetectionResidual:
     """Evaluate the cusp/higher-order detection system at one point."""
-    r, _ = _detection_batch(family, np.asarray([q[0], q[1]], dtype=float))
+    r = _detection_batch(family, np.asarray([q[0], q[1]], dtype=float))[0]
     return DetectionResidual(float(r[0]), float(r[1]), float(r[2]))
 
 
-def _gauss_newton(family: MapFamily, seeds, step_cap, tol, max_iter=80):
+def _gauss_newton(family: MapFamily, seeds, step_cap, tol, jac_floor, max_iter=80):
     """Damped Gauss-Newton on the 3-equation detection system, vectorized.
 
     A row stops when its step vanishes or leaves the finite numbers, or
-    when its residual has stayed above ``tol`` and not improved on its best
-    for STALL_ITERATIONS iterations.
+    when its residual has stayed above ``tol`` without halving its best for
+    STALL_ITERATIONS iterations.  A row with residual below ``tol`` and
+    |Jac| below ``jac_floor`` is near a corank-2 point, where Gauss-Newton
+    is only linear; Newton on grad J = 0 finishes it, unless that pulls it
+    off {J = 0} to a residual above ``tol`` (a cusp next to an unfolded
+    corank-2 point), when Gauss-Newton goes on.
     """
     q = np.array(seeds, dtype=float)
     active = np.ones(len(q), dtype=bool)
+    may_polish = np.ones(len(q), dtype=bool)
     best = np.full(len(q), np.inf)
-    best_at = np.zeros(len(q), dtype=int)  # the iteration of each row's best
+    best_at = np.zeros(len(q), dtype=int)  # the iteration that set each row's best
     for it in range(max_iter):
         idx = np.flatnonzero(active)
-        r, a = _detection_batch(family, q[idx])
+        r, a, jac = _detection_batch(family, q[idx])
         res = np.max(np.abs(r), axis=-1)
-        better = res < best[idx]
+        low = may_polish[idx] & (res < tol)
+        low[low] = np.linalg.norm(jac[low], 2, axis=(1, 2)) < jac_floor
+        flat = idx[low]
+        if flat.size:
+            may_polish[flat] = False
+            polished = _polish_corank2(family, q[flat])
+            ok = np.max(np.abs(_detection_batch(family, polished)[0]), axis=-1) < tol
+            q[flat[ok]], active[flat[ok]] = polished[ok], False
+            keep = active[idx]
+            idx, r, a, res = idx[keep], r[keep], a[keep], res[keep]
+        better = res <= 0.5 * best[idx]
         best[idx[better]], best_at[idx[better]] = res[better], it
         # Normal equations M dq = -g with M = A^T A and g = A^T r.
         a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
@@ -178,23 +197,25 @@ def _gauss_newton(family: MapFamily, seeds, step_cap, tol, max_iter=80):
         active[idx[~still]] = False
         if not np.any(active):
             break
-    r, _ = _detection_batch(family, q)
-    res = np.max(np.abs(r), axis=-1)
+    res = np.max(np.abs(_detection_batch(family, q)[0]), axis=-1)
     return q, res
 
 
 def _polish_corank2(family: MapFamily, q):
-    """Newton on grad J = 0; corank-2 points are regular zeros of the gradient."""
+    """Newton on grad J = 0 from the rows of q (k, 2), each stopping on its
+    own; corank-2 points are regular zeros of the gradient."""
     q = np.array(q, dtype=float)
+    live = np.ones(len(q), dtype=bool)
     for _ in range(40):
-        gphi, gy = family.jdet_grad(q[0], q[1])
-        jpp, jpy, jyy = family.jdet_hess(q[0], q[1])
+        gphi, gy = family.jdet_grad(q[:, 0], q[:, 1])
+        jpp, jpy, jyy = family.jdet_hess(q[:, 0], q[:, 1])
         det = jpp * jyy - jpy * jpy
-        if abs(det) < 1e-300:
-            break
-        dq = np.array([(jyy * gphi - jpy * gy) / det, (-jpy * gphi + jpp * gy) / det])
-        q -= dq
-        if np.linalg.norm(dq) < 1e-15:
+        live = live & ~(np.abs(det) < 1e-300)
+        det = np.where(live, det, 1.0)
+        dq = np.column_stack([(jyy * gphi - jpy * gy) / det, (-jpy * gphi + jpp * gy) / det])
+        q -= np.where(live[:, None], dq, 0.0)
+        live = live & (np.linalg.norm(dq, axis=1) >= 1e-15)
+        if not live.any():
             break
     return q
 
@@ -244,8 +265,7 @@ def _cusp_nondegenerate(family: MapFamily, q, jac, scales):
     jtol = 1e-12 * max(1.0, scales.jdet)
 
     def alignment(p):
-        r, _ = _detection_batch(family, p)
-        return float(image_dir @ r[1:])
+        return float(image_dir @ _detection_batch(family, p)[0][1:])
 
     # The last iterates count, converged or not.
     (plus, minus), _ = _correct(family, [q + h * tangent, q - h * tangent], jtol, max_iter=12)
@@ -289,7 +309,7 @@ def classify_point(family: MapFamily, q, tol: float = 1e-8) -> SpecialPoint:
     """
     q = np.asarray([q[0], q[1]], dtype=float)
     scales = reference_scales(family)
-    r, _ = _detection_batch(family, q)
+    r, _, jac = _detection_batch(family, q)
     j_res = abs(float(r[0]))
     k_res = float(np.max(np.abs(r[1:])))
     jtol = tol * max(1.0, scales.jdet)
@@ -298,7 +318,6 @@ def classify_point(family: MapFamily, q, tol: float = 1e-8) -> SpecialPoint:
             f"point is not on the singularity set: |J| = {j_res:.3e} > {jtol:.3e}")
 
     residual = float(np.max(np.abs(r)))
-    jac = np.asarray(family.jacobian(q[0], q[1]), float)
     sing = np.linalg.svd(jac, compute_uv=False)
     location = WorkspacePoint(
         float(canonical_phi(q[0])) if family.periodic else float(q[0]), float(q[1]))
@@ -352,23 +371,26 @@ def _zeros(family: MapFamily, f, x0, width, ref, degree, ring):
     x = x0 + width (1 - cos theta) / 2 (zeros in [x0, x0 + width]), hence one
     in theta too.  They are the roots within ``ring`` of the unit circle of
     z^degree times its Fourier series in exp(i theta), fitted on the least
-    power of two of at least 4 degree samples."""
+    power of two of at least 4 degree samples.  Where f gives a column per
+    function, the zeros of each column follow those of the one before."""
     def to_x(theta):
         if family.periodic:
             return x0 + np.mod(theta, TWO_PI)
         return x0 + 0.5 * width * (1.0 - np.cos(theta))
 
     n = 1 << (4 * degree - 1).bit_length()
-    spec = np.fft.fft(f(to_x(TWO_PI * np.arange(n) / n))) / n
-    coef = spec[np.arange(degree, -degree - 1, -1)]  # c_degree .. c_-degree
-    scale = max(np.max(np.abs(coef)), ref)
-    if np.max(np.abs(spec[degree + 1:n - degree])) > 1e-9 * scale:
-        raise PreconditionViolated(f"{family.kind}: J is not quadratic in y with "
-                                   f"coefficients of low degree (fit degree > {degree})")
-    big = np.flatnonzero(np.abs(coef) > COEFF_FLOOR * scale)
-    if big.size == 0:
-        return np.empty(0)
-    z = np.roots(coef[big[0]:len(coef) - big[0]])
+    spec = np.fft.fft(f(to_x(TWO_PI * np.arange(n) / n)), axis=0) / n
+    z = [np.empty(0, dtype=complex)]
+    for col in spec.reshape(n, -1).T:
+        coef = col[np.arange(degree, -degree - 1, -1)]  # c_degree .. c_-degree
+        scale = max(np.max(np.abs(coef)), ref)
+        if np.max(np.abs(col[degree + 1:n - degree])) > 1e-9 * scale:
+            raise PreconditionViolated(f"{family.kind}: J is not quadratic in y with "
+                                       f"coefficients of low degree (fit degree > {degree})")
+        big = np.flatnonzero(np.abs(coef) > COEFF_FLOOR * scale)
+        if big.size:
+            z.append(np.roots(coef[big[0]:len(coef) - big[0]]))
+    z = np.concatenate(z)
     return to_x(np.angle(z[np.abs(np.abs(z) - 1.0) < ring]))
 
 
@@ -392,33 +414,33 @@ def _resultant_seeds(family: MapFamily, box):
     jref = np.max(np.abs([a, b, c]))
     m = 1 if np.max(np.abs(a)) <= COEFF_FLOOR * jref else 2  # the degree of J in y
 
-    def resultant(x, i):
+    def resultants(x):
         jc, k = _coefficients(family, x)
-        s = np.zeros((len(x), m + 3, m + 3))
+        s = np.zeros((len(x), 2, m + 3, m + 3))
         for r in range(3):
-            s[:, r, r:r + m + 1] = np.column_stack(jc[2 - m:])
+            s[:, :, r, r:r + m + 1] = np.column_stack(jc[2 - m:])[:, None]
         for r in range(m):
-            s[:, 3 + r, r:r + 4] = np.column_stack([kj[:, i] for kj in k])
+            s[:, :, 3 + r, r:r + 4] = np.stack(k, axis=-1)
         return np.linalg.det(s)
 
     ref = jref ** 3 * np.max(np.abs(k)) ** m
-    x = np.concatenate([_zeros(family, lambda x, i=i: resultant(x, i), x0, x1 - x0, ref,
-                               RESULTANT_DEGREE, SEED_RING) for i in (0, 1)])
+    x = _zeros(family, resultants, x0, x1 - x0, ref, RESULTANT_DEGREE, SEED_RING)
     a, b, c = _abc(family, x)
     seeds = np.column_stack([np.repeat(x, 2), np.column_stack(_roots(a, b, c, b)).ravel()])
     return seeds[np.all(np.isfinite(seeds), axis=1)]
 
 
 def _from_seeds(family: MapFamily, box, seeds, tol):
-    """Gauss-Newton from the seeds; every candidate in the box with detection
-    residual below ``tol`` is kept, deduplicated at radius 1e-6 times the box
-    diagonal (max-norm, angle modulo 2*pi for the periodic families), and
-    classified."""
+    """Gauss-Newton from the seeds, which polishes the corank-2 points; every
+    candidate in the box with detection residual below ``tol`` is kept,
+    deduplicated at radius 1e-6 times the box diagonal (max-norm, angle
+    modulo 2*pi for the periodic families), and classified."""
     (x0, x1), (y0, y1) = box
     diag = math.hypot(x1 - x0, y1 - y0)
+    jac_floor = CORANK2_POLISH_FACTOR * reference_scales(family, box).jac_entry
     # A seed at a pole of q / A (A = 0) can diverge; it is dropped here.
     with np.errstate(over="ignore", invalid="ignore"):
-        converged, residuals = _gauss_newton(family, seeds, diag / 8.0, tol)
+        converged, residuals = _gauss_newton(family, seeds, diag / 8.0, tol, jac_floor)
     candidates = converged[(residuals < tol) & np.all(np.isfinite(converged), axis=1)]
 
     # Keep only candidates inside the search box; for periodic families the
@@ -438,23 +460,9 @@ def _from_seeds(family: MapFamily, box, seeds, tol):
 
     candidates = candidates[np.lexsort((candidates[:, 1], candidates[:, 0]))]
     radius = 1e-6 * diag
-    scales = reference_scales(family, box)
-    points = []
-    for q in candidates[dedup_mask(family, candidates, radius)]:
-        jac = np.asarray(family.jacobian(q[0], q[1]), float)
-        sing = np.linalg.svd(jac, compute_uv=False)
-        if sing[0] < 1e-3 * scales.jac_entry:
-            # Near an unfolded corank-2 point the polish pulls a cusp onto the
-            # zero of grad J, off {J = 0}: keep it only if it solves the system.
-            polished = _polish_corank2(family, q)
-            if np.max(np.abs(_detection_batch(family, polished)[0])) < tol:
-                q = polished
-        points.append(classify_point(family, q, tol=max(tol * 100.0, 1e-9)))
-    points.sort(key=lambda p: (p.location.phi, p.location.y))
-
-    # Polishing corank-2 candidates can merge duplicates; dedup once more.
-    keep = dedup_mask(family, [p.location for p in points], radius)
-    return [p for p, k in zip(points, keep) if k]
+    points = [classify_point(family, q, tol=max(tol * 100.0, 1e-9))
+              for q in candidates[dedup_mask(family, candidates, radius)]]
+    return sorted(points, key=lambda p: (p.location.phi, p.location.y))
 
 
 def find_special_points(family: MapFamily, box=None, tol: float = 1e-10) -> list[SpecialPoint]:

@@ -22,6 +22,7 @@ from cuspforge import (
     trace_singularity_curves,
 )
 from cuspforge.cli import main
+from cuspforge.maps import point_distances
 
 @pytest.fixture(scope="module")
 def inline_loop_setup(exact_family, exact_trace):
@@ -260,6 +261,22 @@ class TestExactRootLifts:
         loops, solves = paper_loops
         assert len(loops) == 3
         assert solves == 0
+
+    def test_paper_lifts_step_the_match_tables(self, paper_loops):
+        # Every step of the paper loops is clean, so each lift is the chain
+        # of nearest-root matches from its start's root, one sample at a time.
+        loops, _ = paper_loops
+        for family, loop in loops:
+            perm = loop_permutation(family, loop)
+            roots, nxt, clean = monodromy._root_tables(family, loop.samples, 1e-9)
+            assert clean.all()
+            for lift in perm.lifts:
+                at = int(np.nanargmin(point_distances(family, roots[0], lift.path[0])))
+                want = [roots[0, at]]
+                for step in range(len(nxt)):
+                    at = nxt[step, at]
+                    want.append(roots[step + 1, at])
+                assert np.max(point_distances(family, lift.path, np.array(want))) < 1e-12
 
     def test_paper_loops_agree_with_newton(self, paper_loops):
         loops, _ = paper_loops
