@@ -12,12 +12,12 @@ is linear in y, and substituting it into the other leaves one polynomial:
   solutions of u = x^2, v = y^2 are added as candidates.
 
 A batch of targets is solved at once: the roots are the eigenvalues of
-stacked companion matrices, the finite real roots are polished by Newton on
-the original system and accepted by residual, and the lines where the
-elimination divides by zero add explicit candidates.  Only accepted
-candidates are merged where they coincide, such as the double root over a
-point of the fold image, so each solution is reported once, and flagged
-when |J| vanishes there.
+stacked companion matrices, the finite real roots are polished on the
+original system by the Newton kernel of :mod:`cuspforge.maps` and accepted
+by residual, and the lines where the elimination divides by zero add
+explicit candidates.  Only accepted candidates are merged where they
+coincide, such as the double root over a point of the fold image, so each
+solution is reported once, and flagged when |J| vanishes there.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from .maps import (
     WorkspacePoint,
     canonical_phi,
     coord_deltas,
+    in_box,
+    newton,
     reference_scales,
 )
 
@@ -46,6 +48,8 @@ SINGULAR_FLAG_FACTOR = 1e-6
 ROOT_RING = 1e-3
 #: Solutions farther apart than this are never merged.
 MERGE_RADIUS = 1e-2
+#: Newton steps at most per candidate, which polishes with no tolerance:
+#: until a step no longer lowers its residual.
 POLISH_STEPS = 12
 #: Relative distance of the target from a division-by-zero line (of the
 #: quarto's coefficients from zero) within which the line's own candidates
@@ -210,33 +214,6 @@ def _residual(family, q, tu, tv):
     return np.maximum(np.abs(u - tu), np.abs(v - tv))
 
 
-def _polish(family, q, tu, tv):
-    """Newton on f(q) = target for flat candidates q (m, 2); a step is taken
-    only while it lowers the residual, so a candidate never gets worse."""
-    u, v = family.evaluate(q[:, 0], q[:, 1])
-    r = np.stack([u - tu, v - tv], axis=-1)
-    resid = np.max(np.abs(r), axis=-1)
-    active = np.isfinite(resid)
-    resid[~active] = np.inf
-    for _ in range(POLISH_STEPS):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        jac = family.jacobian(q[idx, 0], q[idx, 1])
-        r0, r1 = r[idx, 0], r[idx, 1]
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        trial = q[idx] - np.stack([jac[:, 1, 1] * r0 - jac[:, 0, 1] * r1,
-                                   jac[:, 0, 0] * r1 - jac[:, 1, 0] * r0], axis=-1) / det[:, None]
-        u, v = family.evaluate(trial[:, 0], trial[:, 1])
-        trial_r = np.stack([u - tu[idx], v - tv[idx]], axis=-1)
-        trial_resid = np.max(np.abs(trial_r), axis=-1)
-        better = trial_resid < resid[idx]
-        moved = idx[better]
-        q[moved], r[moved], resid[moved] = trial[better], trial_r[better], trial_resid[better]
-        active[idx[~better]] = False
-    return q, resid
-
-
 def _merge(family, q, resid, ok, tu, tv, tol_abs):
     """Merge coinciding solutions per target.
 
@@ -291,8 +268,9 @@ def _solve_batch(family: MapFamily, targets, box, tol):
 
     Returns the mask of solutions (n, m) and, under it, their points
     (n, m, 2), residuals and multiplicity flags, plus the mask of those
-    outside an explicit box.  m is the largest number of candidates a row
-    accepted, and each row holds its accepted candidates first, in order.
+    outside an explicit box (its angle window taken modulo 2*pi).  m is the
+    largest number of candidates a row accepted, and each row holds its
+    accepted candidates first, in order.
     """
     tu, tv = targets[:, 0], targets[:, 1]
     candidates, _ = _ELIMINATION[family.kind]
@@ -303,7 +281,8 @@ def _solve_batch(family: MapFamily, targets, box, tol):
         finite = np.all(np.isfinite(q), axis=-1)
         row, _ = np.nonzero(finite)
         resid = np.full(finite.shape, np.inf)
-        q[finite], resid[finite] = _polish(family, q[finite], tu[row], tv[row])
+        q[finite], resid[finite], _ = newton(family.evaluate, family.jacobian, q[finite],
+                                             targets[row], 0.0, POLISH_STEPS)
         tol_abs = tol * (1.0 + np.maximum(np.abs(tu), np.abs(tv)))[:, None]
         ok = resid < tol_abs
         # Candidates not accepted never link; the stable order keeps each
@@ -318,12 +297,7 @@ def _solve_batch(family: MapFamily, targets, box, tol):
 
     escaped = np.zeros_like(keep)
     if box is not None:
-        (x0, x1), (y0, y1) = box
-        margin = 1e-9 * max(1.0, abs(x1 - x0), abs(y1 - y0))
-        escaped = (q[..., 1] < y0 - margin) | (q[..., 1] > y1 + margin)
-        if not (family.periodic and x1 - x0 >= 2.0 * math.pi - 1e-9):
-            escaped |= (q[..., 0] < x0 - margin) | (q[..., 0] > x1 + margin)
-        escaped &= keep
+        escaped[keep] = ~in_box(family, q[keep], box)
     return keep, q, resid, flags, escaped
 
 
@@ -337,8 +311,9 @@ def solve_dkp(
     """Find all real workspace solutions of f(q) = target.
 
     With ``box=None`` every real solution is returned.  With an explicit box
-    the solutions must lie inside it: :class:`BoxTooSmall` is raised,
-    reporting the escaping points, when one does not.
+    the solutions must lie inside it, for a periodic family with the angle
+    window taken modulo 2*pi: :class:`BoxTooSmall` is raised, reporting the
+    escaping points, when one does not.
     """
     target = JointPoint(float(target[0]), float(target[1]))
     if not (math.isfinite(target.u) and math.isfinite(target.v)):

@@ -379,6 +379,58 @@ def point_distances(family: MapFamily, pts, ref):
     return np.linalg.norm(coord_deltas(family, pts, ref), axis=-1)
 
 
+def in_box(family: MapFamily, pts, box):
+    """Mask of the points (..., 2) inside ``box``, to a slack of 1e-9 times
+    its longest side (at least 1e-9).  A periodic family's angle is taken
+    modulo 2*pi, so a box and its shift by 2*pi hold the same points, and a
+    window a full period wide holds every angle."""
+    (x0, x1), (y0, y1) = box
+    slack = 1e-9 * max(1.0, x1 - x0, y1 - y0)
+    dx = pts[..., 0] - x0 + slack
+    if family.periodic:
+        dx = np.mod(dx, TWO_PI)
+    return ((dx >= 0.0) & (dx <= x1 - x0 + 2.0 * slack)
+            & (pts[..., 1] >= y0 - slack) & (pts[..., 1] <= y1 + slack))
+
+
+def newton(f, jac, q, target, tol, max_iter):
+    """Newton on f(q) = target from the rows of q (k, 2), each row on its own.
+
+    ``f(x, y)`` gives the two components and ``jac(x, y)`` their (k, 2, 2)
+    Jacobian; ``target`` broadcasts against q.  A row keeps a step only if
+    it lowers the row's max-norm residual, and stops at a residual <= tol,
+    at its first step that does not, or after ``max_iter`` steps.  A zero
+    determinant or a step off the finite numbers never lowers the residual,
+    so it ends the row where it stands.  Returns the points, their
+    residuals (inf where not finite) and the number of steps each row kept.
+    """
+    q = np.array(q, dtype=float)
+    target = np.broadcast_to(np.asarray(target, dtype=float), q.shape)
+    with np.errstate(all="ignore"):
+        r = np.stack(f(q[:, 0], q[:, 1]), axis=-1) - target
+        resid = np.max(np.abs(r), axis=-1)
+        live = np.isfinite(resid) & (resid > tol)
+        resid[~np.isfinite(resid)] = np.inf
+        kept = np.zeros(len(q), dtype=int)
+        for _ in range(max_iter):
+            idx = np.flatnonzero(live)
+            if idx.size == 0:
+                break
+            a = jac(q[idx, 0], q[idx, 1])
+            r0, r1 = r[idx, 0], r[idx, 1]
+            det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+            trial = q[idx] - np.stack([a[:, 1, 1] * r0 - a[:, 0, 1] * r1,
+                                       a[:, 0, 0] * r1 - a[:, 1, 0] * r0], axis=-1) / det[:, None]
+            trial_r = np.stack(f(trial[:, 0], trial[:, 1]), axis=-1) - target[idx]
+            trial_resid = np.max(np.abs(trial_r), axis=-1)
+            better = trial_resid < resid[idx]
+            moved = idx[better]
+            q[moved], r[moved], resid[moved] = trial[better], trial_r[better], trial_resid[better]
+            kept[moved] += 1
+            live[idx] = better & (trial_resid > tol)
+    return q, resid, kept
+
+
 def dedup_mask(family: MapFamily, pts, radius):
     """Mask of the rows of the (n, 2) ``pts`` kept by a greedy pass in input
     order: a row is dropped when it lies within ``radius`` (max-norm, angle

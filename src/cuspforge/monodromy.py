@@ -13,12 +13,12 @@ angle window.
 
 Across any other step a lift falls back to continuation: Newton correction
 from the previous lifted point, with adaptive sub-stepping whenever Newton
-works too hard, after which it attaches to the roots again.  A lift that
-comes too close to the singularity set is aborted loudly (continuation
-across a fold silently merges solution sheets), carrying the partial path
-for diagnosis.  The base solutions of a loop are lifted together, one array
-row each; every row converges, sub-steps and fails on its own, exactly as
-a lift of its own.
+works too hard or stops short, after which it attaches to the roots again.
+A lift that comes too close to the singularity set is aborted loudly
+(continuation across a fold silently merges solution sheets), carrying the
+partial path for diagnosis.  The base solutions of a loop are lifted
+together, one array row each; every row converges, sub-steps and fails on
+its own, exactly as a lift of its own.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .maps import (
     MapFamily,
     WorkspacePoint,
     coord_deltas,
+    newton,
     point_distances,
     reference_scales,
 )
@@ -180,31 +181,11 @@ class Permutation:
 
 
 def _newton_to_target(family, q, target, tol_abs, max_iter=12):
-    """Newton on (u, v) = target from the (k, 2) rows of q, each row stopping
-    on its own.  Returns the last iterates, the iteration count at which each
-    row converged and the mask of the rows that converged."""
-    q = np.array(q, dtype=float)
-    iters = np.full(len(q), max_iter)
-    live = np.ones(len(q), dtype=bool)
-    ok = ~live
-    for it in range(max_iter + 1):
-        u, v = family.evaluate(q[:, 0], q[:, 1])
-        r0, r1 = u - target[0], v - target[1]
-        hit = live & (np.maximum(np.abs(r0), np.abs(r1)) <= tol_abs)
-        ok, live = ok | hit, live & ~hit
-        iters[hit] = it
-        if it == max_iter or not live.any():
-            break
-        jac = family.jacobian(q[:, 0], q[:, 1])
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        live &= ~(np.abs(det) < 1e-300)
-        det = np.where(live, det, 1.0)
-        nxt = np.column_stack([q[:, 0] - (jac[:, 1, 1] * r0 - jac[:, 0, 1] * r1) / det,
-                               q[:, 1] - (-jac[:, 1, 0] * r0 + jac[:, 0, 0] * r1) / det])
-        # A row whose step leaves the finite numbers fails where it stands.
-        live &= np.all(np.isfinite(nxt), axis=1)
-        q = np.where(live[:, None], nxt, q)
-    return q, iters, ok
+    """Newton on (u, v) = target from the (k, 2) rows of q, by the kernel of
+    :mod:`cuspforge.maps`.  Returns the last iterates, the steps each row
+    kept and the mask of the rows that converged."""
+    q, resid, iters = newton(family.evaluate, family.jacobian, q, target, tol_abs, max_iter)
+    return q, iters, resid <= tol_abs
 
 
 def _nearest(family, pts, roots):

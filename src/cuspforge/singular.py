@@ -28,18 +28,19 @@ from .maps import (
     JointPoint,
     MapFamily,
     WorkspacePoint,
+    _sym22,
     canonical_phi,
     dedup_mask,
     eval_map,
+    in_box,
+    newton,
     reference_scales,
 )
 
 RANK_RATIO_THRESHOLD = 1e-7      # sigma2 / sigma1 below this -> rank <= 1
 RANK_ZERO_FACTOR = 1e-7          # sigma1 below this * jac scale -> rank 0
 DELTA_DEGENERATE_FACTOR = 1e-8   # |Delta| below this * coeff scale^2 -> degenerate
-CUSP_TEST_STEP = 1e-4
 CUSP_TEST_REL_THRESHOLD = 1e-6
-FULL_CIRCLE = 2.0 * math.pi - 1e-9
 #: Relative size below which a fitted coefficient, or all of A, B, C, is zero.
 COEFF_FLOOR = 1e-12
 #: Degree bound of Res_y(J, k_i) in the angle or in x (measured: 9 for the
@@ -150,7 +151,8 @@ def _gauss_newton(family: MapFamily, seeds, step_cap, tol, jac_floor, max_iter=8
     when its residual has stayed above ``tol`` without halving its best for
     STALL_ITERATIONS iterations.  A row with residual below ``tol`` and
     |Jac| below ``jac_floor`` is near a corank-2 point, where Gauss-Newton
-    is only linear; Newton on grad J = 0 finishes it, unless that pulls it
+    is only linear; Newton on grad J = 0 with Jacobian Hess J finishes it
+    (a regular zero of the gradient there), unless that pulls it
     off {J = 0} to a residual above ``tol`` (a cusp next to an unfolded
     corank-2 point), when Gauss-Newton goes on.
     """
@@ -168,7 +170,8 @@ def _gauss_newton(family: MapFamily, seeds, step_cap, tol, jac_floor, max_iter=8
         flat = idx[low]
         if flat.size:
             may_polish[flat] = False
-            polished = _polish_corank2(family, q[flat])
+            polished = newton(family.jdet_grad, lambda x, y: _sym22(*family.jdet_hess(x, y)),
+                              q[flat], (0.0, 0.0), 0.0, 40)[0]
             ok = np.max(np.abs(_detection_batch(family, polished)[0]), axis=-1) < tol
             q[flat[ok]], active[flat[ok]] = polished[ok], False
             keep = active[idx]
@@ -201,25 +204,6 @@ def _gauss_newton(family: MapFamily, seeds, step_cap, tol, jac_floor, max_iter=8
     return q, res
 
 
-def _polish_corank2(family: MapFamily, q):
-    """Newton on grad J = 0 from the rows of q (k, 2), each stopping on its
-    own; corank-2 points are regular zeros of the gradient."""
-    q = np.array(q, dtype=float)
-    live = np.ones(len(q), dtype=bool)
-    for _ in range(40):
-        gphi, gy = family.jdet_grad(q[:, 0], q[:, 1])
-        jpp, jpy, jyy = family.jdet_hess(q[:, 0], q[:, 1])
-        det = jpp * jyy - jpy * jpy
-        live = live & ~(np.abs(det) < 1e-300)
-        det = np.where(live, det, 1.0)
-        dq = np.column_stack([(jyy * gphi - jpy * gy) / det, (-jpy * gphi + jpp * gy) / det])
-        q -= np.where(live[:, None], dq, 0.0)
-        live = live & (np.linalg.norm(dq, axis=1) >= 1e-15)
-        if not live.any():
-            break
-    return q
-
-
 def _correct(family: MapFamily, pts, jtol, max_iter=10):
     """Newton along the determinant gradient back onto {J = 0}, row by row.
 
@@ -246,32 +230,25 @@ def _correct(family: MapFamily, pts, jtol, max_iter=10):
     return q, ok
 
 
-def _cusp_nondegenerate(family: MapFamily, q, jac, scales):
-    """Whitney test: the kernel-alignment function k = Jac . (-J_y, J_phi)
-    must change at first order along the fold curve through the point.
-
-    Along the curve, k stays inside the 1-d image of the rank-1 Jacobian, so
-    the alignment is measured on the unit image direction (the orthogonal
-    component vanishes identically and carries no signal).
-    """
-    gphi, gy = (float(v) for v in family.jdet_grad(q[0], q[1]))
-    gnorm = math.hypot(gphi, gy)
-    if gnorm < 1e-12 * max(1.0, scales.jdet):
-        return False
-    tangent = np.array([-gy, gphi]) / gnorm
+def _whitney_term(a, jac):
+    """From the detection Jacobian ``a`` (rows grad J, grad k1, grad k2):
+    the derivative u1 . (grad k) . t of the kernel alignment k along the
+    fold curve's unit tangent t = (-J_y, J_phi) / |grad J|, and its local
+    scale |Jac| |grad J|.  Along the curve k stays in the 1-d image of the
+    rank-1 Jacobian, so it is measured on the unit image direction u1."""
+    gnorm = math.hypot(a[0, 0], a[0, 1])
     u, sing, _ = np.linalg.svd(jac)
-    image_dir = u[:, 0]
-    h = CUSP_TEST_STEP
-    jtol = 1e-12 * max(1.0, scales.jdet)
+    tangent = np.array([-a[0, 1], a[0, 0]]) / gnorm
+    return float(u[:, 0] @ a[1:] @ tangent), float(sing[0]) * gnorm
 
-    def alignment(p):
-        return float(image_dir @ _detection_batch(family, p)[0][1:])
 
-    # The last iterates count, converged or not.
-    (plus, minus), _ = _correct(family, [q + h * tangent, q - h * tangent], jtol, max_iter=12)
-    derivative = (alignment(plus) - alignment(minus)) / (2.0 * h)
-    local_scale = max(float(sing[0]) * gnorm, 1e-12)
-    return abs(derivative) > CUSP_TEST_REL_THRESHOLD * local_scale
+def _cusp_nondegenerate(a, jac, scales):
+    """Whitney test: the kernel alignment must change at first order along
+    the fold curve (:func:`_whitney_term`)."""
+    if math.hypot(a[0, 0], a[0, 1]) < 1e-12 * max(1.0, scales.jdet):
+        return False
+    derivative, local_scale = _whitney_term(a, jac)
+    return abs(derivative) > CUSP_TEST_REL_THRESHOLD * max(local_scale, 1e-12)
 
 
 def quadratic_expansion(family: MapFamily, q) -> QuadraticExpansion:
@@ -309,7 +286,7 @@ def classify_point(family: MapFamily, q, tol: float = 1e-8) -> SpecialPoint:
     """
     q = np.asarray([q[0], q[1]], dtype=float)
     scales = reference_scales(family)
-    r, _, jac = _detection_batch(family, q)
+    r, a, jac = _detection_batch(family, q)
     j_res = abs(float(r[0]))
     k_res = float(np.max(np.abs(r[1:])))
     jtol = tol * max(1.0, scales.jdet)
@@ -339,7 +316,7 @@ def classify_point(family: MapFamily, q, tol: float = 1e-8) -> SpecialPoint:
     ratio = sing[1] / max(sing[0], 1e-300)
     if k_res > ktol or ratio >= RANK_RATIO_THRESHOLD:
         return SpecialPoint(location, image, PointKind.FOLD_ONLY, float("nan"), residual)
-    if _cusp_nondegenerate(family, q, jac, scales):
+    if _cusp_nondegenerate(a, jac, scales):
         kind = PointKind.CUSP
     else:
         kind = PointKind.DEGENERATE
@@ -443,18 +420,11 @@ def _from_seeds(family: MapFamily, box, seeds, tol):
         converged, residuals = _gauss_newton(family, seeds, diag / 8.0, tol, jac_floor)
     candidates = converged[(residuals < tol) & np.all(np.isfinite(converged), axis=1)]
 
-    # Keep only candidates inside the search box; for periodic families the
-    # angle is taken in [x0, x0 + 2 pi) for the test and reported canonical.
+    # Keep only candidates inside the search box; periodic angles are
+    # reported canonical.
     if family.periodic:
         candidates[:, 0] = canonical_phi(candidates[:, 0])
-        inside = (candidates[:, 1] >= y0 - 1e-9) & (candidates[:, 1] <= y1 + 1e-9)
-        if (x1 - x0) < FULL_CIRCLE:
-            inside &= np.mod(candidates[:, 0] - x0 + 1e-9, TWO_PI) <= x1 - x0 + 2e-9
-    else:
-        inside = np.all(
-            (candidates >= [x0 - 1e-9, y0 - 1e-9]) & (candidates <= [x1 + 1e-9, y1 + 1e-9]),
-            axis=1)
-    candidates = candidates[inside]
+    candidates = candidates[in_box(family, candidates, box)]
     if candidates.size == 0:
         return []
 

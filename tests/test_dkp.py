@@ -16,13 +16,32 @@ from cuspforge import (
     solve_dkp,
     trace_singularity_curves,
 )
-from cuspforge.maps import coord_deltas
+from cuspforge.maps import TWO_PI, coord_deltas
 
 from conftest import NORMAL_BOX, PAPER_BOX
 from gridscan import grid_count
 from multistart import multistart_solutions
+from polish_reference import polish
 
 WIDE_BOX = ((-10.0, 10.0), (-10.0, 10.0))
+
+
+def assert_polish_matches_reference(family, targets):
+    """_solve_batch gives bitwise the same keep masks, points, residuals,
+    flags and escape masks with the Newton kernel as with the reference
+    polish loop."""
+    def reference(f, jac, q, target, tol, max_iter):
+        assert (tol, max_iter) == (0.0, dkp.POLISH_STEPS)
+        q, resid = polish(f.__self__, q, target[:, 0], target[:, 1])
+        return q, resid, None
+
+    targets = np.array(targets, dtype=float)
+    got = dkp._solve_batch(family, targets, None, 1e-9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dkp, "newton", reference)
+        want = dkp._solve_batch(family, targets, None, 1e-9)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def image_distance(jcs, target):
@@ -190,6 +209,7 @@ class TestBatchCompaction:
             for got, want in zip((q, resid, flags), alone[1:4]):
                 assert got[i][keep[i]].tobytes() == want[0][k].tobytes()
         assert keep.shape[1] == max(widths)
+        assert_polish_matches_reference(family, targets)
         return widths
 
     def test_manipulator(self, offset_family, offset_specials, offset_trace):
@@ -215,6 +235,38 @@ class TestBatchCompaction:
             (-1.0, -1.0), eval_map(small, (2.0, 4.5e-12)), eval_map(small, (1.2, 0.8)),
             eval_map(small, (3.0, -4.0))])
         assert widths == [0, 2, 4, 8]
+
+
+class TestNewtonPolish:
+    @pytest.mark.parametrize("name, window", [
+        ("exact", ((0.0, 230.0), (0.0, 230.0))), ("offset", ((0.0, 230.0), (0.0, 230.0))),
+        ("square", ((-15.0, 15.0), (-15.0, 15.0))), ("quarto", ((-15.0, 15.0), (-15.0, 15.0)))])
+    def test_count_map_cells_match_the_reference_polish(self, name, window, request):
+        family = request.getfixturevalue(f"{name}_family")
+        us, vs = count_map(family, window, 32).cell_centers()
+        gu, gv = np.meshgrid(us, vs, indexing="ij")
+        assert_polish_matches_reference(family, np.column_stack([gu.ravel(), gv.ravel()]))
+
+
+class TestPeriodicBox:
+    """An explicit box's angle window counts modulo 2*pi."""
+
+    LOW = ((5.5 - TWO_PI, 7.0 - TWO_PI), (-8.0, 8.0))
+    HIGH = ((5.5, 7.0), (-8.0, 8.0))
+
+    def test_shifted_windows_give_the_same_solutions(self, offset_family):
+        low = solve_dkp(offset_family, (18.0, 14.0), box=self.LOW)
+        high = solve_dkp(offset_family, (18.0, 14.0), box=self.HIGH)
+        assert len(high) == 4
+        assert (high.solutions, high.residuals, high.multiplicity_flags) == (
+            low.solutions, low.residuals, low.multiplicity_flags)
+
+    def test_shifted_windows_give_the_same_counts(self, offset_family):
+        bounds = ((10.0, 30.0), (5.0, 25.0))
+        low = count_map(offset_family, bounds, 8, box=self.LOW).counts
+        high = count_map(offset_family, bounds, 8, box=self.HIGH).counts
+        assert np.array_equal(low, high)
+        assert 0 < np.sum(high == -1) < high.size
 
 
 class TestOracleAgreement:

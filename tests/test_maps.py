@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspforge import DET_NORMALIZATION, Rpr2PrExact, eval_map, make_family
-from cuspforge.maps import canonical_phi, dedup_mask, point_distances, wrap_delta
+from cuspforge.maps import canonical_phi, dedup_mask, newton, point_distances, wrap_delta
 
 from gridscan import fd_hessian, fd_jacobian, fd_jdet_grad
 
@@ -212,6 +213,27 @@ class TestPointKernel:
         d = point_distances(exact_family, self.SEAM, self.SEAM[0])
         assert d[0] == 0.0 and d[1] < 1e-6
         assert point_distances(quarto_family, self.SEAM[1], self.SEAM[0]) > 6.0
+
+
+class TestNewtonKernel:
+    def test_dead_rows_stop_where_they_stand(self):
+        # Rows 1 and 2 of the a = b = 0 quarto: the Jacobian diag(2x, 2y)
+        # vanishes at the origin, and at 1e-161 its determinant is so small
+        # that the step overflows.  Neither may warn or disturb the others.
+        family = make_family("quarto_unfolded", a=0.0, b=0.0)
+        q0 = np.array([[1.3, 0.7], [0.0, 0.0], [1e-161, 1e-161], [-0.8, 2.2]])
+        target = np.array([[1.0, 1.0], [1.0, 1.0], [1e200, 1e200], [0.5, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, resid, kept = newton(family.evaluate, family.jacobian, q0, target, 1e-12, 20)
+        assert q[1:3].tobytes() == q0[1:3].tobytes()
+        assert kept[1:3].tolist() == [0, 0]
+        assert resid[1:3].tolist() == [1.0, 1e200]
+        for i in (0, 3):
+            aq, ar, ak = newton(family.evaluate, family.jacobian, q0[i:i + 1], target[i], 1e-12, 20)
+            assert q[i].tobytes() == aq[0].tobytes()
+            assert (resid[i], kept[i]) == (ar[0], ak[0])
+            assert resid[i] <= 1e-12 and kept[i] > 0
 
 
 class TestValidation:

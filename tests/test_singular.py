@@ -14,11 +14,12 @@ from cuspforge import (
     find_special_points,
     make_family,
     quadratic_expansion,
+    reference_scales,
     singular,
     trace_singularity_curves,
 )
 from cuspforge.maps import wrap_delta
-from cuspforge.singular import _detection_batch
+from cuspforge.singular import _correct, _detection_batch, _whitney_term
 
 from conftest import NORMAL_BOX, PAPER_BOX
 from gridscan import complex_square_cusp_locations, quarto_cusp_location
@@ -276,6 +277,41 @@ class TestClassifyEdgeCases:
     def test_box_validation(self, exact_family):
         with pytest.raises(ValueError):
             find_special_points(exact_family, ((0.0, 0.0), (-1.0, 1.0)))
+
+
+def fd_whitney_derivative(family, q, jac):
+    """The Whitney derivative by central differences at +-1e-4 along the
+    fold tangent, each end projected back onto {J = 0}: the cusp test as it
+    was before it read the detection Jacobian."""
+    scales = reference_scales(family)
+    gphi, gy = (float(v) for v in family.jdet_grad(q[0], q[1]))
+    tangent = np.array([-gy, gphi]) / math.hypot(gphi, gy)
+    image_dir = np.linalg.svd(jac)[0][:, 0]
+    h = 1e-4
+    jtol = 1e-12 * max(1.0, scales.jdet)
+    (plus, minus), _ = _correct(family, [q + h * tangent, q - h * tangent], jtol, max_iter=12)
+    plus, minus = (float(image_dir @ _detection_batch(family, p)[0][1:]) for p in (plus, minus))
+    return (plus - minus) / (2.0 * h)
+
+
+class TestWhitneyTest:
+    @pytest.mark.parametrize("name, box, count", [
+        ("offset", PAPER_BOX, 4), ("square", NORMAL_BOX, 3), ("quarto", NORMAL_BOX, 1)])
+    def test_closed_form_matches_finite_differences(self, name, box, count, request):
+        family = request.getfixturevalue(f"{name}_family")
+        cusps = [p for p in find_special_points(family, box) if p.kind is PointKind.CUSP]
+        assert len(cusps) == count
+        for p in cusps:
+            q = np.array(p.location)
+            _, a, jac = _detection_batch(family, q)
+            derivative, _ = _whitney_term(a, jac)
+            want = fd_whitney_derivative(family, q, jac)
+            assert abs(derivative - want) <= 1e-5 * abs(want)
+
+    @pytest.mark.parametrize("b", [0.0, 0.7, -1.3])
+    def test_crossing_axes_of_the_quarto_stay_degenerate(self, b):
+        family = make_family("quarto_unfolded", a=0.0, b=b)
+        assert [p.kind for p in find_special_points(family, NORMAL_BOX)] == [PointKind.DEGENERATE]
 
 
 MANIPULATOR = dict(a1=3.0, a2=7.0, b1=6.0, b2=5.0)
