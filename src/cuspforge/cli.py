@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -152,7 +153,6 @@ def cmd_dkp(args) -> int:
 
 def cmd_regions(args) -> int:
     cfg, family, box = _load(args)
-    bounds = joint_bounds(cfg)
     if args.bounds:
         parts = args.bounds.split(",")
         if len(parts) != 4:
@@ -161,7 +161,8 @@ def cmd_regions(args) -> int:
             u0, u1, v0, v1 = (float(p) for p in parts)
         except ValueError:
             raise ConfigError("--bounds must be numeric") from None
-        bounds = ((u0, u1), (v0, v1))
+        cfg = dataclasses.replace(cfg, u_min=u0, u_max=u1, v_min=v0, v_max=v1)
+    bounds = joint_bounds(cfg)
     if bounds is None:
         cs = trace_singularity_curves(family, box, specials=_specials(cfg, family, box))
         bounds = _auto_joint_bounds(image_curves(family, cs))

@@ -127,6 +127,6 @@ def joint_bounds(cfg: AnalysisConfig):
         return None
     if any(v is None for v in vals):
         raise ConfigError("joint window needs all of u_min, u_max, v_min, v_max")
-    if not (cfg.u_max > cfg.u_min and cfg.v_max > cfg.v_min):
-        raise ConfigError("joint window is degenerate")
+    if not (0.0 < cfg.u_max - cfg.u_min < math.inf and 0.0 < cfg.v_max - cfg.v_min < math.inf):
+        raise ConfigError("joint window is degenerate or infinite")
     return ((cfg.u_min, cfg.u_max), (cfg.v_min, cfg.v_max))

@@ -4,20 +4,20 @@ The solver eliminates one coordinate exactly.  In every family one equation
 is linear in y, and substituting it into the other leaves one polynomial:
 
 * manipulators: u - v gives y = N(phi) / (2 (b1 + b2) sin phi), and the
-  u-equation times 4 (b1 + b2)^2 sin^2 phi is a trigonometric polynomial of
-  degree 3, i.e. of degree 6 in z = exp(i phi): at most six assembly modes;
+  u-equation times 4 (b1 + b2)^2 sin^2 phi, a trigonometric cubic, has degree
+  6 in t = tan((phi - theta) / 2), theta a quarter turn: at most six modes;
 * complex square: y = v / (2x + 4b) gives 4 (x + 2b)^2 (x^2 + 4ax - u) - v^2;
 * quarto: y = (u - x^2) / (2a) gives (u - x^2)^2 + 4a^2 (2bx - v), with x
   and y swapped when |a| < |b|; near a = b = 0, where this loses y, the
   solutions of u = x^2, v = y^2 are added as candidates.
 
 A batch of targets is solved at once: the roots are the eigenvalues of
-stacked companion matrices, the finite real roots are polished on the
-original system by the Newton kernel of :mod:`cuspforge.maps` and accepted
-by residual, and the lines where the elimination divides by zero add
-explicit candidates.  Only accepted candidates are merged where they
-coincide, such as the double root over a point of the fold image, so each
-solution is reported once, and flagged when |J| vanishes there.
+stacked real companion matrices (one routine for all families), the finite
+real roots are polished on the original system by the Newton kernel of
+:mod:`cuspforge.maps` and accepted by residual, and the lines where the
+elimination divides by zero add explicit candidates.  Only accepted ones
+are merged where they coincide, such as the double root over a point of the
+fold image, so each solution is reported once, flagged where |J| = 0.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoxTooSmall
+from .errors import BoxTooSmall, PreconditionViolated
 from .maps import (
     JointPoint,
     MapFamily,
@@ -43,9 +43,12 @@ from .maps import (
 log = logging.getLogger(__name__)
 
 SINGULAR_FLAG_FACTOR = 1e-6
-#: Roots within this distance of the unit circle (of the real axis, relative
-#: to their size, for the quartics) are polished as real candidates.
+#: Roots this close to real (relative to their size for the quartics, in
+#: |Im phi| for the manipulators) are polished as real candidates.
 ROOT_RING = 1e-3
+#: Sample angles of the manipulators' trigonometric cubic, and quarter turns.
+_NODES = 2.0 * math.pi * np.arange(7) / 7.0
+_TURNS = 0.5 * math.pi * np.arange(4)
 #: Solutions farther apart than this are never merged.
 MERGE_RADIUS = 1e-2
 #: Newton steps at most per candidate, which polishes with no tolerance:
@@ -95,20 +98,17 @@ class CountMap:
         return us, vs
 
 
-def _companion_roots(coeffs):
-    """Roots of a batch of polynomials, coefficients (n, k + 1) highest first."""
+def _real_roots(coeffs, ring=lambda x: np.abs(x.imag) / (1.0 + np.abs(x.real))):
+    """Roots of real polynomials (n, k + 1), highest first, with ``ring`` below
+    ROOT_RING; NaN elsewhere.  A non-finite companion raises PreconditionViolated."""
     k = coeffs.shape[1] - 1
-    comp = np.zeros((len(coeffs), k, k), dtype=coeffs.dtype)
+    comp = np.zeros((len(coeffs), k, k))
     comp[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
     comp[:, 1:, :-1] = np.eye(k - 1)
-    return np.linalg.eigvals(comp)
-
-
-def _real_roots(coeffs):
-    """Near-real roots of real polynomials (n, k + 1); NaN elsewhere."""
-    x = _companion_roots(coeffs)
-    real = np.abs(x.imag) < ROOT_RING * (1.0 + np.abs(x.real))
-    return np.where(real, x.real, np.nan)
+    if not np.all(np.isfinite(comp[:, 0])):
+        raise PreconditionViolated("elimination polynomial out of the floating-point range")
+    x = np.linalg.eigvals(comp)
+    return np.where(ring(x) < ROOT_RING, x.real, np.nan)
 
 
 def _manipulator_terms(family, phi, tu, tv):
@@ -129,26 +129,40 @@ def _manipulator_lift(family, q, tu, tv):
     return np.stack([q[..., 0], num / den], axis=-1)
 
 
+def _half_angle_basis(theta):
+    """B with B @ g(_NODES) the coefficients, t^6 first, of (1 + t^2)^3 g(theta + 2 arctan t)
+    for a trigonometric cubic g; e^(ik phi) (1 + t^2)^3 = e^(ik theta) (1+it)^(3+k) (1-it)^(3-k)."""
+    powers = np.array([[sum(math.comb(3 + k, r) * math.comb(3 - k, n - r) * 1j ** (2 * r - n)
+                            for r in range(n + 1)) for n in range(7)] for k in range(-3, 4)])
+    waves = np.exp(1j * np.arange(-3, 4)[:, None] * (theta - _NODES))
+    return np.real(np.sum(powers[:, ::-1, None] * waves[:, None, :], axis=0)) / 7.0
+
+
+_HALF_ANGLE = np.array([_half_angle_basis(theta + math.pi) for theta in _TURNS])
+
+
 def _manipulator_candidates(family, tu, tv):
     tu, tv = tu[:, None], tv[:, None]
-    # D^2 times the u-equation at y = N / D is a trigonometric polynomial of
-    # degree 3; times z^3 its Fourier coefficients C_3 .. C_-3 are a
-    # degree-6 polynomial in z = exp(i phi).
-    den, num, p, c = _manipulator_terms(family, 2.0 * math.pi * np.arange(7) / 7.0, tu, tv)
-    spectrum = np.fft.fft(num * num + 2.0 * num * p * den + c * den * den, axis=1)
-    z = _companion_roots(spectrum[:, [3, 2, 1, 0, 6, 5, 4]])
-    phi = np.where(np.abs(np.abs(z) - 1.0) < ROOT_RING, np.angle(z), np.nan)
+    # D^2 times the u-equation at y = N / D is a trigonometric cubic g; times
+    # (1 + t^2)^3 it has degree 6 in t = tan((phi - theta) / 2), led by
+    # g(theta + pi), the largest |g| at a quarter turn (no matmul: no row
+    # depends on its batch).
+    den, num, p, c = _manipulator_terms(family, np.concatenate([_NODES, _TURNS]), tu, tv)
+    g = num * num + 2.0 * num * p * den + c * den * den
+    turn = np.argmax(np.abs(g[:, 7:]), axis=1)
+    t = _real_roots(np.sum(g[:, None, :7] * _HALF_ANGLE[turn], axis=-1),
+                    lambda t: np.abs(np.imag(2.0 * np.arctan(t))))
+    phi = _TURNS[turn, None] + math.pi + 2.0 * np.arctan(t)
     roots = _manipulator_lift(family, phi[..., None], tu, tv)
     # On sin(phi) = 0 the u - v equation no longer involves y, and where N
     # vanishes there too the solutions are the roots of the u-equation, a
     # quadratic in y.  With N far from zero the line holds no solution and
     # the roots near it are accurate, so these candidates are tried only
     # for targets close to it.
-    phi = np.array([0.0, 0.0, math.pi, math.pi])
-    _, num, p, c = _manipulator_terms(family, phi, tu, tv)
+    num, p, c = num[:, [7, 7, 9, 9]], p[[7, 7, 9, 9]], c[:, [7, 7, 9, 9]]  # phi = 0, 0, pi, pi
     y = -p + np.sqrt(np.maximum(p * p - c, 0.0)) * np.array([1.0, -1.0, 1.0, -1.0])
     y[np.abs(num) > LINE_BAND * (1.0 + np.abs(tu) + np.abs(tv))] = np.nan
-    line = np.stack(np.broadcast_arrays(phi, y), axis=-1)
+    line = np.stack(np.broadcast_arrays(_TURNS[[0, 0, 2, 2]], y), axis=-1)
     return np.concatenate([roots, line], axis=1)
 
 
@@ -275,8 +289,8 @@ def _solve_batch(family: MapFamily, targets, box, tol):
     tu, tv = targets[:, 0], targets[:, 1]
     candidates, _ = _ELIMINATION[family.kind]
     # Candidates off the real line or on a division-by-zero line are NaN or
-    # infinite; they are not polished and fail the residual test.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # infinite, left unpolished and rejected; _real_roots raises on overflow.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q = candidates(family, tu, tv)
         finite = np.all(np.isfinite(q), axis=-1)
         row, _ = np.nonzero(finite)
@@ -352,8 +366,8 @@ def count_map(
     if nu < 8 or nv < 8:
         raise ValueError("resolution must be at least 8 per axis")
     (u0, u1), (v0, v1) = bounds
-    if not all(math.isfinite(w) for w in (u0, u1, v0, v1)):
-        raise ValueError("bounds must be finite")
+    if not (0.0 < u1 - u0 < math.inf and 0.0 < v1 - v0 < math.inf):
+        raise ValueError("bounds must be finite, with u1 > u0 and v1 > v0")
     us = u0 + (np.arange(nu) + 0.5) * (u1 - u0) / nu
     vs = v0 + (np.arange(nv) + 0.5) * (v1 - v0) / nv
     gu, gv = np.meshgrid(us, vs, indexing="ij")

@@ -232,6 +232,20 @@ class TestErrorPaths:
                      "--out", str(tmp_path)]) == 2
         assert "solver error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", ["50,50,0,100", "100,0,0,100", "0,100,0,inf"])
+    def test_degenerate_regions_window_is_exit_1(self, tmp_path, capsys, bounds):
+        cfg = write_cfg(tmp_path, OFFSET_CFG)
+        assert main(["regions", "--config", cfg, "--out", str(tmp_path),
+                     "--bounds", bounds]) == 1
+        assert "config error: joint window" in capsys.readouterr().err
+        assert not (tmp_path / "regions.csv").exists()
+
+    def test_window_past_the_floating_point_range_is_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, OFFSET_CFG)
+        assert main(["regions", "--config", cfg, "--out", str(tmp_path),
+                     "--bounds=-1e300,1e300,0,100", "--resolution", "8"]) == 2
+        assert "solver error" in capsys.readouterr().err
+
     def test_seed_lattice_size_is_no_longer_accepted(self, tmp_path, capsys):
         # Special points are seeded by exact resultant roots: neither the
         # `grid` key nor the `--grid` flag sizes anything.

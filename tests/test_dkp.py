@@ -7,6 +7,7 @@ import pytest
 from cuspforge import (
     BoxTooSmall,
     PointKind,
+    PreconditionViolated,
     count_map,
     dkp,
     eval_map,
@@ -19,6 +20,7 @@ from cuspforge import (
 from cuspforge.maps import TWO_PI, coord_deltas
 
 from conftest import NORMAL_BOX, PAPER_BOX
+from dkp_reference import manipulator_candidates
 from gridscan import grid_count
 from multistart import multistart_solutions
 from polish_reference import polish
@@ -42,6 +44,27 @@ def assert_polish_matches_reference(family, targets):
         want = dkp._solve_batch(family, targets, None, 1e-9)
     for g, w in zip(got, want, strict=True):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def assert_matches_reference_elimination(family, targets, within=1e-12):
+    """_solve_batch gives the same counts and flags with the half-angle
+    elimination as with the complex one of ``dkp_reference``, and the same
+    solutions to within ``within`` (max-norm, angles modulo 2*pi)."""
+    targets = np.array(targets, dtype=float)
+    got = dkp._solve_batch(family, targets, None, 1e-9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(dkp._ELIMINATION, family.kind, (manipulator_candidates, dkp._manipulator_lift))
+        want = dkp._solve_batch(family, targets, None, 1e-9)
+    assert np.array_equal(np.sum(got[0], axis=1), np.sum(want[0], axis=1))
+    for row, target in enumerate(targets):
+        q, q_ref = got[1][row, got[0][row]], want[1][row, want[0][row]]
+        if len(q) == 0:
+            continue
+        dist = np.max(np.abs(coord_deltas(family, q[:, None], q_ref[None])), axis=-1)
+        match = np.argmin(dist, axis=1)
+        assert sorted(match) == list(range(len(q))), f"target {target}"
+        assert np.all(dist[np.arange(len(q)), match] < within), f"target {target}"
+        assert np.array_equal(got[3][row, got[0][row]], want[3][row, want[0][row]][match])
 
 
 def image_distance(jcs, target):
@@ -237,6 +260,91 @@ class TestBatchCompaction:
         assert widths == [0, 2, 4, 8]
 
 
+class TestHalfAngleElimination:
+    """The manipulators' cubic solved as a real polynomial in a half-angle
+    tangent gives what the complex polynomial in exp(i phi) gave."""
+
+    @pytest.mark.parametrize("theta", dkp._TURNS + math.pi)
+    def test_basis_change(self, theta):
+        rng = np.random.default_rng(zlib.crc32(b"half-angle basis"))
+        a0, a, b = rng.normal(size=(3, 4))
+        def g(phi):
+            return a0[0] + sum(a[k] * np.cos(k * phi) + b[k] * np.sin(k * phi) for k in (1, 2, 3))
+        t = np.linspace(-3.0, 3.0, 13)
+        poly = np.polyval(dkp._half_angle_basis(theta) @ g(dkp._NODES), t)
+        assert np.allclose(poly, (1.0 + t * t) ** 3 * g(theta + 2.0 * np.arctan(t)),
+                           rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["exact", "offset"])
+    def test_count_maps(self, name, request):
+        family = request.getfixturevalue(f"{name}_family")
+        us, vs = count_map(family, ((0.0, 230.0), (0.0, 230.0)), 64).cell_centers()
+        gu, gv = np.meshgrid(us, vs, indexing="ij")
+        assert_matches_reference_elimination(family, np.column_stack([gu.ravel(), gv.ravel()]))
+
+    @pytest.mark.parametrize("d", [0.0, 0.003, 0.3, 3.0])
+    def test_offset_draws(self, d):
+        rng = np.random.default_rng(zlib.crc32(f"half-angle d={d}".encode()))
+        for _ in range(4):
+            family = make_family("rpr2pr_offset", **dict(zip(
+                ("a1", "a2", "b1", "b2"), rng.uniform(1.0, 8.0, 4))), d=d)
+            q = np.column_stack([rng.uniform(-0.5 * math.pi, 1.5 * math.pi, 32),
+                                 rng.uniform(-0.5, 0.5, 32) * family.reach])
+            images = np.column_stack(family.evaluate(q[:, 0], q[:, 1]))
+            targets = rng.uniform(0.0, family.reach ** 2, (32, 2))
+            assert_matches_reference_elimination(family, np.concatenate([images, targets]))
+
+    @pytest.mark.parametrize("kind, d", [("rpr2pr_exact", 0.0), ("rpr2pr_offset", 1.5)])
+    def test_both_end_coefficients_vanish(self, kind, d):
+        # With a1 b1 = a2 b2 and tu - tv = k1 - k2, N vanishes at phi = 0
+        # and at phi = pi, and the cubic doubly: a polynomial in
+        # tan(phi / 2) or in its inverse would lose two leading coefficients.
+        family = make_family(kind, a1=3.0, a2=5.0, b1=10.0, b2=6.0, **({"d": d} if d else {}))
+        shift = (9.0 + 100.0) - (25.0 + 36.0)
+        targets = [(tu, tu - shift) for tu in (20.0, 60.0, 100.0, 150.0, 200.0)]
+        _, num, _, _ = dkp._manipulator_terms(
+            family, np.array([0.0, math.pi]), *np.array(targets).T[:, :, None])
+        assert np.all(np.abs(num) < 1e-13)
+        # The reference finds the double roots at phi = 0 and pi as pairs
+        # about 1e-8 off the line; at (100, 52) on the in-line geometry one
+        # such pair polishes onto (1.42, 0), and the merge reports the pair's
+        # midpoint, 1.1e-9 away with residual 8e-9, inside the tolerance.
+        # The half-angle solutions themselves are polished to rounding.
+        assert_matches_reference_elimination(family, targets, within=1e-8)
+        for t in targets:
+            assert max(solve_dkp(family, t).residuals, default=0.0) < 1e-13 * (1.0 + max(t))
+        assert [len(solve_dkp(family, t)) for t in targets] == [
+            grid_count(family, t) for t in targets]
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi, -0.5 * math.pi, 0.5 * math.pi])
+    def test_images_of_the_turns(self, exact_family, offset_family, phi):
+        for family in (exact_family, offset_family):
+            assert_matches_reference_elimination(
+                family, [eval_map(family, (phi, y)) for y in (-4.0, 1.3, 6.5)])
+
+
+class TestLargeTargets:
+    """Far targets give their count, or a typed error where the elimination
+    polynomial leaves the floating-point range; a RuntimeWarning is an error
+    in this suite."""
+
+    @pytest.mark.parametrize("name, target, count", [
+        ("exact", (1e100, 5.0), 0), ("offset", (1e100, 5.0), 0),
+        ("exact", (1e160, 1e160), 4), ("offset", (1e160, 1e160), 4),
+        ("square", (1e100, 5.0), 2), ("square", (1e300, 0.0), 2)])
+    def test_count(self, name, target, count, request):
+        family = request.getfixturevalue(f"{name}_family")
+        assert len(solve_dkp(family, target)) == count
+
+    @pytest.mark.parametrize("name, target", [
+        ("exact", (1e300, 0.0)), ("offset", (1e300, 0.0)), ("quarto", (1e300, 0.0)),
+        ("square", (1e160, 1e160)), ("quarto", (1e160, 1e160))])
+    def test_overflow_is_a_typed_error(self, name, target, request):
+        family = request.getfixturevalue(f"{name}_family")
+        with pytest.raises(PreconditionViolated, match="floating-point range"):
+            solve_dkp(family, target)
+
+
 class TestNewtonPolish:
     @pytest.mark.parametrize("name, window", [
         ("exact", ((0.0, 230.0), (0.0, 230.0))), ("offset", ((0.0, 230.0), (0.0, 230.0))),
@@ -361,3 +469,10 @@ class TestCountMap:
     def test_resolution_validation(self, exact_family):
         with pytest.raises(ValueError):
             count_map(exact_family, ((0.0, 1.0), (0.0, 1.0)), 4)
+
+    @pytest.mark.parametrize("bounds", [((50.0, 50.0), (0.0, 100.0)),
+                                        ((100.0, 0.0), (0.0, 100.0)),
+                                        ((0.0, 100.0), (100.0, 0.0))])
+    def test_degenerate_window(self, exact_family, bounds):
+        with pytest.raises(ValueError, match="u1 > u0 and v1 > v0"):
+            count_map(exact_family, bounds, 8)
