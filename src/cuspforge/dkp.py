@@ -6,10 +6,14 @@ is linear in y, and substituting it into the other leaves one polynomial:
 * manipulators: u - v gives y = N(phi) / (2 (b1 + b2) sin phi), and the
   u-equation times 4 (b1 + b2)^2 sin^2 phi, a trigonometric cubic, has degree
   6 in t = tan((phi - theta) / 2), theta a quarter turn: at most six modes;
-* complex square: y = v / (2x + 4b) gives 4 (x + 2b)^2 (x^2 + 4ax - u) - v^2;
-* quarto: y = (u - x^2) / (2a) gives (u - x^2)^2 + 4a^2 (2bx - v), with x
-  and y swapped when |a| < |b|; near a = b = 0, where this loses y, the
-  solutions of u = x^2, v = y^2 are added as candidates.
+* quadratic maps (the unfoldings are presets): the combination of u and v
+  that drops y^2 gives y = (s - L0(x)) / L1(x), and the other equation times
+  L1^2 a quartic in x, both derived once per family from the coefficients.
+  Of x and y, the coordinate whose L1 has the larger coefficients is
+  eliminated: y = v / (2x + 4b) for the complex square; for the quarto
+  y = (u - x^2) / (2a), or x = (v - y^2) / (2b) when |a| < |b|.  Where L1
+  vanishes the solutions on its root (the square's 2x + 4b = 0), or near
+  a = b = 0 those of the quarto's u = x^2, v = y^2, are added as candidates.
 
 A batch of targets is solved at once: the roots are the eigenvalues of
 stacked real companion matrices (one routine for all families), the finite
@@ -22,8 +26,10 @@ fold image, so each solution is reported once, flagged where |J| = 0.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +38,7 @@ from .errors import BoxTooSmall, PreconditionViolated
 from .maps import (
     JointPoint,
     MapFamily,
+    QuadraticMap,
     WorkspacePoint,
     canonical_phi,
     coord_deltas,
@@ -166,61 +173,88 @@ def _manipulator_candidates(family, tu, tv):
     return np.concatenate([roots, line], axis=1)
 
 
-def _square_lift(family, q, tu, tv):
-    x = q[..., 0]
-    return np.stack([x, tv / (2.0 * x + 4.0 * family.b)], axis=-1)
+_Elimination = namedtuple("_Elimination", "swap w other l0 l1 c2 p1 p0 k")
 
 
-def _square_candidates(family, tu, tv):
-    a, b = family.a, family.b
-    one = np.ones_like(tu)
-    x = _real_roots(np.stack(
-        [one, 4.0 * (a + b) * one, 4.0 * b * b + 16.0 * a * b - tu,
-         16.0 * a * b * b - 4.0 * b * tu, -4.0 * b * b * tu - 0.25 * tv * tv], axis=1))
-    roots = _square_lift(family, x[..., None], tu[:, None], tv[:, None])
-    # On 2x + 4b = 0 the v-equation no longer involves y; as for the
-    # manipulators, its candidates are tried only for v close to zero.
-    y = np.sqrt(np.maximum(4.0 * b * b - 8.0 * a * b - tu, 0.0))[:, None] * np.array([1.0, -1.0])
-    y[np.abs(tv) > LINE_BAND * (1.0 + np.abs(tu) + np.abs(tv))] = np.nan
-    line = np.stack(np.broadcast_arrays(-2.0 * b, y), axis=-1)
-    return np.concatenate([roots, line], axis=1)
+@functools.lru_cache(maxsize=64)
+def _quadratic_elimination(family):
+    """The elimination of y, or of x where ``swap``: of the two, the one whose
+    divisor L1 has the larger coefficients, y on a tie.
+
+    The combination w . (u, v) of the two equations that drops y^2, scaled
+    to a unit Hessian, reads L1(x) y + L0(x) = s, s = w . (tu, tv).  Put
+    into the other equation, c2 y^2 + P1(x) y + P0(x) = t, it leaves the
+    quartic K0 + s K1 + s^2 K2 + t K3 in x.  Polynomials are coefficient
+    arrays, highest power first.
+    """
+    best = None
+    for swap in (False, True):
+        c = np.array(family.coefficients, dtype=float)[:, [2, 1, 0, 4, 3] if swap else slice(5)]
+        w = np.array([c[1, 2], -c[0, 2]])
+        m = w[0] * c[0] + w[1] * c[1]
+        scale = max(2.0 * abs(m[0]), abs(m[1]))
+        if scale == 0.0:
+            continue
+        w, m, other = w / scale, m / scale, int(abs(c[1, 2]) > abs(c[0, 2]))
+        if best is not None and np.max(np.abs(m[[1, 4]])) <= np.max(np.abs(best.l1)):
+            continue
+        l0, l1, r = np.array([m[0], m[3], 0.0]), m[[1, 4]], c[other]
+        p1, p0, l1l1 = r[[1, 4]], np.array([r[0], r[3], 0.0]), np.convolve(l1, l1)
+        k = np.zeros((4, 5))
+        k[0] = (r[2] * np.convolve(l0, l0) - np.convolve(np.convolve(p1, l0), l1)
+                + np.convolve(p0, l1l1))
+        k[1, 2:], k[2, 4], k[3, 2:] = np.convolve(p1, l1) - 2.0 * r[2] * l0, r[2], -l1l1
+        best = _Elimination(swap, w, other, l0, l1, r[2], p1, p0, k)
+    if best is None:
+        raise PreconditionViolated("no combination of u and v drops just one of x^2, y^2")
+    return best
 
 
-# (x, y) -> (x^2 + 2ay, y^2 + 2bx) is symmetric under swapping x with y, u
-# with v and a with b; the quarto eliminates along the larger coefficient.
-def _quarto_lift(family, q, tu, tv):
-    a, b = family.a, family.b
-    if abs(a) < abs(b):
-        return _quarto_lift(type(family)(b, a), q[..., ::-1], tv, tu)[..., ::-1]
-    x = q[..., 0]
-    return np.stack([x, (tu - x * x) / (2.0 * a)], axis=-1)
+def _horner(p, x):
+    out = p[0]
+    for c in p[1:]:
+        out = out * x + c
+    return out
 
 
-def _quarto_candidates(family, tu, tv):
-    a, b = family.a, family.b
-    if abs(a) < abs(b):
-        return _quarto_candidates(type(family)(b, a), tv, tu)[..., ::-1]
-    one = np.ones_like(tu)
-    x = _real_roots(np.stack(
-        [one, 0.0 * one, -2.0 * tu, 8.0 * a * a * b * one, tu * tu - 4.0 * a * a * tv], axis=1))
-    roots = _quarto_lift(family, x[..., None], tu[:, None], tv[:, None])
-    # As a and b go to zero the elimination loses y, but the solutions
-    # approach those of u = x^2, v = y^2, exact at a = b = 0; for small a
-    # and b those are tried too.
-    x = np.sqrt(np.maximum(tu, 0.0))[:, None] * np.array([1.0, 1.0, -1.0, -1.0])
-    y = np.sqrt(np.maximum(tv, 0.0))[:, None] * np.array([1.0, -1.0, 1.0, -1.0])
-    x[abs(a) > LINE_BAND * np.sqrt(1.0 + np.abs(tu) + np.abs(tv))] = np.nan
-    return np.concatenate([roots, np.stack([x, y], axis=-1)], axis=1)
+def _pair_roots(a, b, c):
+    """The two roots, larger first, of a z^2 + b z + c (a a scalar) on a new
+    last axis, the discriminant clipped at zero."""
+    root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))[..., None] * np.array([1.0, -1.0])
+    return (root * np.sign(a) - b[..., None]) / (2.0 * a)
 
 
-#: Per family: the candidate generator, and the lift that recomputes the
-#: eliminated coordinate of a point from the linear equation.
-_ELIMINATION = {
-    "rpr2pr_exact": (_manipulator_candidates, _manipulator_lift),
-    "rpr2pr_offset": (_manipulator_candidates, _manipulator_lift),
-    "complex_square_unfolded": (_square_candidates, _square_lift),
-    "quarto_unfolded": (_quarto_candidates, _quarto_lift),
-}
+def _quadratic_lift(family, q, tu, tv):
+    e = _quadratic_elimination(family)
+    x = q[..., int(e.swap)]
+    y = (e.w[0] * tu + e.w[1] * tv - _horner(e.l0, x)) / _horner(e.l1, x)
+    return np.stack([y, x] if e.swap else [x, y], axis=-1)
+
+
+def _quadratic_candidates(family, tu, tv):
+    e = _quadratic_elimination(family)
+    s, t = e.w[0] * tu + e.w[1] * tv, tv if e.other else tu
+    x = _real_roots(e.k[0] + s[:, None] * e.k[1] + (s * s)[:, None] * e.k[2]
+                    + t[:, None] * e.k[3])
+    q = np.stack([x, (s[:, None] - _horner(e.l0, x)) / _horner(e.l1, x)], axis=-1)
+    # Where L1 vanishes the combination loses y.  On the root of L1, as for
+    # the manipulators, candidates are tried only for targets with L0 = s
+    # there to within the band.  A constant L1 near zero (the quarto near
+    # a = b = 0) loses y everywhere, and the roots of L0 = s are tried.  Each
+    # line x takes the two roots in y of the other equation.
+    if e.l1[0] != 0.0:
+        line_x = np.full((len(s), 1), -e.l1[1] / e.l1[0])
+        far = (np.abs(_horner(e.l0, line_x[0, 0]) - s)
+               > LINE_BAND * np.max(np.abs(e.w)) * (1.0 + np.abs(tu) + np.abs(tv)))
+    else:
+        far = abs(e.l1[1]) > LINE_BAND * np.sqrt(1.0 + np.abs(tu) + np.abs(tv))
+        line_x = None if far.all() else _pair_roots(e.l0[0], np.full_like(s, e.l0[1]), e.l0[2] - s)
+    if not far.all():
+        line_x[far] = np.nan
+        line_y = _pair_roots(e.c2, _horner(e.p1, line_x), _horner(e.p0, line_x) - t[:, None])
+        line = np.stack([np.repeat(line_x, 2, axis=1), line_y.reshape(len(s), -1)], axis=-1)
+        q = np.concatenate([q, line], axis=1)
+    return q[..., ::-1] if e.swap else q
 
 
 def _residual(family, q, tu, tv):
@@ -252,7 +286,8 @@ def _merge(family, q, resid, ok, tu, tv, tol_abs):
     near = ok[:, :, None] & ok[:, None, :] & (np.max(np.abs(delta), axis=-1) < MERGE_RADIUS)
     b, i, j = np.nonzero(near & ~diag)
     mid = q[b, j] + 0.5 * delta[b, i, j]
-    lifted = _ELIMINATION[family.kind][1](family, mid, tu[b], tv[b])
+    lift = _quadratic_lift if isinstance(family, QuadraticMap) else _manipulator_lift
+    lifted = lift(family, mid, tu[b], tv[b])
     mid_resid = _residual(family, mid, tu[b], tv[b])
     lifted_resid = _residual(family, lifted, tu[b], tv[b])
     use_lifted = lifted_resid < mid_resid
@@ -287,7 +322,8 @@ def _solve_batch(family: MapFamily, targets, box, tol):
     accepted candidates first, in order.
     """
     tu, tv = targets[:, 0], targets[:, 1]
-    candidates, _ = _ELIMINATION[family.kind]
+    candidates = (_quadratic_candidates if isinstance(family, QuadraticMap)
+                  else _manipulator_candidates)
     # Candidates off the real line or on a division-by-zero line are NaN or
     # infinite, left unpolished and rejected; _real_roots raises on overflow.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

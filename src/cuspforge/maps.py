@@ -1,15 +1,19 @@
 """Catalog of planar map families with closed-form first and second derivatives.
 
 Each family is a smooth map from workspace coordinates (phi, y) -- or (x, y)
-for the normal forms -- to joint coordinates (u, v).  All evaluation methods
-accept scalars or broadcastable numpy arrays and return float64 arrays of the
-broadcast shape, so solvers can run vectorized over seed grids.
+for the quadratic maps -- to joint coordinates (u, v).  The two unfoldings
+are coefficient presets of one quadratic map core, whose jets follow from
+the coefficients.  All evaluation methods accept scalars or broadcastable
+numpy arrays and return float64 arrays of the broadcast shape, so solvers
+can run vectorized over seed grids.
 
-The determinant of every family's Jacobian carries a common factor 4 from the
-squared-length / quadratic formulas; ``jdet`` and friends return the
-determinant divided by 4 (``DET_NORMALIZATION``).  Only zero sets and sign
-patterns of the determinant matter downstream, and the constant is the same
-at every point of a family, so signs are globally consistent.
+``jdet`` and friends return the determinant of the Jacobian divided by 4
+(``DET_NORMALIZATION``): the manipulators' squared lengths put a factor 2 in
+each row, and the quadratic maps divide by the same constant, so that the
+presets keep J = (x + a + b)^2 + y^2 - (a - b)^2 (the square) and
+J = xy - ab (the quarto).  Only zero sets and sign patterns of the
+determinant matter downstream, and the constant is the same at every point
+of a family, so signs are globally consistent.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -69,10 +74,6 @@ def _pack22(a00, a01, a10, a11):
     out[..., 1, 0] = a10
     out[..., 1, 1] = a11
     return out
-
-
-def _pack222(h0, h1):
-    return np.stack([h0, h1], axis=-3)
 
 
 def _sym22(aa, ab, bb):
@@ -148,7 +149,7 @@ class Rpr2PrOffset:
         two = np.full(np.broadcast_shapes(p1.shape, y.shape), 2.0)
         h0 = _sym22(-2.0 * y * p1 + 2.0 * self.a1 * cap1, 2.0 * cap1, two)
         h1 = _sym22(2.0 * y * p2 + 2.0 * self.a2 * cap2, -2.0 * cap2, two)
-        return _pack222(h0, h1)
+        return np.stack([h0, h1], axis=-3)
 
     def jdet(self, phi, y):
         s, c = _sincos(phi)
@@ -223,120 +224,138 @@ class Rpr2PrExact:
     jdet_hess = Rpr2PrOffset.jdet_hess
 
 
-@dataclass(frozen=True)
-class ComplexSquareUnfolded:
-    """Two-parameter unfolding of the complex square map z -> z*z.
+_MONOMIALS = (lambda x, y: x * x, lambda x, y: x * y, lambda x, y: y * y,
+              lambda x, y: x, lambda x, y: y, lambda x, y: 1.0)
 
-    (x, y) -> (x^2 - y^2 + 4ax, 2xy + 4by).  At a = b = 0 the only singular
-    point is the origin; for a != b the singular set is the circle of radius
-    |a - b| centered at (-a - b, 0), carrying three cusps.
+
+def _terms(coef):
+    """The terms (k, c) of sum c * _MONOMIALS[k] with c != 0, and a zero x or
+    y term for a variable no other term holds, so that the sum broadcasts."""
+    terms = [(k, float(c)) for k, c in enumerate(coef) if c != 0.0]
+    held = {k for k, _ in terms}
+    return terms + [(k, 0.0) for k, ks in ((3, {0, 1, 3}), (4, {1, 2, 4})) if not held & ks]
+
+
+def _polynomial(terms, x, y):
+    """The sum of the ``_terms`` in order; a square or product is not scaled by 1."""
+    total = None
+    for k, c in terms:
+        m = _MONOMIALS[k](x, y)
+        m = m if c == 1.0 and k < 3 else c * m
+        total = m if total is None else total + m
+    return total
+
+
+def _affine(coef, x, y):
+    """coef[0] x + coef[1] y + coef[2] for coef (3, k): (..., k) over x, y."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x[..., None] * coef[0] + y[..., None] * coef[1] + coef[2]
+
+
+_Jets = namedtuple("_Jets", "u v jdet jac jdet_grad hess jdet_hess")
+
+
+class QuadraticMap:
+    """Core of the quadratic maps (x, y) -> (u, v), u and v each a quadratic
+    form plus a linear part: the germs of multiplicity 4 and their unfoldings.
+
+    A subclass is a frozen dataclass with ``kind``, ``default_box`` and
+    ``coefficients``, the rows of u and v on x^2, xy, y^2, x and y.  The jets
+    are derived from these once per instance, and each subclass binds them
+    in its own body, so that every family class holds its own jets.
     """
+
+    periodic = False
+    input_names = ("x", "y")
+    output_names = ("u", "v")
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ValueError("quadratic map coefficients must be finite")
+
+    @functools.cached_property
+    def _jets(self):
+        """u, v and J as ``_terms``; the Jacobian (3, 4) and the gradient of J
+        (3, 2) as ``_affine`` coefficients; the Hessians of (u, v) and of J."""
+        c = np.array(self.coefficients, dtype=float)
+        hess = np.array([[[2.0 * r[0], r[1]], [r[1], 2.0 * r[2]]] for r in c])
+        jac = np.concatenate([hess.transpose(2, 0, 1).reshape(2, 4), c[:, 3:].reshape(1, 4)])
+        # J00 J11 - J01 J10 is the quadratic form of m on (x, y, 1).
+        m = np.outer(jac[:, 0], jac[:, 3]) - np.outer(jac[:, 1], jac[:, 2])
+        m = (m + m.T) / (2.0 * DET_NORMALIZATION)
+        jdet = (m[0, 0], 2.0 * m[0, 1], m[1, 1], 2.0 * m[0, 2], 2.0 * m[1, 2], m[2, 2])
+        return _Jets(_terms(c[0]), _terms(c[1]), _terms(jdet), jac, 2.0 * m[:, :2], hess,
+                     (2.0 * m[0, 0], 2.0 * m[0, 1], 2.0 * m[1, 1]))
+
+    def evaluate(self, x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return _polynomial(self._jets.u, x, y), _polynomial(self._jets.v, x, y)
+
+    def jdet(self, x, y):
+        return _polynomial(self._jets.jdet, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+    def jacobian(self, x, y):
+        jac = _affine(self._jets.jac, x, y)
+        return jac.reshape(jac.shape[:-1] + (2, 2))
+
+    def jdet_grad(self, x, y):
+        grad = _affine(self._jets.jdet_grad, x, y)
+        return grad[..., 0], grad[..., 1]
+
+    def hessian(self, x, y):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        return np.broadcast_to(self._jets.hess, shape + (2, 2, 2)).copy()
+
+    def jdet_hess(self, x, y):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        return tuple(np.full(shape, h) for h in self._jets.jdet_hess)
+
+
+def _unfolding_box(self):
+    r = 3.0 * max(1.0, abs(self.a), abs(self.b))
+    return ((-2.0 * r, 2.0 * r), (-2.0 * r, 2.0 * r))
+
+
+@dataclass(frozen=True)
+class ComplexSquareUnfolded(QuadraticMap):
+    """Unfolding (x, y) -> (x^2 - y^2 + 4ax, 2xy + 4by) of the complex square
+    z -> z*z.  At a = b = 0 the only singular point is the origin; for a != b
+    the singular set is the circle of radius |a - b| centered at (-a - b, 0),
+    carrying three cusps."""
 
     a: float
     b: float
 
     kind = "complex_square_unfolded"
-    periodic = False
-    input_names = ("x", "y")
-    output_names = ("u", "v")
+    default_box = _unfolding_box
+    evaluate, jacobian, hessian = QuadraticMap.evaluate, QuadraticMap.jacobian, QuadraticMap.hessian
+    jdet, jdet_grad, jdet_hess = QuadraticMap.jdet, QuadraticMap.jdet_grad, QuadraticMap.jdet_hess
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("unfolding coefficients must be finite")
-
-    def default_box(self):
-        r = 3.0 * max(1.0, abs(self.a), abs(self.b))
-        return ((-2.0 * r, 2.0 * r), (-2.0 * r, 2.0 * r))
-
-    def evaluate(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return x * x - y * y + 4.0 * self.a * x, 2.0 * x * y + 4.0 * self.b * y
-
-    def jacobian(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return _pack22(2.0 * x + 4.0 * self.a, -2.0 * y, 2.0 * y, 2.0 * x + 4.0 * self.b)
-
-    def hessian(self, x, y):
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        two = np.full(shape, 2.0)
-        zero = np.zeros(shape)
-        return _pack222(_sym22(two, zero, -two), _sym22(zero, two, zero))
-
-    def jdet(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        w = x + self.a + self.b
-        return w * w + y * y - (self.a - self.b) ** 2
-
-    def jdet_grad(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return 2.0 * (x + self.a + self.b), 2.0 * y
-
-    def jdet_hess(self, x, y):
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        return np.full(shape, 2.0), np.zeros(shape), np.full(shape, 2.0)
+    @property
+    def coefficients(self):
+        return ((1.0, 0.0, -1.0, 4.0 * self.a, 0.0), (0.0, 2.0, 0.0, 0.0, 4.0 * self.b))
 
 
 @dataclass(frozen=True)
-class QuartoUnfolded:
-    """Two-parameter unfolding of the coordinate-squaring (quarto) map.
-
-    (x, y) -> (x^2 + 2ay, y^2 + 2bx).  At a = b = 0 the singular set is the
-    two axes; for ab != 0 it is the hyperbola xy = ab, carrying one cusp.
-    """
+class QuartoUnfolded(QuadraticMap):
+    """Unfolding (x, y) -> (x^2 + 2ay, y^2 + 2bx) of the coordinate-squaring
+    (quarto) map.  At a = b = 0 the singular set is the two axes; for ab != 0
+    it is the hyperbola xy = ab, carrying one cusp."""
 
     a: float
     b: float
 
     kind = "quarto_unfolded"
-    periodic = False
-    input_names = ("x", "y")
-    output_names = ("u", "v")
+    default_box = _unfolding_box
+    evaluate, jacobian, hessian = QuadraticMap.evaluate, QuadraticMap.jacobian, QuadraticMap.hessian
+    jdet, jdet_grad, jdet_hess = QuadraticMap.jdet, QuadraticMap.jdet_grad, QuadraticMap.jdet_hess
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("unfolding coefficients must be finite")
-
-    def default_box(self):
-        r = 3.0 * max(1.0, abs(self.a), abs(self.b))
-        return ((-2.0 * r, 2.0 * r), (-2.0 * r, 2.0 * r))
-
-    def evaluate(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return x * x + 2.0 * self.a * y, y * y + 2.0 * self.b * x
-
-    def jacobian(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        return _pack22(2.0 * x, np.full(shape, 2.0 * self.a), np.full(shape, 2.0 * self.b), 2.0 * y)
-
-    def hessian(self, x, y):
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        two = np.full(shape, 2.0)
-        zero = np.zeros(shape)
-        return _pack222(_sym22(two, zero, zero), _sym22(zero, zero, two))
-
-    def jdet(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return x * y - self.a * self.b
-
-    def jdet_grad(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return y * np.ones_like(x), x * np.ones_like(y)
-
-    def jdet_hess(self, x, y):
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        return np.zeros(shape), np.ones(shape), np.zeros(shape)
+    @property
+    def coefficients(self):
+        return ((1.0, 0.0, 0.0, 0.0, 2.0 * self.a), (0.0, 0.0, 1.0, 2.0 * self.b, 0.0))
 
 
-MapFamily = Rpr2PrExact | Rpr2PrOffset | ComplexSquareUnfolded | QuartoUnfolded
+MapFamily = Rpr2PrExact | Rpr2PrOffset | QuadraticMap
 
 FAMILY_KINDS = {
     "rpr2pr_exact": Rpr2PrExact,
@@ -466,10 +485,10 @@ class FamilyScales(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _scales_cached(family: MapFamily, box_key, n: int) -> FamilyScales:
+def _scales_cached(family: MapFamily, box_key) -> FamilyScales:
     (x0, x1), (y0, y1) = box_key
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
+    xs = np.linspace(x0, x1, 33)
+    ys = np.linspace(y0, y1, 33)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     jac = family.jacobian(gx, gy)
     jdet = family.jdet(gx, gy)
@@ -479,9 +498,9 @@ def _scales_cached(family: MapFamily, box_key, n: int) -> FamilyScales:
     )
 
 
-def reference_scales(family: MapFamily, box=None, n: int = 33) -> FamilyScales:
-    """Median |Jacobian entry| and |determinant| over a grid on ``box``."""
+def reference_scales(family: MapFamily, box=None) -> FamilyScales:
+    """Median |Jacobian entry| and |determinant| over a 33 x 33 grid on ``box``."""
     if box is None:
         box = family.default_box()
     box_key = ((float(box[0][0]), float(box[0][1])), (float(box[1][0]), float(box[1][1])))
-    return _scales_cached(family, box_key, n)
+    return _scales_cached(family, box_key)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dkp import DkpSolutionSet, _solve_batch, solve_dkp
+from .dkp import _solve_batch, solve_dkp
 from .errors import (
     DivergedLift,
     PermutationInconsistent,
@@ -349,20 +349,17 @@ def lift_loop(family: MapFamily, loop: JointLoop, start, *,
     return lift
 
 
-def loop_permutation(family: MapFamily, loop: JointLoop, *,
-                     solutions: DkpSolutionSet | None = None,
-                     tol: float = 1e-9, **dkp_kwargs) -> Permutation:
-    """Lift every base solution around the loop and match the endpoints;
-    the lifts are kept in the result.
+def loop_permutation(family: MapFamily, loop: JointLoop, *, box=None,
+                     tol: float = 1e-9) -> Permutation:
+    """Lift every base solution (``solve_dkp`` in ``box``) around the loop and
+    match the endpoints; the lifts are kept in the result.
 
     Endpoints are matched to base solutions by nearest neighbor; a match is
     rejected (PermutationInconsistent) when the nearest distance exceeds half
     the minimum pairwise distance between base solutions, or when two lifts
     land on the same solution.
     """
-    if solutions is None:
-        solutions = solve_dkp(family, loop.base, **dkp_kwargs)
-    sols = solutions.solutions
+    sols = solve_dkp(family, loop.base, box=box).solutions
     if len(sols) == 0:
         raise PreconditionViolated("the loop base has no DKP solutions")
     pts = np.array([[s.phi, s.y] for s in sols])
