@@ -76,14 +76,9 @@ def _auto_joint_bounds(jcs, margin=0.12):
             (float(lo[1] - pad[1]), float(hi[1] + pad[1])))
 
 
-def _specials(cfg, family, box):
-    """Special points with the configured tolerance."""
-    return find_special_points(family, box, tol=cfg.tol or 1e-10)
-
-
 def cmd_cusps(args) -> int:
-    cfg, family, box = _load(args)
-    points = _specials(cfg, family, box)
+    _, family, box = _load(args)
+    points = find_special_points(family, box)
     out = _outdir(args)
     output.write_special_points_csv(out / "cusps.csv", points)
     print(f"{len(points)} special point(s) in "
@@ -99,9 +94,9 @@ def cmd_cusps(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    cfg, family, box = _load(args)
+    _, family, box = _load(args)
     cs = trace_singularity_curves(family, box, args.step,
-                                  specials=_specials(cfg, family, box))
+                                  specials=find_special_points(family, box))
     jcs = image_curves(family, cs)
     characteristics = None
     if args.characteristics:
@@ -124,9 +119,9 @@ def cmd_trace(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg, family, _ = _load(args)
+    _, family, _ = _load(args)
     phi, y = _parse_pair(args.point, "--point")
-    point = classify_point(family, (phi, y), tol=cfg.tol or 1e-8)
+    point = classify_point(family, (phi, y))
     if point.kind in (PointKind.CORANK2_ELLIPTIC, PointKind.CORANK2_HYPERBOLIC):
         print(f"{DISPLAY_NAMES[point.kind]}, Δ = {point.delta:g} (normalized)")
     else:
@@ -137,9 +132,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_dkp(args) -> int:
-    cfg, family, box = _load(args)
+    _, family, box = _load(args)
     target = _parse_pair(args.target, "--target")
-    sols = solve_dkp(family, target, box=box, tol=cfg.tol or 1e-9)
+    sols = solve_dkp(family, target, box=box)
     out = _outdir(args)
     output.write_solutions_csv(out / "dkp.csv", sols)
     print(f"{len(sols)} solution(s) of ({target[0]:.9g}, {target[1]:.9g})")
@@ -164,7 +159,7 @@ def cmd_regions(args) -> int:
         cfg = dataclasses.replace(cfg, u_min=u0, u_max=u1, v_min=v0, v_max=v1)
     bounds = joint_bounds(cfg)
     if bounds is None:
-        cs = trace_singularity_curves(family, box, specials=_specials(cfg, family, box))
+        cs = trace_singularity_curves(family, box, specials=find_special_points(family, box))
         bounds = _auto_joint_bounds(image_curves(family, cs))
     resolution = args.resolution or 32
     cm = count_map(family, bounds, resolution, box=box)
@@ -201,9 +196,9 @@ def _loop_from_args(args) -> JointLoop:
 
 
 def cmd_monodromy(args) -> int:
-    cfg, family, box = _load(args)
+    _, family, box = _load(args)
     loop = _loop_from_args(args)
-    cs = trace_singularity_curves(family, box, specials=_specials(cfg, family, box))
+    cs = trace_singularity_curves(family, box, specials=find_special_points(family, box))
     jcs = image_curves(family, cs)
     loop = loop_clearance(loop, jcs)
     print(f"loop base = ({loop.base.u:.9g}, {loop.base.v:.9g}), "
@@ -213,13 +208,13 @@ def cmd_monodromy(args) -> int:
     # the plots.
     if args.start:
         start = _parse_pair(args.start, "--start")
-        lift = lift_loop(family, loop, start, tol=cfg.tol or 1e-9)
+        lift = lift_loop(family, loop, start)
         output.write_lift_csv(out / "monodromy_lift.csv", loop, lift)
         print(f"lift: start = ({lift.start.phi:.9f}, {lift.start.y:.9f}) -> "
               f"end = ({lift.end.phi:.9f}, {lift.end.y:.9f})")
         lifts = [lift.path]
     else:
-        perm = loop_permutation(family, loop, tol=cfg.tol or 1e-9)
+        perm = loop_permutation(family, loop)
         cycles = " ".join(str(c) for c in perm.cycles())
         print(f"{len(perm.solutions)} base solution(s); permutation cycles: {cycles}")
         for i, s in enumerate(perm.solutions):

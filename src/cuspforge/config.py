@@ -1,8 +1,8 @@
 """Line-oriented analysis configuration: ``key = value`` with # comments.
 
 Recognized keys: family, a1, a2, b1, b2, d, a, b, phi_min, phi_max, y_max,
-tol, and the optional joint-window keys u_min, u_max, v_min, v_max used by
-the region-counting subcommand.  Unset keys fall back to the
+and the optional joint-window keys u_min, u_max, v_min, v_max used by the
+region-counting subcommand.  Unset keys fall back to the
 defaults of whatever module consumes them.
 """
 
@@ -16,7 +16,7 @@ from .maps import FAMILY_KINDS, MapFamily, make_family
 
 _FAMILY_KEYS = ("a1", "a2", "b1", "b2", "d", "a", "b")
 _FLOAT_KEYS = _FAMILY_KEYS + ("phi_min", "phi_max", "y_max",
-                               "u_min", "u_max", "v_min", "v_max", "tol")
+                               "u_min", "u_max", "v_min", "v_max")
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class AnalysisConfig:
     u_max: float | None = None
     v_min: float | None = None
     v_max: float | None = None
-    tol: float | None = None
 
 
 def parse_config(text: str) -> AnalysisConfig:

@@ -49,6 +49,11 @@ from .maps import (
 
 log = logging.getLogger(__name__)
 
+#: Residual, relative to 1 + the target's larger coordinate, below which a
+#: candidate solves the system; loop lifting accepts its Newton steps by it too.
+DKP_TOL = 1e-9
+#: |J|, relative to max(1, the family's |J| scale), below which a solution is
+#: flagged singular; a loop lift that comes this close to {J = 0} aborts.
 SINGULAR_FLAG_FACTOR = 1e-6
 #: Roots this close to real (relative to their size for the quartics, in
 #: |Im phi| for the manipulators) are polished as real candidates.
@@ -120,15 +125,11 @@ def _real_roots(coeffs, ring=lambda x: np.abs(x.imag) / (1.0 + np.abs(x.real))):
 
 def _manipulator_terms(family, phi, tu, tv):
     """At the angles phi: D and N of the u - v equation D y = N, and p, c of
-    the u-equation y^2 + 2 p y + c = 0."""
-    a1, a2, b1, b2 = family.a1, family.a2, family.b1, family.b2
-    d = family.d
-    s, c = np.sin(phi), np.cos(phi)
-    cap1 = b1 * c + d * s
-    k1 = a1 * a1 + b1 * b1 + d * d
-    k2 = a2 * a2 + b2 * b2 + d * d
-    num = tu - tv - (k1 - k2) + 2.0 * a1 * cap1 - 2.0 * a2 * (b2 * c - d * s)
-    return 2.0 * (b1 + b2) * s, num, b1 * s - d * c, k1 - 2.0 * a1 * cap1 - tu
+    the u-equation y^2 + 2 p y + c = 0, from u = y^2 + 2 p1 y + u0 and
+    v = y^2 - 2 p2 y + v0."""
+    p1, _, p2, _ = family._axes(phi)
+    u0, v0 = family.evaluate(phi, 0.0)
+    return 2.0 * (p1 + p2), tu - tv - (u0 - v0), p1, u0 - tu
 
 
 def _manipulator_lift(family, q, tu, tv):
@@ -262,7 +263,7 @@ def _residual(family, q, tu, tv):
     return np.maximum(np.abs(u - tu), np.abs(v - tv))
 
 
-def _merge(family, q, resid, ok, tu, tv, tol_abs):
+def _merge(family, q, resid, ok, tu, tv, tol_abs, jbar):
     """Merge coinciding solutions per target.
 
     Two accepted solutions coincide when they are closer than MERGE_RADIUS
@@ -272,15 +273,18 @@ def _merge(family, q, resid, ok, tu, tv, tol_abs):
     point tried is their midpoint, or the midpoint with its eliminated
     coordinate lifted back onto the linear equation, which follows the
     curved fiber of a triple root where the straight midpoint leaves it.
+    Tried from either end, the two points can differ in rounding, so the
+    pair coincides when either solves the system.
 
     Returns the mask of one solution per cluster (n, m), and for it the
-    representative point, its residual and its |J|: of the cluster's points
-    and accepted in-between points, the one closest to singular, which for a
-    multiple root is the in-between point.
+    representative point, its residual and whether it is singular: of the
+    cluster's points and accepted in-between points, the one closest to
+    singular where its |J| is below ``jbar``, which for a multiple root is
+    an in-between point, and else the cluster's point of least residual.
     """
     n, m = ok.shape
     if m == 0:
-        return ok, q, resid, resid
+        return ok, q, resid, ok
     diag = np.eye(m, dtype=bool)
     delta = coord_deltas(family, q[:, :, None, :], q[:, None, :, :])
     near = ok[:, :, None] & ok[:, None, :] & (np.max(np.abs(delta), axis=-1) < MERGE_RADIUS)
@@ -299,20 +303,28 @@ def _merge(family, q, resid, ok, tu, tv, tol_abs):
     between[b, i, j] = np.where(use_lifted[:, None], lifted, mid)
     between_resid[b, i, j] = np.where(use_lifted, lifted_resid, mid_resid)
     link = between_resid < tol_abs
-    reach = link
+    reach = link | np.swapaxes(link, 1, 2)
     for _ in range(math.ceil(math.log2(m))):
         reach = np.matmul(reach.astype(np.int8), reach.astype(np.int8)) > 0
     first = ok & (np.argmax(reach, axis=-1) == np.arange(m))
 
     jdet = np.full((n, m, m), np.inf)
     jdet[link] = np.abs(family.jdet(between[link][:, 0], between[link][:, 1]))
-    k = np.argmin(jdet, axis=-1)[..., None]
-    rep = np.take_along_axis(between, k[..., None], axis=2)[:, :, 0]
-    rep_resid = np.take_along_axis(between_resid, k, axis=2)[..., 0]
-    return first, rep, rep_resid, np.take_along_axis(jdet, k, axis=2)[..., 0]
+    # For each cluster, a row of reach: the member whose linked point is
+    # closest to singular, that point, and the member of least residual.
+    at = np.arange(n)[:, None]
+    closest = np.argmin(jdet, axis=-1)
+    least_j = np.min(jdet, axis=-1)
+    singular = np.argmin(np.where(reach, least_j[:, None, :], np.inf), axis=-1)
+    best = np.argmin(np.where(reach, resid[:, None, :], np.inf), axis=-1)
+    k = closest[at, singular]
+    flags = least_j[at, singular] < jbar
+    rep = np.where(flags[..., None], between[at, singular, k], q[at, best])
+    rep_resid = np.where(flags, between_resid[at, singular, k], resid[at, best])
+    return first, rep, rep_resid, flags
 
 
-def _solve_batch(family: MapFamily, targets, box, tol):
+def _solve_batch(family: MapFamily, targets, box):
     """Solve f(q) = t for every row t of ``targets`` (n, 2).
 
     Returns the mask of solutions (n, m) and, under it, their points
@@ -333,15 +345,15 @@ def _solve_batch(family: MapFamily, targets, box, tol):
         resid = np.full(finite.shape, np.inf)
         q[finite], resid[finite], _ = newton(family.evaluate, family.jacobian, q[finite],
                                              targets[row], 0.0, POLISH_STEPS)
-        tol_abs = tol * (1.0 + np.maximum(np.abs(tu), np.abs(tv)))[:, None]
+        tol_abs = DKP_TOL * (1.0 + np.maximum(np.abs(tu), np.abs(tv)))[:, None]
         ok = resid < tol_abs
         # Candidates not accepted never link; the stable order keeps each
-        # cluster's first member and representative.
+        # cluster's first member.
         order = np.argsort(~ok, axis=1, kind="stable")[:, :np.max(np.sum(ok, axis=1), initial=0)]
         at = (np.arange(len(ok))[:, None], order)
-        keep, q, resid, jdet = _merge(family, q[at], resid[at], ok[at], tu, tv, tol_abs[:, :, None])
-    scales = reference_scales(family, box)
-    flags = jdet < SINGULAR_FLAG_FACTOR * max(1.0, scales.jdet)
+        jbar = SINGULAR_FLAG_FACTOR * max(1.0, reference_scales(family, box).jdet)
+        keep, q, resid, flags = _merge(family, q[at], resid[at], ok[at], tu, tv,
+                                       tol_abs[:, :, None], jbar)
     if family.periodic:
         q[..., 0] = canonical_phi(q[..., 0])
 
@@ -351,13 +363,7 @@ def _solve_batch(family: MapFamily, targets, box, tol):
     return keep, q, resid, flags, escaped
 
 
-def solve_dkp(
-    family: MapFamily,
-    target,
-    *,
-    box=None,
-    tol: float = 1e-9,
-) -> DkpSolutionSet:
+def solve_dkp(family: MapFamily, target, *, box=None) -> DkpSolutionSet:
     """Find all real workspace solutions of f(q) = target.
 
     With ``box=None`` every real solution is returned.  With an explicit box
@@ -368,7 +374,7 @@ def solve_dkp(
     target = JointPoint(float(target[0]), float(target[1]))
     if not (math.isfinite(target.u) and math.isfinite(target.v)):
         raise ValueError("target must be finite")
-    keep, q, resid, flags, escaped = _solve_batch(family, np.array([target]), box, tol)
+    keep, q, resid, flags, escaped = _solve_batch(family, np.array([target]), box)
     if np.any(escaped):
         pts = sorted({(round(p[0], 9), round(p[1], 9)) for p in q[escaped]})
         raise BoxTooSmall(
@@ -383,14 +389,7 @@ def solve_dkp(
         [bool(flags[0, i]) for i in idx])
 
 
-def count_map(
-    family: MapFamily,
-    bounds,
-    resolution,
-    *,
-    box=None,
-    tol: float = 1e-9,
-) -> CountMap:
+def count_map(family: MapFamily, bounds, resolution, *, box=None) -> CountMap:
     """Solution counts at the cell centers of a joint-space grid.
 
     All cells are solved in one batch.  With an explicit box, a cell with a
@@ -407,8 +406,7 @@ def count_map(
     us = u0 + (np.arange(nu) + 0.5) * (u1 - u0) / nu
     vs = v0 + (np.arange(nv) + 0.5) * (v1 - v0) / nv
     gu, gv = np.meshgrid(us, vs, indexing="ij")
-    keep, _, _, _, escaped = _solve_batch(
-        family, np.column_stack([gu.ravel(), gv.ravel()]), box, tol)
+    keep, _, _, _, escaped = _solve_batch(family, np.column_stack([gu.ravel(), gv.ravel()]), box)
     counts = np.sum(keep.reshape(nu, nv, -1), axis=-1, dtype=np.int8)
     failed = np.any(escaped.reshape(nu, nv, -1), axis=-1)
     if np.any(failed):

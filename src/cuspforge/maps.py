@@ -151,44 +151,29 @@ class Rpr2PrOffset:
         h1 = _sym22(2.0 * y * p2 + 2.0 * self.a2 * cap2, -2.0 * cap2, two)
         return np.stack([h0, h1], axis=-3)
 
+    # The axes turn with phi, p' = cap and cap' = -p, so that
+    # p1 cap2 - cap1 p2 = -(b1 + b2) d at every angle.
     def jdet(self, phi, y):
-        s, c = _sincos(phi)
+        p1, cap1, p2, cap2 = self._axes(phi)
         y = np.asarray(y, dtype=float)
-        kbb = self.b1 + self.b2
-        kab = self.a1 * self.b1 - self.a2 * self.b2
-        ka = self.a1 + self.a2
-        d = self.d
-        lin = kab * s - ka * d * c - kbb * d
-        const = self.b1 * self.b2 * s * s + (self.b1 - self.b2) * d * s * c - d * d * c * c
-        return kbb * c * y * y + lin * y - ka * const
+        lin = self.a1 * p1 - self.a2 * p2 - (self.b1 + self.b2) * self.d
+        return (cap1 + cap2) * y * y + lin * y - (self.a1 + self.a2) * p1 * p2
 
     def jdet_grad(self, phi, y):
-        s, c = _sincos(phi)
+        p1, cap1, p2, cap2 = self._axes(phi)
         y = np.asarray(y, dtype=float)
-        kbb = self.b1 + self.b2
-        kab = self.a1 * self.b1 - self.a2 * self.b2
-        ka = self.a1 + self.a2
-        d = self.d
-        c2s2 = c * c - s * s
-        jphi = (-kbb * s * y * y + (kab * c + ka * d * s) * y
-                - ka * (2.0 * self.b1 * self.b2 * s * c + (self.b1 - self.b2) * d * c2s2
-                        + 2.0 * d * d * s * c))
-        jy = 2.0 * kbb * c * y + kab * s - ka * d * c - kbb * d
+        jphi = (-(p1 + p2) * y * y + (self.a1 * cap1 - self.a2 * cap2) * y
+                - (self.a1 + self.a2) * (cap1 * p2 + p1 * cap2))
+        jy = 2.0 * (cap1 + cap2) * y + self.a1 * p1 - self.a2 * p2 - (self.b1 + self.b2) * self.d
         return jphi, jy
 
     def jdet_hess(self, phi, y):
-        s, c = _sincos(phi)
+        p1, cap1, p2, cap2 = self._axes(phi)
         y = np.asarray(y, dtype=float)
-        kbb = self.b1 + self.b2
-        kab = self.a1 * self.b1 - self.a2 * self.b2
-        ka = self.a1 + self.a2
-        d = self.d
-        c2s2 = c * c - s * s
-        jpp = (-kbb * c * y * y + (-kab * s + ka * d * c) * y
-               - ka * (2.0 * self.b1 * self.b2 * c2s2 - 4.0 * (self.b1 - self.b2) * d * s * c
-                       + 2.0 * d * d * c2s2))
-        jpy = -2.0 * kbb * s * y + kab * c + ka * d * s
-        jyy = 2.0 * kbb * c * np.ones_like(y)
+        jpp = (-(cap1 + cap2) * y * y - (self.a1 * p1 - self.a2 * p2) * y
+               - 2.0 * (self.a1 + self.a2) * (cap1 * cap2 - p1 * p2))
+        jpy = -2.0 * (p1 + p2) * y + self.a1 * cap1 - self.a2 * cap2
+        jyy = 2.0 * (cap1 + cap2) * np.ones_like(y)
         return jpp, jpy, jyy
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dkp import _solve_batch, solve_dkp
+from .dkp import DKP_TOL, SINGULAR_FLAG_FACTOR, _solve_batch, solve_dkp
 from .errors import (
     DivergedLift,
     PermutationInconsistent,
@@ -45,7 +45,6 @@ from .maps import (
     reference_scales,
 )
 
-SINGULAR_CLEARANCE_FACTOR = 1e-6
 FOLD_ZONE_FACTOR = 1e-2
 DEFAULT_SAMPLES_PER_TURN = 720
 MAX_SUBDIVISION = 14
@@ -198,13 +197,13 @@ def _nearest(family, pts, roots):
     return np.argmin(d, axis=-1), two[..., 0] < MATCH_RATIO * two[..., 1]
 
 
-def _root_tables(family, samples, tol):
+def _root_tables(family, samples):
     """The real non-singular roots at every loop sample (n, m, 2, NaN rows
     absent), and for every step k -> k + 1 the index at k + 1 of each root's
     nearest root (n - 1, m) and whether the step is clean: every root's
     match passes the ratio test, no two share a target and the root count
     does not change.  All samples are solved and matched at once."""
-    keep, q, _, flags, _ = _solve_batch(family, samples, None, tol)
+    keep, q, _, flags, _ = _solve_batch(family, samples, None)
     roots = np.where((keep & ~flags)[..., None], q, np.nan)
     # The ratio test reads the two nearest roots, present or absent.
     roots = np.pad(roots, ((0, 0), (0, max(0, 2 - roots.shape[1])), (0, 0)),
@@ -218,7 +217,7 @@ def _root_tables(family, samples, tol):
     return roots, near, clean
 
 
-def _lift_batch(family: MapFamily, loop: JointLoop, starts, tol: float = 1e-9) -> list:
+def _lift_batch(family: MapFamily, loop: JointLoop, starts) -> list:
     """Continue every start solution along the loop, all rows together.
 
     A row follows the exact roots of the loop samples across every clean
@@ -230,10 +229,10 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts, tol: float = 1e-9) -
     where there is one).
     """
     scales = reference_scales(family)
-    jbar = SINGULAR_CLEARANCE_FACTOR * max(1.0, scales.jdet)
+    jbar = SINGULAR_FLAG_FACTOR * max(1.0, scales.jdet)
     fold_zone = FOLD_ZONE_FACTOR * max(1.0, scales.jdet)
     base = loop.base
-    tol_abs = tol * (1.0 + max(abs(base.u), abs(base.v)))
+    tol_abs = DKP_TOL * (1.0 + max(abs(base.u), abs(base.v)))
 
     q = np.array([[s[0], s[1]] for s in starts], dtype=float).reshape(-1, 2)
     begin = [WorkspacePoint(float(p[0]), float(p[1])) for p in q]
@@ -290,7 +289,7 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts, tol: float = 1e-9) -
         end_rows, q_end = advance(mid_rows, q_mid, mid, t_to, depth + 1)
         return np.concatenate([rows[done], end_rows]), np.concatenate([cand[done], q_end])
 
-    roots, nxt, clean = _root_tables(family, samples, tol)
+    roots, nxt, clean = _root_tables(family, samples)
     # The step that ends the run of clean steps from each step on.
     run_end = np.append(np.flatnonzero(~clean) + 1, len(samples))
     rows = np.flatnonzero(~rejected)
@@ -335,22 +334,20 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts, tol: float = 1e-9) -
             for r in range(len(begin))]
 
 
-def lift_loop(family: MapFamily, loop: JointLoop, start, *,
-              tol: float = 1e-9) -> LoopLift:
+def lift_loop(family: MapFamily, loop: JointLoop, start) -> LoopLift:
     """Continue the start solution along the loop back to the base fiber.
 
     Raises :class:`SingularEncounter` (with the partial path attached) when
     any continuation point gets within the clearance threshold of {J = 0},
     and :class:`DivergedLift` when Newton fails despite sub-stepping.
     """
-    (lift,) = _lift_batch(family, loop, [start], tol=tol)
+    (lift,) = _lift_batch(family, loop, [start])
     if isinstance(lift, Exception):
         raise lift
     return lift
 
 
-def loop_permutation(family: MapFamily, loop: JointLoop, *, box=None,
-                     tol: float = 1e-9) -> Permutation:
+def loop_permutation(family: MapFamily, loop: JointLoop, *, box=None) -> Permutation:
     """Lift every base solution (``solve_dkp`` in ``box``) around the loop and
     match the endpoints; the lifts are kept in the result.
 
@@ -368,7 +365,7 @@ def loop_permutation(family: MapFamily, loop: JointLoop, *, box=None,
     np.fill_diagonal(pairwise, math.inf)
     reject_radius = 0.5 * float(np.min(pairwise))
 
-    lifts = _lift_batch(family, loop, sols, tol=tol)
+    lifts = _lift_batch(family, loop, sols)
     mapping = []
     for i, lift in enumerate(lifts):
         # The lowest-index failure is raised, as a lift of its own would.

@@ -1,13 +1,14 @@
 """Deterministic CSV and SVG emission.
 
-Floating values in CSV files are printed with 12 significant digits, so
-identical inputs produce byte-identical files.  ``write_svg`` draws exactly
-the data it is given on a 720 x 720 canvas, mapping the plotted box linearly
-onto it with the y-axis pointing up: an optional solution-count heat layer,
-singularity curves in blue and characteristic curves in green (one path
-element per branch), a joint loop, lifted paths, and one marker per cusp or
-isolated point.  ``workspace_plot`` and ``joint_plot`` derive those markers
-and the axis labels from a curve set and its family.
+Floating values in CSV files are printed with 12 significant digits, and a
+zero without its sign, so identical inputs produce byte-identical files.
+``write_svg`` draws exactly the data it is given on a 720 x 720 canvas,
+mapping the plotted box linearly onto it with the y-axis pointing up: an
+optional solution-count heat layer, singularity curves in blue and
+characteristic curves in green (one path element per branch), a joint loop,
+lifted paths, and one marker per cusp or isolated point.  ``workspace_plot``
+and ``joint_plot`` derive those markers and the axis labels from a curve set
+and its family.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ COUNT_COLORS = {
 
 
 def fmt(x) -> str:
-    return f"{float(x):.12g}"
+    return f"{float(x) + 0.0:.12g}"  # + 0.0 turns -0.0 into 0.0
 
 
 def write_special_points_csv(path, points: list[SpecialPoint]):
@@ -62,7 +63,7 @@ def write_curves_csv(path, cs: CurveSet, coord_names=("c1", "c2")):
             cusps = set(poly.cusp_indices)
             head = f"{ci},{poly.kind},{int(poly.closed)},"
             fh.write("".join(f"{head}{vi},{int(vi in cusps)},{x:.12g},{y:.12g}\r\n"
-                             for vi, (x, y) in enumerate(poly.vertices.tolist())))
+                             for vi, (x, y) in enumerate((poly.vertices + 0.0).tolist())))
 
 
 def write_solutions_csv(path, sols: DkpSolutionSet):

@@ -49,12 +49,17 @@ COEFF_FLOOR = 1e-12
 #: multiple roots, scattered by about 1e-4.
 RESULTANT_DEGREE = 12
 SEED_RING = 1e-3
-#: Gauss-Newton iterations without halving the best residual, above the
-#: tolerance, after which a seed is given up.
+#: Gauss-Newton iterations without halving the best residual, above
+#: DETECTION_TOL, after which a seed is given up.
 STALL_ITERATIONS = 10
 #: Share of the Jacobian scale below which |Jac| marks a corank-2 point,
 #: which Newton on grad J = 0 polishes.
 CORANK2_POLISH_FACTOR = 1e-3
+#: Detection residual below which a Gauss-Newton candidate is kept.
+DETECTION_TOL = 1e-10
+#: |J| and kernel-alignment residual, relative to their scales, within
+#: which a point is classified: on the singularity set, and a cusp.
+CLASSIFY_TOL = 1e-8
 
 
 class PointKind(enum.Enum):
@@ -144,16 +149,16 @@ def detection_system(family: MapFamily, q) -> DetectionResidual:
     return DetectionResidual(float(r[0]), float(r[1]), float(r[2]))
 
 
-def _gauss_newton(family: MapFamily, seeds, step_cap, tol, jac_floor, max_iter=80):
+def _gauss_newton(family: MapFamily, seeds, step_cap, jac_floor, max_iter=80):
     """Damped Gauss-Newton on the 3-equation detection system, vectorized.
 
     A row stops when its step vanishes or leaves the finite numbers, or
-    when its residual has stayed above ``tol`` without halving its best for
-    STALL_ITERATIONS iterations.  A row with residual below ``tol`` and
+    when its residual has stayed above DETECTION_TOL without halving its best
+    for STALL_ITERATIONS iterations.  A row with residual below DETECTION_TOL and
     |Jac| below ``jac_floor`` is near a corank-2 point, where Gauss-Newton
     is only linear; Newton on grad J = 0 with Jacobian Hess J finishes it
     (a regular zero of the gradient there), unless that pulls it
-    off {J = 0} to a residual above ``tol`` (a cusp next to an unfolded
+    off {J = 0} to a residual above DETECTION_TOL (a cusp next to an unfolded
     corank-2 point), when Gauss-Newton goes on.
     """
     q = np.array(seeds, dtype=float)
@@ -165,14 +170,14 @@ def _gauss_newton(family: MapFamily, seeds, step_cap, tol, jac_floor, max_iter=8
         idx = np.flatnonzero(active)
         r, a, jac = _detection_batch(family, q[idx])
         res = np.max(np.abs(r), axis=-1)
-        low = may_polish[idx] & (res < tol)
+        low = may_polish[idx] & (res < DETECTION_TOL)
         low[low] = np.linalg.norm(jac[low], 2, axis=(1, 2)) < jac_floor
         flat = idx[low]
         if flat.size:
             may_polish[flat] = False
             polished = newton(family.jdet_grad, lambda x, y: _sym22(*family.jdet_hess(x, y)),
                               q[flat], (0.0, 0.0), 0.0, 40)[0]
-            ok = np.max(np.abs(_detection_batch(family, polished)[0]), axis=-1) < tol
+            ok = np.max(np.abs(_detection_batch(family, polished)[0]), axis=-1) < DETECTION_TOL
             q[flat[ok]], active[flat[ok]] = polished[ok], False
             keep = active[idx]
             idx, r, a, res = idx[keep], r[keep], a[keep], res[keep]
@@ -196,7 +201,7 @@ def _gauss_newton(family: MapFamily, seeds, step_cap, tol, jac_floor, max_iter=8
             dq[over] *= (step_cap / norms[over])[:, None]
         q[idx] += dq
         still = ((norms > 1e-15) & np.all(np.isfinite(q[idx]), axis=1)
-                 & ((best[idx] < tol) | (it - best_at[idx] < STALL_ITERATIONS)))
+                 & ((best[idx] < DETECTION_TOL) | (it - best_at[idx] < STALL_ITERATIONS)))
         active[idx[~still]] = False
         if not np.any(active):
             break
@@ -274,10 +279,10 @@ def discriminant(expansion: QuadraticExpansion) -> float:
     return cyphi * cyphi - 4.0 * cyy * cphiphi
 
 
-def classify_point(family: MapFamily, q, tol: float = 1e-8) -> SpecialPoint:
+def classify_point(family: MapFamily, q) -> SpecialPoint:
     """Classify a point of the singularity set.
 
-    The point must satisfy J = 0 within tolerance (PreconditionViolated
+    The point must satisfy J = 0 within CLASSIFY_TOL (PreconditionViolated
     otherwise).  Rank-1 points are cusps when the Whitney nondegeneracy test
     passes and the full detection residual is small; rank-1 points with a
     large kernel-alignment residual are plain folds.  Rank-0 points are
@@ -289,7 +294,7 @@ def classify_point(family: MapFamily, q, tol: float = 1e-8) -> SpecialPoint:
     r, a, jac = _detection_batch(family, q)
     j_res = abs(float(r[0]))
     k_res = float(np.max(np.abs(r[1:])))
-    jtol = tol * max(1.0, scales.jdet)
+    jtol = CLASSIFY_TOL * max(1.0, scales.jdet)
     if j_res > jtol:
         raise PreconditionViolated(
             f"point is not on the singularity set: |J| = {j_res:.3e} > {jtol:.3e}")
@@ -312,7 +317,7 @@ def classify_point(family: MapFamily, q, tol: float = 1e-8) -> SpecialPoint:
             kind = PointKind.CORANK2_ELLIPTIC
         return SpecialPoint(location, image, kind, float(delta), residual)
 
-    ktol = tol * max(1.0, scales.jac_entry * scales.jdet)
+    ktol = CLASSIFY_TOL * max(1.0, scales.jac_entry * scales.jdet)
     ratio = sing[1] / max(sing[0], 1e-300)
     if k_res > ktol or ratio >= RANK_RATIO_THRESHOLD:
         return SpecialPoint(location, image, PointKind.FOLD_ONLY, float("nan"), residual)
@@ -407,9 +412,9 @@ def _resultant_seeds(family: MapFamily, box):
     return seeds[np.all(np.isfinite(seeds), axis=1)]
 
 
-def _from_seeds(family: MapFamily, box, seeds, tol):
+def _from_seeds(family: MapFamily, box, seeds):
     """Gauss-Newton from the seeds, which polishes the corank-2 points; every
-    candidate in the box with detection residual below ``tol`` is kept,
+    candidate in the box with detection residual below DETECTION_TOL is kept,
     deduplicated at radius 1e-6 times the box diagonal (max-norm, angle
     modulo 2*pi for the periodic families), and classified."""
     (x0, x1), (y0, y1) = box
@@ -417,8 +422,8 @@ def _from_seeds(family: MapFamily, box, seeds, tol):
     jac_floor = CORANK2_POLISH_FACTOR * reference_scales(family, box).jac_entry
     # A seed at a pole of q / A (A = 0) can diverge; it is dropped here.
     with np.errstate(over="ignore", invalid="ignore"):
-        converged, residuals = _gauss_newton(family, seeds, diag / 8.0, tol, jac_floor)
-    candidates = converged[(residuals < tol) & np.all(np.isfinite(converged), axis=1)]
+        converged, residuals = _gauss_newton(family, seeds, diag / 8.0, jac_floor)
+    candidates = converged[(residuals < DETECTION_TOL) & np.all(np.isfinite(converged), axis=1)]
 
     # Keep only candidates inside the search box; periodic angles are
     # reported canonical.
@@ -430,16 +435,15 @@ def _from_seeds(family: MapFamily, box, seeds, tol):
 
     candidates = candidates[np.lexsort((candidates[:, 1], candidates[:, 0]))]
     radius = 1e-6 * diag
-    points = [classify_point(family, q, tol=max(tol * 100.0, 1e-9))
-              for q in candidates[dedup_mask(family, candidates, radius)]]
+    points = [classify_point(family, q) for q in candidates[dedup_mask(family, candidates, radius)]]
     return sorted(points, key=lambda p: (p.location.phi, p.location.y))
 
 
-def find_special_points(family: MapFamily, box=None, tol: float = 1e-10) -> list[SpecialPoint]:
+def find_special_points(family: MapFamily, box=None) -> list[SpecialPoint]:
     """Find all special points in a workspace box, from the resultant seeds."""
     if box is None:
         box = family.default_box()
     (x0, x1), (y0, y1) = box
     if not (x1 > x0 and y1 > y0):
         raise ValueError("box must be non-degenerate")
-    return _from_seeds(family, box, _resultant_seeds(family, box), tol)
+    return _from_seeds(family, box, _resultant_seeds(family, box))

@@ -13,10 +13,10 @@ import numpy as np
 from cuspforge.singular import _from_seeds
 
 
-def multistart_special_points(family, box=None, *, grid=64, tol=1e-10):
+def multistart_special_points(family, box=None, *, grid=64):
     """Special points found from a ``grid`` x ``grid`` lattice of seeds."""
     if box is None:
         box = family.default_box()
     (x0, x1), (y0, y1) = box
     gx, gy = np.meshgrid(np.linspace(x0, x1, grid), np.linspace(y0, y1, grid), indexing="ij")
-    return _from_seeds(family, box, np.stack([gx.ravel(), gy.ravel()], axis=-1), tol)
+    return _from_seeds(family, box, np.stack([gx.ravel(), gy.ravel()], axis=-1))

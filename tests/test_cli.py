@@ -258,6 +258,14 @@ class TestErrorPaths:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["cusps"], ["classify", "--point=0,1"],
+                                         ["dkp", "--target", "11.89,6.89"]])
+    def test_solver_tolerance_is_no_longer_accepted(self, tmp_path, capsys, command):
+        # Each solver module owns its tolerance; a config cannot change it.
+        cfg = write_cfg(tmp_path, OFFSET_CFG + "tol = 1e-9\n")
+        assert main(command + ["--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "unknown key 'tol'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, key", [(EXACT_CFG + "d = 3\n", "d"),
                                            (QUARTO_CFG + "a1 = 3\n", "a1")],
                              ids=["exact-d", "quarto-a1"])

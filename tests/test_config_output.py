@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import fields
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -63,6 +64,11 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("family = rpr2pr_exact\nmass = 3\n")
 
+    def test_tol_is_no_key(self):
+        with pytest.raises(ConfigError, match="unknown key 'tol'"):
+            parse_config("family = rpr2pr_exact\na1 = 3\na2 = 7\nb1 = 6\nb2 = 5\ntol = 1e-9\n")
+        assert "tol" not in {f.name for f in fields(AnalysisConfig)}
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError, match="unknown family"):
             parse_config("family = pentagon\n")
@@ -104,6 +110,13 @@ class TestCsvOutput:
         assert fmt(math.pi) == "3.14159265359"
         assert fmt(1.0) == "1"
         assert fmt(-1.25e-7) == "-1.25e-07"
+
+    def test_negative_zero_is_written_as_zero(self, tmp_path):
+        assert fmt(-0.0) == "0"
+        path = tmp_path / "curves.csv"
+        write_curves_csv(path, CurveSet([Polyline(np.array([[-6.0, -0.0]]), False,
+                                                  KIND_CHARACTERISTIC)]))
+        assert path.read_text().splitlines()[1] == "0,characteristic,0,0,0,-6,0"
 
     def test_byte_identical_reruns(self, tmp_path, square_family, square_trace):
         points = find_special_points(square_family, NORMAL_BOX)

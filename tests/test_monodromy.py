@@ -268,7 +268,7 @@ class TestExactRootLifts:
         loops, _ = paper_loops
         for family, loop in loops:
             perm = loop_permutation(family, loop)
-            roots, nxt, clean = monodromy._root_tables(family, loop.samples, 1e-9)
+            roots, nxt, clean = monodromy._root_tables(family, loop.samples)
             assert clean.all()
             for lift in perm.lifts:
                 at = int(np.nanargmin(point_distances(family, roots[0], lift.path[0])))

@@ -47,11 +47,11 @@ def assert_matches_reference_elimination(family, targets):
     same solutions to within 1e-12 (max-norm)."""
     _, candidates, lift = REFERENCE[type(family)]
     targets = np.array(targets, dtype=float)
-    got = dkp._solve_batch(family, targets, None, 1e-9)
+    got = dkp._solve_batch(family, targets, None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dkp, "_quadratic_candidates", candidates)
         mp.setattr(dkp, "_quadratic_lift", lift)
-        want = dkp._solve_batch(family, targets, None, 1e-9)
+        want = dkp._solve_batch(family, targets, None)
     assert np.array_equal(np.sum(got[0], axis=1), np.sum(want[0], axis=1))
     for row, target in enumerate(targets):
         q, q_ref = got[1][row, got[0][row]], want[1][row, want[0][row]]

@@ -1,11 +1,14 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from cuspforge import AnalysisConfig
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                    re.MULTILINE | re.DOTALL)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.MULTILINE | re.DOTALL)
 
 
 def test_readme_has_python_examples():
@@ -15,3 +18,9 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_python_block_runs(code):
     exec(compile(code, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_readme_lists_exactly_the_config_keys():
+    listed = re.search(r"Recognized keys:(.*?)\.\s", TEXT, re.DOTALL).group(1)
+    keys = {k for span in re.findall(r"`([^`]*)`", listed) for k in span.split()}
+    assert keys == {f.name for f in fields(AnalysisConfig)}
