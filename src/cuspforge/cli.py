@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -28,12 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import output
-from .config import (
-    family_from_config,
-    joint_bounds,
-    load_config,
-    workspace_box,
-)
+from .config import family_from_config, load_config, workspace_box
 from .dkp import count_map, solve_dkp
 from .errors import ConfigError, CuspforgeError
 from .maps import JointPoint, make_family, point_distances
@@ -61,8 +55,7 @@ def _outdir(args) -> Path:
 def _load(args):
     cfg = load_config(args.config)
     family = family_from_config(cfg)
-    box = workspace_box(cfg, family)
-    return cfg, family, box
+    return family, workspace_box(cfg, family)
 
 
 def _auto_joint_bounds(jcs, margin=0.12):
@@ -77,7 +70,7 @@ def _auto_joint_bounds(jcs, margin=0.12):
 
 
 def cmd_cusps(args) -> int:
-    _, family, box = _load(args)
+    family, box = _load(args)
     points = find_special_points(family, box)
     out = _outdir(args)
     output.write_special_points_csv(out / "cusps.csv", points)
@@ -94,9 +87,8 @@ def cmd_cusps(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    _, family, box = _load(args)
-    cs = trace_singularity_curves(family, box, args.step,
-                                  specials=find_special_points(family, box))
+    family, box = _load(args)
+    cs = trace_singularity_curves(family, box, args.step)
     jcs = image_curves(family, cs)
     characteristics = None
     if args.characteristics:
@@ -119,7 +111,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _, family, _ = _load(args)
+    family, _ = _load(args)
     phi, y = _parse_pair(args.point, "--point")
     point = classify_point(family, (phi, y))
     if point.kind in (PointKind.CORANK2_ELLIPTIC, PointKind.CORANK2_HYPERBOLIC):
@@ -132,7 +124,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_dkp(args) -> int:
-    _, family, box = _load(args)
+    family, box = _load(args)
     target = _parse_pair(args.target, "--target")
     sols = solve_dkp(family, target, box=box)
     out = _outdir(args)
@@ -147,7 +139,7 @@ def cmd_dkp(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    cfg, family, box = _load(args)
+    family, box = _load(args)
     if args.bounds:
         parts = args.bounds.split(",")
         if len(parts) != 4:
@@ -156,11 +148,11 @@ def cmd_regions(args) -> int:
             u0, u1, v0, v1 = (float(p) for p in parts)
         except ValueError:
             raise ConfigError("--bounds must be numeric") from None
-        cfg = dataclasses.replace(cfg, u_min=u0, u_max=u1, v_min=v0, v_max=v1)
-    bounds = joint_bounds(cfg)
-    if bounds is None:
-        cs = trace_singularity_curves(family, box, specials=find_special_points(family, box))
-        bounds = _auto_joint_bounds(image_curves(family, cs))
+        if not (0.0 < u1 - u0 < math.inf and 0.0 < v1 - v0 < math.inf):
+            raise ConfigError("joint window is degenerate or infinite")
+        bounds = ((u0, u1), (v0, v1))
+    else:
+        bounds = _auto_joint_bounds(image_curves(family, trace_singularity_curves(family, box)))
     resolution = args.resolution or 32
     cm = count_map(family, bounds, resolution, box=box)
     out = _outdir(args)
@@ -196,9 +188,9 @@ def _loop_from_args(args) -> JointLoop:
 
 
 def cmd_monodromy(args) -> int:
-    _, family, box = _load(args)
+    family, box = _load(args)
     loop = _loop_from_args(args)
-    cs = trace_singularity_curves(family, box, specials=find_special_points(family, box))
+    cs = trace_singularity_curves(family, box)
     jcs = image_curves(family, cs)
     loop = loop_clearance(loop, jcs)
     print(f"loop base = ({loop.base.u:.9g}, {loop.base.v:.9g}), "
@@ -254,8 +246,7 @@ def _swaps_two(perm) -> bool:
 
 def _reach_image(family):
     """Image of the singular set over the family's whole reach box."""
-    return image_curves(family, trace_singularity_curves(
-        family, specials=find_special_points(family)))
+    return image_curves(family, trace_singularity_curves(family))
 
 
 def _check_exact(report: _Report, family, points, cs, jcs):

@@ -1,9 +1,7 @@
 """Line-oriented analysis configuration: ``key = value`` with # comments.
 
-Recognized keys: family, a1, a2, b1, b2, d, a, b, phi_min, phi_max, y_max,
-and the optional joint-window keys u_min, u_max, v_min, v_max used by the
-region-counting subcommand.  Unset keys fall back to the
-defaults of whatever module consumes them.
+Recognized keys: family, a1, a2, b1, b2, d, a, b, phi_min, phi_max, y_max.
+Unset keys fall back to the defaults of whatever module consumes them.
 """
 
 from __future__ import annotations
@@ -15,8 +13,7 @@ from .errors import ConfigError
 from .maps import FAMILY_KINDS, MapFamily, make_family
 
 _FAMILY_KEYS = ("a1", "a2", "b1", "b2", "d", "a", "b")
-_FLOAT_KEYS = _FAMILY_KEYS + ("phi_min", "phi_max", "y_max",
-                               "u_min", "u_max", "v_min", "v_max")
+_FLOAT_KEYS = _FAMILY_KEYS + ("phi_min", "phi_max", "y_max")
 
 
 @dataclass(frozen=True)
@@ -32,10 +29,6 @@ class AnalysisConfig:
     phi_min: float | None = None
     phi_max: float | None = None
     y_max: float | None = None
-    u_min: float | None = None
-    u_max: float | None = None
-    v_min: float | None = None
-    v_max: float | None = None
 
 
 def parse_config(text: str) -> AnalysisConfig:
@@ -118,14 +111,3 @@ def workspace_box(cfg: AnalysisConfig, family: MapFamily):
         raise ConfigError("workspace window is degenerate")
     return ((x0, x1), (y0, y1))
 
-
-def joint_bounds(cfg: AnalysisConfig):
-    """Joint window from the config, or None when not fully specified."""
-    vals = (cfg.u_min, cfg.u_max, cfg.v_min, cfg.v_max)
-    if all(v is None for v in vals):
-        return None
-    if any(v is None for v in vals):
-        raise ConfigError("joint window needs all of u_min, u_max, v_min, v_max")
-    if not (0.0 < cfg.u_max - cfg.u_min < math.inf and 0.0 < cfg.v_max - cfg.v_min < math.inf):
-        raise ConfigError("joint window is degenerate or infinite")
-    return ((cfg.u_min, cfg.u_max), (cfg.v_min, cfg.v_max))

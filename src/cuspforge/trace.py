@@ -12,7 +12,10 @@ ends (a root has a square-root profile at a turning point).  Pieces whose
 ends meet are chained (at turning points, across the periodic seam), chains
 end at corank-2 points as tagged endpoints, and each chain is resampled
 evenly in arc length, oriented along (-J_y, J_x) and, with all others,
-projected onto {J = 0} by one batched Newton call.
+projected onto {J = 0} by one batched Newton call.  A chain passing a
+special point has a vertex there, which records the point's index; a cusp's
+vertex is then set to the located cusp.  The elliptic corank-2 points are
+isolated in {J = 0} and are reported as such.
 
 Characteristic curves are the extra direct-kinematics solutions over the
 images of the singular vertices, chained by nearest-neighbor continuation.
@@ -68,7 +71,9 @@ NODE_RADIUS = 1e-6
 #: Fine samples per vertex, from which vertices are spaced in arc length.
 ARC_OVERSAMPLING = 4
 CHAIN_JUMP_FACTOR = 3.0
-ISOLATION_RADIUS_FACTOR = 10.0
+#: The special points at which branches end.
+CORANK2_KINDS = (PointKind.CORANK2_ELLIPTIC, PointKind.CORANK2_HYPERBOLIC,
+                 PointKind.DEGENERATE)
 
 
 @dataclass
@@ -101,21 +106,30 @@ def _arclength(pts):
     return np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
 
 
-def _branches(family, box, step, specials, barriers):
-    """Vertices, closed flag and corank-2 end tags of every branch of
-    {J = 0} in the box, before the final projection.  The (n, 2) special
-    points become breakpoints and, where a branch passes, vertices with
-    evenly spaced neighbors; branches end at the corank-2 ``barriers``."""
+def _branches(family, box, step, specials):
+    """Vertices, closed flag, corank-2 end tags and special marks of every
+    branch of {J = 0} in the box, before the final projection.  The special
+    points become breakpoints and, where a branch passes, cut vertices with
+    evenly spaced neighbors; the marks map each cut vertex on a special point
+    to that point's index.  Branches end at the corank-2 points."""
     (x0, x1), (y0, y1) = box
     wrap = family.periodic and x1 - x0 >= TWO_PI - 1e-9
     width = TWO_PI if wrap else x1 - x0
     node_radius = NODE_RADIUS * math.hypot(x1 - x0, y1 - y0)
+    locs = np.array([p.location for p in specials]).reshape(-1, 2)
+    corank2 = np.array([p.kind in CORANK2_KINDS for p in specials], dtype=bool)
+
+    def special(q):
+        """Index of the special point within node_radius of q, or -1."""
+        dist = point_distances(family, locs, q)
+        return int(np.argmin(dist)) if np.min(dist, initial=np.inf) < node_radius else -1
+
     ref = np.max(np.abs(_abc(family, x0 + width * np.arange(FIT_SAMPLES) / FIT_SAMPLES)))
     # Double zeros of the discriminant come out about 1e-8 off, so its zeros
     # come last and lose the merge to an exact breakpoint nearby.
     fns = ((lambda x: _abc(family, x)[1], ref), (lambda x: family.jdet(x, y0), ref),
            (lambda x: family.jdet(x, y1), ref), (lambda x: _disc(*_abc(family, x)), ref * ref))
-    brk = np.concatenate([[x0, x0 + width], specials[:, 0]]
+    brk = np.concatenate([[x0, x0 + width], locs[:, 0]]
                          + [_zeros(family, f, x0, width, r, FIT_DEGREE, ROOT_RING)
                             for f, r in fns])
     if family.periodic:
@@ -157,11 +171,12 @@ def _branches(family, box, step, specials, barriers):
     # more stop.
     link, tagged = {}, set()
     for (bi, y), group in ends.items():
-        node = np.flatnonzero(point_distances(family, barriers, (brk[bi], y)) < node_radius)
-        if node.size:
+        k = special((brk[bi], y))
+        stop = k >= 0 and corank2[k]
+        if stop:
             for e in group:
-                pieces[e // 2][-(e % 2)] = barriers[node[0]]
-        if node.size or len(group) > 2:
+                pieces[e // 2][-(e % 2)] = locs[k]
+        if stop or len(group) > 2:
             tagged.update(group)
         elif len(group) == 2:
             link[group[0]], link[group[1]] = group[1], group[0]
@@ -171,9 +186,6 @@ def _branches(family, box, step, specials, barriers):
     # (so a cusp sits midway between its neighbors) and the vertex count of
     # even steps.  The final projection puts the vertices, interpolated
     # along the fine samples, back onto the curve.
-    def special(q):
-        return np.min(point_distances(family, specials, q), initial=np.inf) < node_radius
-
     branches, used = [], set()
     for e0 in sorted(range(2 * len(pieces)), key=lambda e: e in link):
         if e0 // 2 in used:
@@ -184,7 +196,7 @@ def _branches(family, box, step, specials, barriers):
             part = pieces[e // 2][::-1] if e % 2 else pieces[e // 2]
             if len(fine):  # continue across the periodic seam
                 part = part + [TWO_PI * np.round((fine[-1, 0] - part[0, 0]) / TWO_PI), 0.0]
-                if special(part[0]):
+                if special(part[0]) >= 0:
                     cuts.append(len(fine) - 1)
             fine = np.concatenate([fine, part[1:] if len(fine) else part])
             nxt = link.get(e ^ 1)
@@ -192,35 +204,39 @@ def _branches(family, box, step, specials, barriers):
                 break
             e = nxt
         cuts.append(len(fine) - 1)
-        half = [float(special(fine[c])) for c in cuts]
+        at_special = [special(fine[c]) for c in cuts]
         verts = [fine[:1]]
-        for lo, hi, h0, h1 in zip(cuts, cuts[1:], half, half[1:]):
+        for lo, hi, k0, k1 in zip(cuts, cuts[1:], at_special, at_special[1:]):
+            h0, h1 = float(k0 >= 0), float(k1 >= 0)
             s = _arclength(fine[lo:hi + 1])
             n = math.ceil(s[-1] / step)
             at = np.append((np.arange(1, n) - 0.5 * h0) * s[-1] / (n - 0.5 * (h0 + h1) * (n > 1)),
                            s[-1])
             verts.append(np.column_stack([np.interp(at, s, fine[lo:hi + 1, j]) for j in (0, 1)]))
+        cut_vertices = np.cumsum([len(v) for v in verts]) - 1
         closed = nxt == e0
         branches.append((np.concatenate(verts), closed,
-                         (False, False) if closed else (e0 in tagged, e ^ 1 in tagged)))
+                         (False, False) if closed else (e0 in tagged, e ^ 1 in tagged),
+                         {int(i): k for i, k in zip(cut_vertices, at_special) if k >= 0}))
 
     # Where A = B = C = 0 the vertical line is singular (the quarto with
     # ab = 0); it is split at its corank-2 points.
     for xv in brk[np.max(np.abs(_abc(family, brk)), axis=0) <= COEFF_FLOOR * ref]:
-        on = ((np.abs(barriers[:, 0] - xv) < node_radius)
-              & (barriers[:, 1] > y0) & (barriers[:, 1] < y1))
-        cuts = np.concatenate([[y0], np.sort(barriers[on, 1]), [y1]])
+        on = (corank2 & (np.abs(locs[:, 0] - xv) < node_radius)
+              & (locs[:, 1] > y0) & (locs[:, 1] < y1))
+        cuts = np.concatenate([[y0], np.sort(locs[on, 1]), [y1]])
         for j in range(len(cuts) - 1):
             yv = np.linspace(cuts[j], cuts[j + 1], math.ceil((cuts[j + 1] - cuts[j]) / step) + 1)
             branches.append((np.column_stack([np.full_like(yv, xv), yv]), False,
-                             (j > 0, j < len(cuts) - 2)))
+                             (j > 0, j < len(cuts) - 2), {}))
 
     # Every branch runs along the rotated gradient (-J_y, J_x).
-    for i, (verts, closed, tags) in enumerate(branches):
+    for i, (verts, closed, tags, marks) in enumerate(branches):
         m = (len(verts) - 1) // 2
         gx, gy = family.jdet_grad(*(0.5 * (verts[m] + verts[m + 1])))
         if (verts[m + 1] - verts[m]) @ np.array([-gy, gx]) < 0.0:
-            branches[i] = verts[::-1], closed, tags[::-1]
+            n = len(verts) - 1
+            branches[i] = verts[::-1], closed, tags[::-1], {n - vi: k for vi, k in marks.items()}
     return branches
 
 
@@ -234,9 +250,11 @@ def trace_singularity_curves(
     """Construct all branches of {J = 0} inside the box, vertices about
     ``step`` apart in arc length.
 
-    Branches are split at corank-2 points (emitted as tagged endpoints),
-    cusp vertices are snapped onto the located cusps, and corank-2 elliptic
-    points with no branch nearby are reported as isolated points.
+    Branches are split at corank-2 points (emitted as tagged endpoints).
+    Each located cusp that a branch passes is a vertex of it, equal to the
+    cusp and listed in ``cusp_indices``; a cusp that no branch passes is
+    logged.  The corank-2 elliptic points, where J is definite, are the
+    isolated points.
     """
     if box is None:
         box = family.default_box()
@@ -250,63 +268,35 @@ def trace_singularity_curves(
 
     if specials is None:
         specials = find_special_points(family, box)
-    corank2_kinds = (PointKind.CORANK2_ELLIPTIC, PointKind.CORANK2_HYPERBOLIC,
-                     PointKind.DEGENERATE)
-    barriers = np.array(
-        [[p.location.phi, p.location.y] for p in specials if p.kind in corank2_kinds]
-    ).reshape(-1, 2)
-    cusps = [p for p in specials if p.kind == PointKind.CUSP]
-
     jtol = 1e-10 * max(1.0, reference_scales(family, box).jdet)
-    branches = _branches(family, box, step, np.array(
-        [p.location for p in specials]).reshape(-1, 2), barriers)
+    branches = _branches(family, box, step, specials)
     traced = np.empty((0, 2))
     if branches:  # one projection for all vertices
-        traced, _ = _correct(family, np.concatenate([v for v, _, _ in branches]), jtol)
+        traced, _ = _correct(family, np.concatenate([b[0] for b in branches]), jtol)
         if family.periodic:
             traced[:, 0] = canonical_phi(traced[:, 0])
-    polylines, ends = [], np.cumsum([len(b[0]) for b in branches])
-    for verts, (_, closed, tags) in zip(np.split(traced, ends[:-1]), branches):
-        polylines.append(Polyline(verts.copy(), closed, KIND_SINGULARITY, corank2_endpoints=tags))
+
+    # A cusp's cut vertex is set to the located cusp; on a closed branch the
+    # last vertex repeats vertex 0.
+    polylines, on_branch = [], set()
+    ends = np.cumsum([len(b[0]) for b in branches])
+    for verts, (_, closed, tags, marks) in zip(np.split(traced, ends[:-1]), branches):
+        poly = Polyline(verts.copy(), closed, KIND_SINGULARITY, corank2_endpoints=tags)
+        for vi, k in sorted(marks.items()):
+            if specials[k].kind == PointKind.CUSP and not (closed and vi == len(verts) - 1):
+                poly.vertices[vi] = specials[k].location
+                poly.cusp_indices.append(vi)
+                on_branch.add(k)
         if closed:
-            polylines[-1].vertices[-1] = verts[0]
+            poly.vertices[-1] = poly.vertices[0]
+        polylines.append(poly)
+    for k, p in enumerate(specials):
+        if p.kind == PointKind.CUSP and k not in on_branch:
+            log.warning("cusp at (%g, %g) is not on any traced branch", *p.location)
 
-    # Snap each located cusp onto its nearest vertex and flag it.
-    for cusp in cusps:
-        loc = np.array([cusp.location.phi, cusp.location.y])
-        best = None
-        for ci, poly in enumerate(polylines):
-            dists = point_distances(family, poly.vertices, loc)
-            vi = int(np.argmin(dists))
-            if best is None or dists[vi] < best[0]:
-                best = (float(dists[vi]), ci, vi)
-        if best is None or best[0] > 3.0 * step:
-            log.warning("cusp at (%g, %g) is not on any traced branch",
-                        loc[0], loc[1])
-            continue
-        _, ci, vi = best
-        poly = polylines[ci]
-        if vi in poly.cusp_indices:
-            continue
-        poly.vertices[vi] = loc
-        if poly.closed and vi == 0:
-            poly.vertices[-1] = loc
-        poly.cusp_indices.append(vi)
-    for poly in polylines:
-        poly.cusp_indices.sort()
-
-    isolation_radius = ISOLATION_RADIUS_FACTOR * step
-    isolated: list[WorkspacePoint] = []
-    for p in specials:
-        if p.kind != PointKind.CORANK2_ELLIPTIC:
-            continue
-        loc = np.array([p.location.phi, p.location.y])
-        if len(traced) and np.min(point_distances(family, traced, loc)) < isolation_radius:
-            continue
-        isolated.append(p.location)
-
+    # J is definite at an elliptic corank-2 point, so no branch passes it.
+    isolated = sorted(p.location for p in specials if p.kind == PointKind.CORANK2_ELLIPTIC)
     polylines.sort(key=lambda c: (round(c.vertices[0, 0], 9), round(c.vertices[0, 1], 9)))
-    isolated.sort()
     return CurveSet(polylines, isolated)
 
 

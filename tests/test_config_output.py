@@ -22,7 +22,7 @@ from cuspforge import (
     output,
     parse_config,
 )
-from cuspforge.config import family_from_config, joint_bounds, workspace_box
+from cuspforge.config import family_from_config, workspace_box
 from cuspforge.output import (
     fmt,
     joint_plot,
@@ -99,10 +99,11 @@ class TestConfigRoundTrip:
         assert box[1] == (-8.0, 8.0)
         assert abs(box[0][0] + math.pi / 2) < 1e-15
 
-    def test_joint_bounds_all_or_nothing(self):
-        cfg = parse_config("family = quarto_unfolded\na=1\nb=1\nu_min=0\n")
-        with pytest.raises(ConfigError, match="needs all of"):
-            joint_bounds(cfg)
+    def test_joint_window_is_no_key(self):
+        # The count map's joint window comes from `regions --bounds` only.
+        with pytest.raises(ConfigError, match="unknown key 'u_min'"):
+            parse_config("family = quarto_unfolded\na=1\nb=1\nu_min=0\n")
+        assert "u_min" not in {f.name for f in fields(AnalysisConfig)}
 
 
 class TestCsvOutput:

@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -14,7 +16,7 @@ from cuspforge import (
     trace_singularity_curves,
 )
 from cuspforge.errors import PreconditionViolated
-from cuspforge.maps import TWO_PI, JointPoint, WorkspacePoint, coord_deltas
+from cuspforge.maps import TWO_PI, JointPoint, WorkspacePoint, coord_deltas, point_distances
 from cuspforge.singular import PointKind, SpecialPoint, _correct
 from tracer_oracle import _sign_change_seeds, oracle_trace
 
@@ -234,6 +236,59 @@ class TestNormalFormTraces:
             dist = np.linalg.norm(truth[:, None, :] - proj, axis=-1).min(axis=1)
             errors.append(float(dist.max()))
         assert errors[0] > errors[1] > errors[2] > errors[3]
+
+
+class TestSpecialPointPlacement:
+    """Cusps and isolated points are placed by the tracer, at any step."""
+
+    @pytest.mark.parametrize("step", [0.02, 0.05, 0.2, 0.4, 0.8])
+    def test_inline_isolated_point_at_every_step(self, exact_family, exact_specials, step):
+        cs = trace_singularity_curves(exact_family, PAPER_BOX, step, specials=exact_specials)
+        assert len(cs.isolated_points) == 1
+        assert math.dist(cs.isolated_points[0], (math.pi, 0.0)) < 1e-12
+
+    @pytest.mark.parametrize("step", [None, 0.8, 0.05], ids=["default", "0.8", "0.05"])
+    @pytest.mark.parametrize("name", ["offset", "square", "quarto"])
+    def test_cusp_vertices_are_the_nearest_vertices(self, name, step, request):
+        family = request.getfixturevalue(f"{name}_family")
+        box = PAPER_BOX if name == "offset" else NORMAL_BOX
+        specials = find_special_points(family, box)
+        cusps = [p for p in specials if p.kind == PointKind.CUSP]
+        cs = trace_singularity_curves(family, box, step, specials=specials)
+        flagged = sorted((ci, vi) for ci, c in enumerate(cs.curves) for vi in c.cusp_indices)
+        assert len(flagged) == len(cusps)
+        located = {tuple(p.location) for p in cusps}
+        assert all(tuple(cs.curves[ci].vertices[vi]) in located for ci, vi in flagged)
+
+        # With the cusps unmarked, the trace keeps the projected vertices;
+        # the nearest-vertex rule (within 3 steps) picks the flagged ones,
+        # and every other vertex is the same.
+        plain = trace_singularity_curves(family, box, step, specials=[
+            dataclasses.replace(p, kind=PointKind.FOLD_ONLY) if p in cusps else p
+            for p in specials])
+        picked = []
+        for p in cusps:
+            dists = [point_distances(family, c.vertices, p.location) for c in plain.curves]
+            ci = int(np.argmin([np.min(d) for d in dists]))
+            vi = int(np.argmin(dists[ci]))
+            assert dists[ci][vi] <= 3.0 * (step or default_step(box))
+            picked.append((ci, vi))
+        assert sorted(picked) == flagged
+        for c, c0 in zip(cs.curves, plain.curves):
+            kept = np.ones(len(c), dtype=bool)
+            kept[c.cusp_indices] = False
+            kept[-1] &= not (c.closed and 0 in c.cusp_indices)
+            assert np.array_equal(c.vertices[kept], c0.vertices[kept])
+
+    def test_cusp_off_every_branch_is_logged(self, square_family, caplog):
+        specials = find_special_points(square_family, NORMAL_BOX)
+        stray = SpecialPoint(WorkspacePoint(0.5, 0.25), JointPoint(0.0, 0.0),
+                             PointKind.CUSP, math.nan, 0.0)
+        with caplog.at_level(logging.WARNING, logger="cuspforge.trace"):
+            cs = trace_singularity_curves(square_family, NORMAL_BOX, specials=specials + [stray])
+        flagged = [tuple(c.vertices[vi]) for c in cs.curves for vi in c.cusp_indices]
+        assert len(flagged) == 3 and tuple(stray.location) not in flagged
+        assert "cusp at (0.5, 0.25) is not on any traced branch" in caplog.text
 
 
 class TestCharacteristicCurves:
