@@ -58,13 +58,16 @@ def _load(args):
     return family, workspace_box(cfg, family)
 
 
-def _auto_joint_bounds(jcs, margin=0.12):
+#: Share of the image's extent added on each side of an automatic joint window.
+JOINT_MARGIN = 0.12
+
+
+def _auto_joint_bounds(jcs):
     pts = np.concatenate([c.vertices for c in jcs.curves]
-                         + [np.array([[p[0], p[1]] for p in jcs.isolated_points])
-                            .reshape(-1, 2)])
+                         + [np.reshape(jcs.isolated_points, (-1, 2))])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    pad = margin * np.maximum(hi - lo, 1e-6)
+    pad = JOINT_MARGIN * np.maximum(hi - lo, 1e-6)
     return ((float(lo[0] - pad[0]), float(hi[0] + pad[0])),
             (float(lo[1] - pad[1]), float(hi[1] + pad[1])))
 
@@ -148,19 +151,16 @@ def cmd_regions(args) -> int:
             u0, u1, v0, v1 = (float(p) for p in parts)
         except ValueError:
             raise ConfigError("--bounds must be numeric") from None
-        if not (0.0 < u1 - u0 < math.inf and 0.0 < v1 - v0 < math.inf):
-            raise ConfigError("joint window is degenerate or infinite")
         bounds = ((u0, u1), (v0, v1))
     else:
         bounds = _auto_joint_bounds(image_curves(family, trace_singularity_curves(family, box)))
-    resolution = args.resolution or 32
-    cm = count_map(family, bounds, resolution, box=box)
+    cm = count_map(family, bounds, args.resolution, box=box)
     out = _outdir(args)
     output.write_countmap_csv(out / "regions.csv", cm)
     output.write_svg(out / "regions.svg", bounds, labels=family.output_names, countmap=cm)
     values, freq = np.unique(cm.counts, return_counts=True)
     summary = ", ".join(f"{v}:{f}" for v, f in zip(values, freq))
-    print(f"count histogram over {resolution}x{resolution} cells: {summary}")
+    print(f"count histogram over {args.resolution}x{args.resolution} cells: {summary}")
     print(f"wrote {out / 'regions.csv'} and {out / 'regions.svg'}")
     return 0
 
@@ -213,13 +213,7 @@ def cmd_monodromy(args) -> int:
             print(f"  [{i}] {family.input_names[0]}={s.phi: .9f} y={s.y: .9f} "
                   f"-> [{perm.mapping[i]}]")
         lifts = [lift.path for lift in perm.lifts]
-        with open(out / "monodromy_permutation.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["solution", "phi", "y", "maps_to"])
-            for i, s in enumerate(perm.solutions):
-                writer.writerow([i, output.fmt(s.phi), output.fmt(s.y),
-                                 perm.mapping[i]])
+        output.write_permutation_csv(out / "monodromy_permutation.csv", perm)
     output.workspace_plot(out / "monodromy_workspace.svg", family, box, cs,
                           lift_paths=lifts)
     output.joint_plot(out / "monodromy_joint.svg", family,
@@ -423,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--bounds", help="joint window as 'u_min,u_max,v_min,v_max' (a "
                                     "negative u_min needs '=': --bounds=-2,6,-2,6)")
-    p.add_argument("--resolution", type=int, help="cells per axis (default 32)")
+    p.add_argument("--resolution", type=int, default=32, help="cells per axis (default 32)")
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("monodromy", help="lift a joint-space loop",

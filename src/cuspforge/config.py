@@ -92,10 +92,7 @@ def family_from_config(cfg: AnalysisConfig) -> MapFamily:
     extra = [k for k in _FAMILY_KEYS if k not in params and getattr(cfg, k) is not None]
     if extra:
         raise ConfigError(f"family {cfg.family} does not take keys: {', '.join(extra)}")
-    try:
-        return make_family(cfg.family, **params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return make_family(cfg.family, **params)
 
 
 def workspace_box(cfg: AnalysisConfig, family: MapFamily):

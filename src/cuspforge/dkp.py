@@ -1,27 +1,25 @@
 """Direct kinematic problem: all real workspace solutions for a joint target.
 
-The solver eliminates one coordinate exactly.  In every family one equation
-is linear in y, and substituting it into the other leaves one polynomial:
+One exact elimination serves every family.  A combination w . (u, v) of the
+equations is L1(x) y + L0(x) = s, s = w . (tu, tv), and the other equation
+is c2 y^2 + P1(x) y + P0(x) = t; at y = (s - L0) / L1, L1^2 times it is
+K0 + s K1 + s^2 K2 + t K3, with the K derived once per family:
 
-* manipulators: u - v gives y = N(phi) / (2 (b1 + b2) sin phi), and the
-  u-equation times 4 (b1 + b2)^2 sin^2 phi, a trigonometric cubic, has degree
-  6 in t = tan((phi - theta) / 2), theta a quarter turn: at most six modes;
-* quadratic maps (the unfoldings are presets): the combination of u and v
-  that drops y^2 gives y = (s - L0(x)) / L1(x), and the other equation times
-  L1^2 a quartic in x, both derived once per family from the coefficients.
-  Of x and y, the coordinate whose L1 has the larger coefficients is
-  eliminated: y = v / (2x + 4b) for the complex square; for the quarto
-  y = (u - x^2) / (2a), or x = (v - y^2) / (2b) when |a| < |b|.  Where L1
-  vanishes the solutions on its root (the square's 2x + 4b = 0), or near
-  a = b = 0 those of the quarto's u = x^2, v = y^2, are added as candidates.
+* manipulators, x = phi: u - v, L1 = 2 (b1 + b2) sin phi, and the
+  u-equation; the K are trigonometric cubics, held per quarter turn theta as
+  polynomials of degree 6 in tan((phi - theta) / 2), and the one with the
+  largest leading coefficient is solved: at most six modes.
+* quadratic maps (the unfoldings are presets): w drops y^2, the K are
+  quartics in x, and the coordinate whose L1 has the larger coefficients is
+  eliminated: y = v / (2x + 4b) for the complex square, y = (u - x^2) / (2a)
+  for the quarto, or x = (v - y^2) / (2b) when |a| < |b|.
 
-A batch of targets is solved at once: the roots are the eigenvalues of
-stacked real companion matrices (one routine for all families), the finite
-real roots are polished on the original system by the Newton kernel of
-:mod:`cuspforge.maps` and accepted by residual, and the lines where the
-elimination divides by zero add explicit candidates.  Only accepted ones
-are merged where they coincide, such as the double root over a point of the
-fold image, so each solution is reported once, flagged where |J| = 0.
+Where L1 vanishes (sin phi = 0, 2x + 4b = 0, everywhere for the quarto near
+a = b = 0) the roots in y of the other equation are candidates too.  A batch
+of targets is solved at once: the roots are eigenvalues of stacked real
+companion matrices, polished by the Newton kernel of :mod:`cuspforge.maps`
+and accepted by residual; coinciding ones, such as the double root over a
+point of the fold image, are reported once, flagged where |J| = 0.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoxTooSmall, PreconditionViolated
+from .errors import BoxTooSmall, ConfigError, PreconditionViolated
 from .maps import (
     JointPoint,
     MapFamily,
@@ -123,20 +121,6 @@ def _real_roots(coeffs, ring=lambda x: np.abs(x.imag) / (1.0 + np.abs(x.real))):
     return np.where(ring(x) < ROOT_RING, x.real, np.nan)
 
 
-def _manipulator_terms(family, phi, tu, tv):
-    """At the angles phi: D and N of the u - v equation D y = N, and p, c of
-    the u-equation y^2 + 2 p y + c = 0, from u = y^2 + 2 p1 y + u0 and
-    v = y^2 - 2 p2 y + v0."""
-    p1, _, p2, _ = family._axes(phi)
-    u0, v0 = family.evaluate(phi, 0.0)
-    return 2.0 * (p1 + p2), tu - tv - (u0 - v0), p1, u0 - tu
-
-
-def _manipulator_lift(family, q, tu, tv):
-    den, num, _, _ = _manipulator_terms(family, q[..., 0], tu, tv)
-    return np.stack([q[..., 0], num / den], axis=-1)
-
-
 def _half_angle_basis(theta):
     """B with B @ g(_NODES) the coefficients, t^6 first, of (1 + t^2)^3 g(theta + 2 arctan t)
     for a trigonometric cubic g; e^(ik phi) (1 + t^2)^3 = e^(ik theta) (1+it)^(3+k) (1-it)^(3-k)."""
@@ -147,68 +131,6 @@ def _half_angle_basis(theta):
 
 
 _HALF_ANGLE = np.array([_half_angle_basis(theta + math.pi) for theta in _TURNS])
-
-
-def _manipulator_candidates(family, tu, tv):
-    tu, tv = tu[:, None], tv[:, None]
-    # D^2 times the u-equation at y = N / D is a trigonometric cubic g; times
-    # (1 + t^2)^3 it has degree 6 in t = tan((phi - theta) / 2), led by
-    # g(theta + pi), the largest |g| at a quarter turn (no matmul: no row
-    # depends on its batch).
-    den, num, p, c = _manipulator_terms(family, np.concatenate([_NODES, _TURNS]), tu, tv)
-    g = num * num + 2.0 * num * p * den + c * den * den
-    turn = np.argmax(np.abs(g[:, 7:]), axis=1)
-    t = _real_roots(np.sum(g[:, None, :7] * _HALF_ANGLE[turn], axis=-1),
-                    lambda t: np.abs(np.imag(2.0 * np.arctan(t))))
-    phi = _TURNS[turn, None] + math.pi + 2.0 * np.arctan(t)
-    roots = _manipulator_lift(family, phi[..., None], tu, tv)
-    # On sin(phi) = 0 the u - v equation no longer involves y, and where N
-    # vanishes there too the solutions are the roots of the u-equation, a
-    # quadratic in y.  With N far from zero the line holds no solution and
-    # the roots near it are accurate, so these candidates are tried only
-    # for targets close to it.
-    num, p, c = num[:, [7, 7, 9, 9]], p[[7, 7, 9, 9]], c[:, [7, 7, 9, 9]]  # phi = 0, 0, pi, pi
-    y = -p + np.sqrt(np.maximum(p * p - c, 0.0)) * np.array([1.0, -1.0, 1.0, -1.0])
-    y[np.abs(num) > LINE_BAND * (1.0 + np.abs(tu) + np.abs(tv))] = np.nan
-    line = np.stack(np.broadcast_arrays(_TURNS[[0, 0, 2, 2]], y), axis=-1)
-    return np.concatenate([roots, line], axis=1)
-
-
-_Elimination = namedtuple("_Elimination", "swap w other l0 l1 c2 p1 p0 k")
-
-
-@functools.lru_cache(maxsize=64)
-def _quadratic_elimination(family):
-    """The elimination of y, or of x where ``swap``: of the two, the one whose
-    divisor L1 has the larger coefficients, y on a tie.
-
-    The combination w . (u, v) of the two equations that drops y^2, scaled
-    to a unit Hessian, reads L1(x) y + L0(x) = s, s = w . (tu, tv).  Put
-    into the other equation, c2 y^2 + P1(x) y + P0(x) = t, it leaves the
-    quartic K0 + s K1 + s^2 K2 + t K3 in x.  Polynomials are coefficient
-    arrays, highest power first.
-    """
-    best = None
-    for swap in (False, True):
-        c = np.array(family.coefficients, dtype=float)[:, [2, 1, 0, 4, 3] if swap else slice(5)]
-        w = np.array([c[1, 2], -c[0, 2]])
-        m = w[0] * c[0] + w[1] * c[1]
-        scale = max(2.0 * abs(m[0]), abs(m[1]))
-        if scale == 0.0:
-            continue
-        w, m, other = w / scale, m / scale, int(abs(c[1, 2]) > abs(c[0, 2]))
-        if best is not None and np.max(np.abs(m[[1, 4]])) <= np.max(np.abs(best.l1)):
-            continue
-        l0, l1, r = np.array([m[0], m[3], 0.0]), m[[1, 4]], c[other]
-        p1, p0, l1l1 = r[[1, 4]], np.array([r[0], r[3], 0.0]), np.convolve(l1, l1)
-        k = np.zeros((4, 5))
-        k[0] = (r[2] * np.convolve(l0, l0) - np.convolve(np.convolve(p1, l0), l1)
-                + np.convolve(p0, l1l1))
-        k[1, 2:], k[2, 4], k[3, 2:] = np.convolve(p1, l1) - 2.0 * r[2] * l0, r[2], -l1l1
-        best = _Elimination(swap, w, other, l0, l1, r[2], p1, p0, k)
-    if best is None:
-        raise PreconditionViolated("no combination of u and v drops just one of x^2, y^2")
-    return best
 
 
 def _horner(p, x):
@@ -225,36 +147,111 @@ def _pair_roots(a, b, c):
     return (root * np.sign(a) - b[..., None]) / (2.0 * a)
 
 
-def _quadratic_lift(family, q, tu, tv):
-    e = _quadratic_elimination(family)
+def _eliminant(mul, c2, l0, l1, p1, p0):
+    """K0, K1, K2, K3 from the terms, ``mul`` their product: L1^2 times
+    c2 y^2 + P1 y + P0 - t at y = (s - L0) / L1."""
+    l1l1 = mul(l1, l1)
+    return (c2 * mul(l0, l0) - mul(mul(p1, l0), l1) + mul(p0, l1l1),
+            mul(p1, l1) - 2.0 * c2 * l0, c2, -l1l1)
+
+
+#: s = w . (tu, tv), t = (tu, tv)[other]; ``lin(x)`` gives L0 and L1; ``k``
+#: the K (turn, K, power, highest first); ``zeros`` the roots of L1, or None
+#: for a constant L1, and ``at_zeros`` L0, L1, P1, P0 there; ``poly`` a
+#: quadratic map's L0, L1, P1, P0; ``swap`` eliminates its x, not y.
+_Elimination = namedtuple("_Elimination", "swap w other c2 lin k zeros at_zeros poly")
+
+
+@functools.lru_cache(maxsize=64)
+def _elimination(family):
+    """The family's elimination record.  A quadratic map eliminates y, or x
+    where ``swap``: of the two, the one whose divisor L1 has the larger
+    coefficients, y on a tie, by the combination that drops its square,
+    scaled to a unit Hessian."""
+    if not isinstance(family, QuadraticMap):
+        def terms(phi):
+            p1, _, p2, _ = family._axes(phi)
+            u0, v0 = family.evaluate(phi, 0.0)
+            return u0 - v0, 2.0 * (p1 + p2), 2.0 * p1, u0
+
+        k = np.array(np.broadcast_arrays(*_eliminant(np.multiply, 1.0, *terms(_NODES))))
+        zeros = np.array([0.0, math.pi])
+        return _Elimination(False, np.array([1.0, -1.0]), 0, 1.0, lambda phi: terms(phi)[:2],
+                            np.sum(_HALF_ANGLE[:, None] * k[None, :, None], axis=-1),
+                            zeros, terms(zeros), None)
+    options = []
+    for swap in (False, True):
+        c = np.array(family.coefficients, dtype=float)[:, [2, 1, 0, 4, 3] if swap else slice(5)]
+        w = np.array([c[1, 2], -c[0, 2]])
+        m = w[0] * c[0] + w[1] * c[1]
+        scale = max(2.0 * abs(m[0]), abs(m[1]))
+        if scale > 0.0:
+            options.append((np.max(np.abs(m[[1, 4]])) / scale, swap, c, w / scale, m / scale))
+    if not options:
+        raise PreconditionViolated("no combination of u and v drops just one of x^2, y^2")
+    _, swap, c, w, m = max(options, key=lambda option: option[0])
+    other = int(abs(c[1, 2]) > abs(c[0, 2]))
+    r = c[other]  # the other equation
+    poly = (np.array([m[0], m[3], 0.0]), m[[1, 4]], r[[1, 4]], np.array([r[0], r[3], 0.0]))
+    k = np.zeros((1, 4, 5))
+    for i, row in enumerate(_eliminant(np.convolve, r[2], *poly)):
+        k[0, i, 5 - np.size(row):] = row
+    zeros = None if m[1] == 0.0 else np.array([-m[4] / m[1]])
+    return _Elimination(swap, w, other, r[2], lambda x: (_horner(poly[0], x), _horner(poly[1], x)),
+                        k, zeros, None if zeros is None else [_horner(p, zeros) for p in poly], poly)
+
+
+def _lift(family, q, tu, tv):
+    """The points q with their eliminated coordinate put on L1 y + L0 = s."""
+    e = _elimination(family)
     x = q[..., int(e.swap)]
-    y = (e.w[0] * tu + e.w[1] * tv - _horner(e.l0, x)) / _horner(e.l1, x)
+    l0, l1 = e.lin(x)
+    y = (e.w[0] * tu + e.w[1] * tv - l0) / l1
     return np.stack([y, x] if e.swap else [x, y], axis=-1)
 
 
-def _quadratic_candidates(family, tu, tv):
-    e = _quadratic_elimination(family)
-    s, t = e.w[0] * tu + e.w[1] * tv, tv if e.other else tu
-    x = _real_roots(e.k[0] + s[:, None] * e.k[1] + (s * s)[:, None] * e.k[2]
-                    + t[:, None] * e.k[3])
-    q = np.stack([x, (s[:, None] - _horner(e.l0, x)) / _horner(e.l1, x)], axis=-1)
-    # Where L1 vanishes the combination loses y.  On the root of L1, as for
-    # the manipulators, candidates are tried only for targets with L0 = s
-    # there to within the band.  A constant L1 near zero (the quarto near
-    # a = b = 0) loses y everywhere, and the roots of L0 = s are tried.  Each
-    # line x takes the two roots in y of the other equation.
-    if e.l1[0] != 0.0:
-        line_x = np.full((len(s), 1), -e.l1[1] / e.l1[0])
-        far = (np.abs(_horner(e.l0, line_x[0, 0]) - s)
-               > LINE_BAND * np.max(np.abs(e.w)) * (1.0 + np.abs(tu) + np.abs(tv)))
+def _lines(e, s, t, tu, tv):
+    """The candidates (n, k, 2), x first, where L1 vanishes: each line x with
+    the two roots in y of the other equation, tried only for targets with
+    L0 = s there to within the band (far from it the line holds no solution,
+    and the roots near it are accurate).  A constant L1 near zero (the quarto
+    near a = b = 0) loses y everywhere, and the roots of L0 = s are tried."""
+    scale = 1.0 + np.abs(tu) + np.abs(tv)
+    if e.zeros is None:
+        far = (np.abs(e.poly[1][1]) > LINE_BAND * np.sqrt(scale))[:, None]
     else:
-        far = abs(e.l1[1]) > LINE_BAND * np.sqrt(1.0 + np.abs(tu) + np.abs(tv))
-        line_x = None if far.all() else _pair_roots(e.l0[0], np.full_like(s, e.l0[1]), e.l0[2] - s)
-    if not far.all():
-        line_x[far] = np.nan
-        line_y = _pair_roots(e.c2, _horner(e.p1, line_x), _horner(e.p0, line_x) - t[:, None])
-        line = np.stack([np.repeat(line_x, 2, axis=1), line_y.reshape(len(s), -1)], axis=-1)
-        q = np.concatenate([q, line], axis=1)
+        far = np.abs(e.at_zeros[0] - s[:, None]) > LINE_BAND * np.max(np.abs(e.w)) * scale[:, None]
+    if far.all():
+        return np.empty((len(s), 0, 2))
+    if e.zeros is None:
+        l0, _, p1, p0 = e.poly
+        x = _pair_roots(l0[0], np.full_like(s, l0[1]), l0[2] - s)
+        p1, p0 = _horner(p1, x), _horner(p0, x)
+    else:
+        (_, _, p1, p0), x = e.at_zeros, np.broadcast_to(e.zeros, far.shape)
+    y = np.where(far[..., None], np.nan, _pair_roots(e.c2, p1, p0 - t[:, None]))
+    return np.stack([np.repeat(x, 2, axis=1), y.reshape(len(s), -1)], axis=-1)
+
+
+def _candidates(family, tu, tv):
+    """The candidate solutions (n, k, 2) of the targets (tu, tv): the real
+    roots of the eliminant, lifted, and the candidates of the lines."""
+    e = _elimination(family)
+    s, t = e.w[0] * tu + e.w[1] * tv, tv if e.other else tu
+    s3, t3 = s[:, None, None], t[:, None, None]
+    poly = e.k[:, 0] + s3 * e.k[:, 1] + (s3 * s3) * e.k[:, 2] + t3 * e.k[:, 3]
+    if family.periodic:
+        # Of the polynomials, one per turn, the one with the largest leading
+        # coefficient is solved.
+        turn = np.argmax(np.abs(poly[:, :, 0]), axis=1)
+        tau = _real_roots(poly[np.arange(len(s)), turn],
+                          lambda tau: np.abs(np.imag(2.0 * np.arctan(tau))))
+        x = _TURNS[turn, None] + math.pi + 2.0 * np.arctan(tau)
+    else:
+        x = _real_roots(poly[:, 0])
+    l0, l1 = e.lin(x)
+    q = np.concatenate([np.stack([x, (s[:, None] - l0) / l1], axis=-1),
+                        _lines(e, s, t, tu, tv)], axis=1)
     return q[..., ::-1] if e.swap else q
 
 
@@ -290,8 +287,7 @@ def _merge(family, q, resid, ok, tu, tv, tol_abs, jbar):
     near = ok[:, :, None] & ok[:, None, :] & (np.max(np.abs(delta), axis=-1) < MERGE_RADIUS)
     b, i, j = np.nonzero(near & ~diag)
     mid = q[b, j] + 0.5 * delta[b, i, j]
-    lift = _quadratic_lift if isinstance(family, QuadraticMap) else _manipulator_lift
-    lifted = lift(family, mid, tu[b], tv[b])
+    lifted = _lift(family, mid, tu[b], tv[b])
     mid_resid = _residual(family, mid, tu[b], tv[b])
     lifted_resid = _residual(family, lifted, tu[b], tv[b])
     use_lifted = lifted_resid < mid_resid
@@ -334,12 +330,10 @@ def _solve_batch(family: MapFamily, targets, box):
     accepted candidates first, in order.
     """
     tu, tv = targets[:, 0], targets[:, 1]
-    candidates = (_quadratic_candidates if isinstance(family, QuadraticMap)
-                  else _manipulator_candidates)
     # Candidates off the real line or on a division-by-zero line are NaN or
     # infinite, left unpolished and rejected; _real_roots raises on overflow.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = candidates(family, tu, tv)
+        q = _candidates(family, tu, tv)
         finite = np.all(np.isfinite(q), axis=-1)
         row, _ = np.nonzero(finite)
         resid = np.full(finite.shape, np.inf)
@@ -373,7 +367,7 @@ def solve_dkp(family: MapFamily, target, *, box=None) -> DkpSolutionSet:
     """
     target = JointPoint(float(target[0]), float(target[1]))
     if not (math.isfinite(target.u) and math.isfinite(target.v)):
-        raise ValueError("target must be finite")
+        raise ConfigError("target must be finite")
     keep, q, resid, flags, escaped = _solve_batch(family, np.array([target]), box)
     if np.any(escaped):
         pts = sorted({(round(p[0], 9), round(p[1], 9)) for p in q[escaped]})
@@ -395,21 +389,19 @@ def count_map(family: MapFamily, bounds, resolution, *, box=None) -> CountMap:
     All cells are solved in one batch.  With an explicit box, a cell with a
     solution outside it is recorded as -1 rather than aborting the sweep.
     """
-    if isinstance(resolution, int):
-        resolution = (resolution, resolution)
-    nu, nv = resolution
+    nu, nv = (resolution, resolution) if isinstance(resolution, int) else resolution
     if nu < 8 or nv < 8:
-        raise ValueError("resolution must be at least 8 per axis")
+        raise ConfigError("resolution must be at least 8 per axis")
     (u0, u1), (v0, v1) = bounds
     if not (0.0 < u1 - u0 < math.inf and 0.0 < v1 - v0 < math.inf):
-        raise ValueError("bounds must be finite, with u1 > u0 and v1 > v0")
-    us = u0 + (np.arange(nu) + 0.5) * (u1 - u0) / nu
-    vs = v0 + (np.arange(nv) + 0.5) * (v1 - v0) / nv
-    gu, gv = np.meshgrid(us, vs, indexing="ij")
+        raise ConfigError("joint window must be finite, with u1 > u0 and v1 > v0")
+    cm = CountMap(((float(u0), float(u1)), (float(v0), float(v1))), (nu, nv),
+                  np.zeros((nu, nv), dtype=np.int8))
+    gu, gv = np.meshgrid(*cm.cell_centers(), indexing="ij")
     keep, _, _, _, escaped = _solve_batch(family, np.column_stack([gu.ravel(), gv.ravel()]), box)
-    counts = np.sum(keep.reshape(nu, nv, -1), axis=-1, dtype=np.int8)
+    cm.counts[...] = np.sum(keep.reshape(nu, nv, -1), axis=-1)
     failed = np.any(escaped.reshape(nu, nv, -1), axis=-1)
     if np.any(failed):
         log.debug("%d cell(s) have solutions outside the box", int(np.sum(failed)))
-    counts[failed] = -1
-    return CountMap(((float(u0), float(u1)), (float(v0), float(v1))), (nu, nv), counts)
+    cm.counts[failed] = -1
+    return cm

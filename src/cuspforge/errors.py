@@ -5,8 +5,8 @@ class CuspforgeError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ConfigError(CuspforgeError):
-    """Invalid or unparsable analysis configuration."""
+class ConfigError(CuspforgeError, ValueError):
+    """An invalid or unparsable configuration, parameter or argument value."""
 
 
 class PreconditionViolated(CuspforgeError):

@@ -27,6 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConfigError
+
 TWO_PI = 2.0 * math.pi
 PHI_WINDOW = (-0.5 * math.pi, 1.5 * math.pi)
 
@@ -105,9 +107,9 @@ class Rpr2PrOffset:
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise ConfigError(f"{name} must be strictly positive")
         if not self.d >= 0.0:
-            raise ValueError("d must be non-negative")
+            raise ConfigError("d must be non-negative")
 
     @property
     def reach(self):
@@ -256,7 +258,7 @@ class QuadraticMap:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.coefficients)):
-            raise ValueError("quadratic map coefficients must be finite")
+            raise ConfigError("quadratic map coefficients must be finite")
 
     @functools.cached_property
     def _jets(self):
@@ -313,6 +315,8 @@ class ComplexSquareUnfolded(QuadraticMap):
 
     kind = "complex_square_unfolded"
     default_box = _unfolding_box
+    # perfbench/layers.py wraps the jets in each map class's own __dict__, so
+    # these bindings (and the quarto's) cannot go without a harness change.
     evaluate, jacobian, hessian = QuadraticMap.evaluate, QuadraticMap.jacobian, QuadraticMap.hessian
     jdet, jdet_grad, jdet_hess = QuadraticMap.jdet, QuadraticMap.jdet_grad, QuadraticMap.jdet_hess
 
@@ -351,12 +355,12 @@ FAMILY_KINDS = {
 
 
 def make_family(kind: str, **params) -> MapFamily:
-    """Construct a family by kind name; raises ValueError on unknown kinds."""
+    """Construct a family by kind name; raises ConfigError on unknown kinds."""
     try:
         cls = FAMILY_KINDS[kind]
     except KeyError:
         known = ", ".join(sorted(FAMILY_KINDS))
-        raise ValueError(f"unknown family kind {kind!r} (known: {known})") from None
+        raise ConfigError(f"unknown family kind {kind!r} (known: {known})") from None
     return cls(**params)
 
 

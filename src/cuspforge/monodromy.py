@@ -30,6 +30,7 @@ import numpy as np
 
 from .dkp import DKP_TOL, SINGULAR_FLAG_FACTOR, _solve_batch, solve_dkp
 from .errors import (
+    ConfigError,
     DivergedLift,
     PermutationInconsistent,
     PreconditionViolated,
@@ -65,9 +66,9 @@ class JointLoop:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != 2 or len(samples) < 3:
-            raise ValueError("loop needs at least 3 samples of shape (n, 2)")
+            raise ConfigError("loop needs at least 3 samples of shape (n, 2)")
         if not np.array_equal(samples[0], samples[-1]):
-            raise ValueError("loop must be closed: first and last samples must coincide")
+            raise ConfigError("loop must be closed: first and last samples must coincide")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -87,10 +88,10 @@ def circle_loop(center, radius, *, turns: int = 1,
                 samples_per_turn: int = DEFAULT_SAMPLES_PER_TURN,
                 start_angle: float = 0.0) -> JointLoop:
     """Parametric circle loop; the closure sample repeats the start exactly."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if turns < 1:
-        raise ValueError("turns must be at least 1")
+    if not radius > 0.0:
+        raise ConfigError("radius must be positive")
+    if turns < 1 or samples_per_turn < 2:
+        raise ConfigError("turns must be at least 1, and samples per turn at least 2")
     n = turns * samples_per_turn
     theta = start_angle + np.linspace(0.0, turns * 2.0 * math.pi, n + 1)
     samples = np.column_stack([
@@ -179,6 +180,8 @@ class Permutation:
         return out
 
 
+# perfbench/layers.py counts the lift steps by patching this function by name,
+# so it cannot be folded into its callers without a change to the harness.
 def _newton_to_target(family, q, target, tol_abs, max_iter=12):
     """Newton on (u, v) = target from the (k, 2) rows of q, by the kernel of
     :mod:`cuspforge.maps`.  Returns the last iterates, the steps each row

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dkp import CountMap, DkpSolutionSet
 from .maps import MapFamily
-from .monodromy import JointLoop, LoopLift
+from .monodromy import JointLoop, LoopLift, Permutation
 from .singular import DISPLAY_NAMES, SpecialPoint
 from .trace import KIND_CHARACTERISTIC, KIND_SINGULARITY, CurveSet
 
@@ -90,6 +90,14 @@ def write_lift_csv(path, loop: JointLoop, lift: LoopLift):
         writer.writerow(["sample", "u", "v", "phi", "y"])
         for i, ((u, v), (phi, y)) in enumerate(zip(loop.samples, lift.path)):
             writer.writerow([i, fmt(u), fmt(v), fmt(phi), fmt(y)])
+
+
+def write_permutation_csv(path, perm: Permutation):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["solution", "phi", "y", "maps_to"])
+        for i, s in enumerate(perm.solutions):
+            writer.writerow([i, fmt(s.phi), fmt(s.y), perm.mapping[i]])
 
 
 class _Canvas:

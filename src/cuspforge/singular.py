@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PreconditionViolated
+from .errors import ConfigError, PreconditionViolated
 from .maps import (
     TWO_PI,
     JointPoint,
@@ -445,5 +445,5 @@ def find_special_points(family: MapFamily, box=None) -> list[SpecialPoint]:
         box = family.default_box()
     (x0, x1), (y0, y1) = box
     if not (x1 > x0 and y1 > y0):
-        raise ValueError("box must be non-degenerate")
+        raise ConfigError("box must be non-degenerate")
     return _from_seeds(family, box, _resultant_seeds(family, box))

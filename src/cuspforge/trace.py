@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dkp import solve_dkp
+from .errors import ConfigError
 from .maps import (
     TWO_PI,
     JointPoint,
@@ -260,11 +261,11 @@ def trace_singularity_curves(
         box = family.default_box()
     (x0, x1), (y0, y1) = box
     if not (x1 > x0 and y1 > y0):
-        raise ValueError("box must be non-degenerate")
+        raise ConfigError("box must be non-degenerate")
     if step is None:
         step = math.hypot(x1 - x0, y1 - y0) / 1000.0
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not step > 0.0:
+        raise ConfigError("step must be positive")
 
     if specials is None:
         specials = find_special_points(family, box)

@@ -224,6 +224,23 @@ class TestErrorPaths:
         assert main(["cusps", "--config", cfg]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, word", [
+        (["regions", "--bounds", "0,100,0,100", "--resolution", "4"], "resolution"),
+        (["regions", "--bounds", "0,100,0,100", "--resolution", "0"], "resolution"),
+        (["trace", "--step", "0"], "step"),
+        (["monodromy", "--center", "81,144", "--radius", "-1"], "radius"),
+        (["monodromy", "--center", "81,144", "--radius", "20", "--turns", "0"], "turns"),
+        (["monodromy", "--center", "81,144", "--radius", "20", "--samples", "1"], "samples"),
+        (["monodromy", "--center", "81,144", "--radius", "20", "--samples", "-5"], "samples"),
+        (["dkp", "--target=nan,1"], "target")],
+        ids=["resolution-4", "resolution-0", "step", "radius", "turns", "samples-1", "samples-negative",
+             "target"])
+    def test_option_out_of_range_is_exit_1(self, tmp_path, capsys, args, word):
+        cfg = write_cfg(tmp_path, EXACT_CFG)
+        assert main(args + ["--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and word in err
+
     def test_solver_error_is_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUARTO_CFG.replace("y_max = 4", "y_max = 0.5")
                         .replace("phi_min = -4", "phi_min = -0.5")

@@ -20,8 +20,8 @@ from cuspforge import (
 from cuspforge.maps import TWO_PI, coord_deltas
 
 from conftest import NORMAL_BOX, PAPER_BOX
-from dkp_reference import manipulator_candidates
-from gridscan import grid_count
+from dkp_reference import manipulator_candidates, manipulator_lift, manipulator_terms
+from gridscan import grid_count, quarto_cusp_location
 from multistart import multistart_solutions
 from polish_reference import polish
 
@@ -53,7 +53,8 @@ def assert_matches_reference_elimination(family, targets, within=1e-12):
     targets = np.array(targets, dtype=float)
     got = dkp._solve_batch(family, targets, None)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dkp, "_manipulator_candidates", manipulator_candidates)
+        mp.setattr(dkp, "_candidates", manipulator_candidates)
+        mp.setattr(dkp, "_lift", manipulator_lift)
         want = dkp._solve_batch(family, targets, None)
     assert np.array_equal(np.sum(got[0], axis=1), np.sum(want[0], axis=1))
     for row, target in enumerate(targets):
@@ -260,6 +261,38 @@ class TestBatchCompaction:
         assert widths == [0, 2, 4, 8]
 
 
+    def test_in_line_manipulator(self, exact_family, exact_trace):
+        # At d = 0 the polynomials of the turns pi/2 and 3pi/2 have equal
+        # leading coefficients; at (139.5, 167.8) they are equal to the last
+        # bit and the largest, so the choice between them is a tie.
+        tie = (139.5, 167.8)
+        e, s, t = dkp._elimination(exact_family), tie[0] - tie[1], tie[0]
+        lead = np.abs(e.k[:, 0, 0] + s * e.k[:, 1, 0] + s * s * e.k[:, 2, 0] + t * e.k[:, 3, 0])
+        assert lead[1] == lead[3] == np.max(lead)
+        fold = exact_trace.curves[0].vertices[100]
+        line = eval_map(exact_family, (math.pi, -4.0))  # on sin(phi) = 0
+        widths = self._widths_of_rows_solved_alone(exact_family, [
+            (-100.0, -100.0), tie, eval_map(exact_family, fold), (line.u, line.v - 1e-7)])
+        assert widths == [0, 4, 4, 4]
+
+    def test_quarto_eliminating_x(self):
+        # With |a| < |b| the quarto eliminates x; xy = ab is its fold.
+        family = make_family("quarto_unfolded", a=0.3, b=1.2)
+        assert dkp._elimination(family).swap
+        widths = self._widths_of_rows_solved_alone(family, [
+            (-100.0, -100.0), eval_map(family, (0.6, 0.6)),
+            eval_map(family, quarto_cusp_location(0.3, 1.2)), (1.0, 1.0)])
+        assert widths == [0, 4, 4, 2]
+
+    def test_complex_square_on_its_division_line(self, square_family):
+        # x = -2b = 2 makes 2x + 4b vanish: (2, 1.5) and (2, -1.5) share an
+        # image, and the cusp (2, 0) lies on the line too.
+        widths = self._widths_of_rows_solved_alone(square_family, [
+            (-100.0, -100.0), eval_map(square_family, (2.0, 1.5)),
+            eval_map(square_family, (2.0, 0.0)), eval_map(square_family, (0.3, 0.2))])
+        assert widths == [2, 6, 6, 4]
+
+
 class TestHalfAngleElimination:
     """The manipulators' cubic solved as a real polynomial in a half-angle
     tangent gives what the complex polynomial in exp(i phi) gave."""
@@ -302,7 +335,7 @@ class TestHalfAngleElimination:
         family = make_family(kind, a1=3.0, a2=5.0, b1=10.0, b2=6.0, **({"d": d} if d else {}))
         shift = (9.0 + 100.0) - (25.0 + 36.0)
         targets = [(tu, tu - shift) for tu in (20.0, 60.0, 100.0, 150.0, 200.0)]
-        _, num, _, _ = dkp._manipulator_terms(
+        _, num, _, _ = manipulator_terms(
             family, np.array([0.0, math.pi]), *np.array(targets).T[:, :, None])
         assert np.all(np.abs(num) < 1e-13)
         # The reference finds the double roots at phi = 0 and pi as pairs

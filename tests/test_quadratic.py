@@ -49,8 +49,8 @@ def assert_matches_reference_elimination(family, targets):
     targets = np.array(targets, dtype=float)
     got = dkp._solve_batch(family, targets, None)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dkp, "_quadratic_candidates", candidates)
-        mp.setattr(dkp, "_quadratic_lift", lift)
+        mp.setattr(dkp, "_candidates", candidates)
+        mp.setattr(dkp, "_lift", lift)
         want = dkp._solve_batch(family, targets, None)
     assert np.array_equal(np.sum(got[0], axis=1), np.sum(want[0], axis=1))
     for row, target in enumerate(targets):
