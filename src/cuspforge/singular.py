@@ -10,7 +10,8 @@ so the extra equations say that this tangent lies in the kernel of the
 Jacobian (or that the fold curve itself is singular).
 
 J is quadratic and k cubic in y, so every special point lies over a real
-zero of the resultants Res_y(J, k_i), from which Gauss-Newton starts.
+zero of the resultants Res_y(J, k_i), from which Newton solves the square
+systems (J, k1) and (J, k2).
 """
 
 from __future__ import annotations
@@ -49,13 +50,7 @@ COEFF_FLOOR = 1e-12
 #: multiple roots, scattered by about 1e-4.
 RESULTANT_DEGREE = 12
 SEED_RING = 1e-3
-#: Gauss-Newton iterations without halving the best residual, above
-#: DETECTION_TOL, after which a seed is given up.
-STALL_ITERATIONS = 10
-#: Share of the Jacobian scale below which |Jac| marks a corank-2 point,
-#: which Newton on grad J = 0 polishes.
-CORANK2_POLISH_FACTOR = 1e-3
-#: Detection residual below which a Gauss-Newton candidate is kept.
+#: Detection residual below which a Newton candidate is polished and kept.
 DETECTION_TOL = 1e-10
 #: |J| and kernel-alignment residual, relative to their scales, within
 #: which a point is classified: on the singularity set, and a cusp.
@@ -116,27 +111,40 @@ class QuadraticExpansion:
     outputs: tuple[tuple[float, float, float], tuple[float, float, float]]
 
 
+def _alignment(jac, jphi, jy):
+    """The kernel alignment k = Jac . t, (..., 2), with t = (-J_y, J_phi) the
+    tangent of the fold curve."""
+    t0, t1 = -np.asarray(jy)[..., None], np.asarray(jphi)[..., None]
+    return jac[..., :, 0] * t0 + jac[..., :, 1] * t1
+
+
+def _residual(family: MapFamily, pts):
+    """The detection residual (J, k1, k2) at (..., 2) points, from first
+    derivatives only."""
+    phi, y = pts[..., 0], pts[..., 1]
+    k = _alignment(family.jacobian(phi, y), *family.jdet_grad(phi, y))
+    return np.concatenate([np.asarray(family.jdet(phi, y))[..., None], k], axis=-1)
+
+
 def _detection_batch(family: MapFamily, pts):
     """Residual 3-vectors, their analytic Jacobians and the map Jacobians at
     (n, 2) points."""
     phi = pts[..., 0]
     y = pts[..., 1]
-    j = family.jdet(phi, y)
     jphi, jy = family.jdet_grad(phi, y)
     jpp, jpy, jyy = family.jdet_hess(phi, y)
     jac = family.jacobian(phi, y)
     hess = family.hessian(phi, y)
 
-    # k = Jac . t with t = (-J_y, J_phi), the tangent of the fold curve, and
     # d k / d x = hess . t + Jac . R . (hess of J), with R the quarter turn.
     t0, t1 = -jy, jphi
     r = np.empty(pts.shape[:-1] + (3,))
-    r[..., 0] = j
+    r[..., 0] = family.jdet(phi, y)
+    r[..., 1:] = _alignment(jac, jphi, jy)
     a = np.empty(pts.shape[:-1] + (3, 2))
     a[..., 0, 0] = jphi
     a[..., 0, 1] = jy
     for i in range(2):
-        r[..., 1 + i] = jac[..., i, 0] * t0 + jac[..., i, 1] * t1
         for col, (d0, d1) in enumerate(((-jpy, jpp), (-jyy, jpy))):
             a[..., 1 + i, col] = (hess[..., i, 0, col] * t0 + hess[..., i, 1, col] * t1
                                   + (jac[..., i, 0] * d0 + jac[..., i, 1] * d1))
@@ -145,68 +153,35 @@ def _detection_batch(family: MapFamily, pts):
 
 def detection_system(family: MapFamily, q) -> DetectionResidual:
     """Evaluate the cusp/higher-order detection system at one point."""
-    r = _detection_batch(family, np.asarray([q[0], q[1]], dtype=float))[0]
+    r = _residual(family, np.asarray([q[0], q[1]], dtype=float))
     return DetectionResidual(float(r[0]), float(r[1]), float(r[2]))
 
 
-def _gauss_newton(family: MapFamily, seeds, step_cap, jac_floor, max_iter=80):
-    """Damped Gauss-Newton on the 3-equation detection system, vectorized.
+def _solve_detection(family: MapFamily, seeds):
+    """Newton from every seed on the square systems (J, k1) and (J, k2), 20
+    steps at most.  At a cusp grad J != 0 and k_i changes along the fold
+    with the i-th component of the image direction, so one of them is
+    regular there.  At a corank-2 point both are singular and Newton about
+    halves the distance per step; Newton on grad J = 0 finishes every point whose
+    detection residual is below DETECTION_TOL, and each row keeps whichever
+    point has the smaller residual, so a cusp next to an unfolded corank-2
+    point stays put.  Returns the points below DETECTION_TOL."""
+    def system(i):
+        def f(x, y):
+            r = _residual(family, np.column_stack([x, y]))
+            return r[:, 0], r[:, i]
+        return f, lambda x, y: _detection_batch(family, np.column_stack([x, y]))[1][:, [0, i]]
 
-    A row stops when its step vanishes or leaves the finite numbers, or
-    when its residual has stayed above DETECTION_TOL without halving its best
-    for STALL_ITERATIONS iterations.  A row with residual below DETECTION_TOL and
-    |Jac| below ``jac_floor`` is near a corank-2 point, where Gauss-Newton
-    is only linear; Newton on grad J = 0 with Jacobian Hess J finishes it
-    (a regular zero of the gradient there), unless that pulls it
-    off {J = 0} to a residual above DETECTION_TOL (a cusp next to an unfolded
-    corank-2 point), when Gauss-Newton goes on.
-    """
-    q = np.array(seeds, dtype=float)
-    active = np.ones(len(q), dtype=bool)
-    may_polish = np.ones(len(q), dtype=bool)
-    best = np.full(len(q), np.inf)
-    best_at = np.zeros(len(q), dtype=int)  # the iteration that set each row's best
-    for it in range(max_iter):
-        idx = np.flatnonzero(active)
-        r, a, jac = _detection_batch(family, q[idx])
-        res = np.max(np.abs(r), axis=-1)
-        low = may_polish[idx] & (res < DETECTION_TOL)
-        low[low] = np.linalg.norm(jac[low], 2, axis=(1, 2)) < jac_floor
-        flat = idx[low]
-        if flat.size:
-            may_polish[flat] = False
-            polished = newton(family.jdet_grad, lambda x, y: _sym22(*family.jdet_hess(x, y)),
-                              q[flat], (0.0, 0.0), 0.0, 40)[0]
-            ok = np.max(np.abs(_detection_batch(family, polished)[0]), axis=-1) < DETECTION_TOL
-            q[flat[ok]], active[flat[ok]] = polished[ok], False
-            keep = active[idx]
-            idx, r, a, res = idx[keep], r[keep], a[keep], res[keep]
-        better = res <= 0.5 * best[idx]
-        best[idx[better]], best_at[idx[better]] = res[better], it
-        # Normal equations M dq = -g with M = A^T A and g = A^T r.
-        a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
-        m00 = a0[:, 0] * a0[:, 0] + a1[:, 0] * a1[:, 0] + a2[:, 0] * a2[:, 0]
-        m01 = a0[:, 0] * a0[:, 1] + a1[:, 0] * a1[:, 1] + a2[:, 0] * a2[:, 1]
-        m11 = a0[:, 1] * a0[:, 1] + a1[:, 1] * a1[:, 1] + a2[:, 1] * a2[:, 1]
-        g0 = a0[:, 0] * r[:, 0] + a1[:, 0] * r[:, 1] + a2[:, 0] * r[:, 2]
-        g1 = a0[:, 1] * r[:, 0] + a1[:, 1] * r[:, 1] + a2[:, 1] * r[:, 2]
-        det = m00 * m11 - m01 * m01
-        det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-        dq = np.empty((len(det), 2))
-        dq[:, 0] = -(m11 * g0 - m01 * g1) / det
-        dq[:, 1] = -(-m01 * g0 + m00 * g1) / det
-        norms = np.linalg.norm(dq, axis=1)
-        over = norms > step_cap
-        if np.any(over):
-            dq[over] *= (step_cap / norms[over])[:, None]
-        q[idx] += dq
-        still = ((norms > 1e-15) & np.all(np.isfinite(q[idx]), axis=1)
-                 & ((best[idx] < DETECTION_TOL) | (it - best_at[idx] < STALL_ITERATIONS)))
-        active[idx[~still]] = False
-        if not np.any(active):
-            break
-    res = np.max(np.abs(_detection_batch(family, q)[0]), axis=-1)
-    return q, res
+    q = np.concatenate([newton(*system(i), seeds, (0.0, 0.0), 0.0, 20)[0] for i in (1, 2)])
+    # A seed at a pole of q / A (A = 0) can stay out of range; it is dropped.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = np.max(np.abs(_residual(family, q)), axis=-1)
+        low = res < DETECTION_TOL
+        polished = newton(family.jdet_grad, lambda x, y: _sym22(*family.jdet_hess(x, y)),
+                          q[low], (0.0, 0.0), 0.0, 40)[0]
+        better = np.max(np.abs(_residual(family, polished)), axis=-1) < res[low]
+    q[np.flatnonzero(low)[better]] = polished[better]
+    return q[low]
 
 
 def _correct(family: MapFamily, pts, jtol, max_iter=10):
@@ -380,7 +355,7 @@ def _coefficients(family: MapFamily, x):
     """(A, B, C) of J and the coefficients (k3, k2, k1, k0), each (n, 2), of
     the cubic k = Jac . (-J_y, J_x) in y at the abscissae x, from k at
     y = -1, 0, 1, 2."""
-    km, k0, k1, k2 = (_detection_batch(family, np.column_stack([x, np.full_like(x, y)]))[0][:, 1:]
+    km, k0, k1, k2 = (_residual(family, np.column_stack([x, np.full_like(x, y)]))[:, 1:]
                       for y in (-1.0, 0.0, 1.0, 2.0))
     c3 = (k2 - 3.0 * k1 + 3.0 * k0 - km) / 6.0
     return _abc(family, x), (c3, 0.5 * (k1 + km) - k0, 0.5 * (k1 - km) - c3, k0)
@@ -412,21 +387,11 @@ def _resultant_seeds(family: MapFamily, box):
     return seeds[np.all(np.isfinite(seeds), axis=1)]
 
 
-def _from_seeds(family: MapFamily, box, seeds):
-    """Gauss-Newton from the seeds, which polishes the corank-2 points; every
-    candidate in the box with detection residual below DETECTION_TOL is kept,
-    deduplicated at radius 1e-6 times the box diagonal (max-norm, angle
-    modulo 2*pi for the periodic families), and classified."""
+def _special_points(family: MapFamily, box, candidates):
+    """The candidates in the box, deduplicated at radius 1e-6 times the box
+    diagonal (max-norm, angle modulo 2*pi for the periodic families) and
+    classified; periodic angles are reported canonical."""
     (x0, x1), (y0, y1) = box
-    diag = math.hypot(x1 - x0, y1 - y0)
-    jac_floor = CORANK2_POLISH_FACTOR * reference_scales(family, box).jac_entry
-    # A seed at a pole of q / A (A = 0) can diverge; it is dropped here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        converged, residuals = _gauss_newton(family, seeds, diag / 8.0, jac_floor)
-    candidates = converged[(residuals < DETECTION_TOL) & np.all(np.isfinite(converged), axis=1)]
-
-    # Keep only candidates inside the search box; periodic angles are
-    # reported canonical.
     if family.periodic:
         candidates[:, 0] = canonical_phi(candidates[:, 0])
     candidates = candidates[in_box(family, candidates, box)]
@@ -434,7 +399,7 @@ def _from_seeds(family: MapFamily, box, seeds):
         return []
 
     candidates = candidates[np.lexsort((candidates[:, 1], candidates[:, 0]))]
-    radius = 1e-6 * diag
+    radius = 1e-6 * math.hypot(x1 - x0, y1 - y0)
     points = [classify_point(family, q) for q in candidates[dedup_mask(family, candidates, radius)]]
     return sorted(points, key=lambda p: (p.location.phi, p.location.y))
 
@@ -446,4 +411,4 @@ def find_special_points(family: MapFamily, box=None) -> list[SpecialPoint]:
     (x0, x1), (y0, y1) = box
     if not (x1 > x0 and y1 > y0):
         raise ConfigError("box must be non-degenerate")
-    return _from_seeds(family, box, _resultant_seeds(family, box))
+    return _special_points(family, box, _solve_detection(family, _resultant_seeds(family, box)))

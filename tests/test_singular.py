@@ -186,6 +186,17 @@ class TestOffsetManipulator:
         assert periodic_dist(flagged[0], shifted.location) < 1e-12
 
 
+def mirror_draws():
+    """Quarto parameters (a, b): four with ab = 0, then eight seeded draws
+    from U(-2, 2)^2."""
+    rng = np.random.default_rng(zlib.crc32(b"mirror"))
+    return ([(0.0, 0.0), (1.0, 0.0), (0.7, 0.0), (0.0, -1.3)]
+            + [tuple(float(v) for v in rng.uniform(-2.0, 2.0, 2)) for _ in range(8)])
+
+
+MIRROR_DRAWS = mirror_draws()
+
+
 class TestNormalForms:
     def test_complex_square_cusps_on_circle(self, square_family):
         points = find_special_points(square_family, NORMAL_BOX)
@@ -243,6 +254,19 @@ class TestNormalForms:
         p = points[0]
         assert p.kind == PointKind.CUSP
         assert abs(p.location.phi * p.location.y - a * b) < 1e-8
+
+    @pytest.mark.parametrize("a, b", MIRROR_DRAWS, ids=[f"{a:.3g},{b:.3g}" for a, b in MIRROR_DRAWS])
+    def test_quarto_mirror_symmetry(self, a, b):
+        # (x, y) -> (x^2 + 2ay, y^2 + 2bx) is the quarto with a and b swapped,
+        # read with x and y, and u and v, swapped: the same kinds, at swapped
+        # locations.
+        points = find_special_points(make_family("quarto_unfolded", a=a, b=b), NORMAL_BOX)
+        mirror = find_special_points(make_family("quarto_unfolded", a=b, b=a), NORMAL_BOX)
+        mirror.sort(key=lambda p: (p.location.y, p.location.phi))
+        assert [p.kind for p in points] == [p.kind for p in mirror]
+        for p, m in zip(points, mirror):
+            assert abs(p.location.phi - m.location.y) < 1e-12
+            assert abs(p.location.y - m.location.phi) < 1e-12
 
 
 class TestClassifyEdgeCases:
@@ -308,10 +332,19 @@ class TestWhitneyTest:
             want = fd_whitney_derivative(family, q, jac)
             assert abs(derivative - want) <= 1e-5 * abs(want)
 
-    @pytest.mark.parametrize("b", [0.0, 0.7, -1.3])
+    @pytest.mark.parametrize("b", [0.0, 0.7, -1.3, 1.0])
     def test_crossing_axes_of_the_quarto_stay_degenerate(self, b):
-        family = make_family("quarto_unfolded", a=0.0, b=b)
-        assert [p.kind for p in find_special_points(family, NORMAL_BOX)] == [PointKind.DEGENERATE]
+        # Where ab = 0 the singular set of the quarto is the two axes, and
+        # their crossing is the one special point, on both mirror sides
+        # (a, b) = (0, b) and (b, 0).  It is corank-2 only at a = b = 0.
+        for a_side, b_side in ((0.0, b), (b, 0.0)):
+            family = make_family("quarto_unfolded", a=a_side, b=b_side)
+            [point] = find_special_points(family, NORMAL_BOX)
+            assert tuple(point.location) == (0.0, 0.0)
+            if b == 0.0:
+                assert point.kind == PointKind.CORANK2_HYPERBOLIC and point.delta > 0
+            else:
+                assert point.kind == PointKind.DEGENERATE
 
 
 MANIPULATOR = dict(a1=3.0, a2=7.0, b1=6.0, b2=5.0)
@@ -376,7 +409,7 @@ class TestOracleAgreement:
     ], ids=["raised", "fold_only"])
     def test_polish_keeps_small_offset_cusps(self, params):
         # Near an unfolded corank-2 point the corank-2 polish pulls a true
-        # cusp onto the nearby zero of grad J; the Gauss-Newton point is kept
+        # cusp onto the nearby zero of grad J; the Newton point is kept
         # instead.  The split is the paper's: three cusps at the elliptic
         # point (pi, 0), one at the hyperbolic point (0, 0).
         points = find_special_points(make_family("rpr2pr_offset", **params))
@@ -403,10 +436,12 @@ class TestSearchWork:
 
     def test_detection_evaluations(self, monkeypatch, exact_family, offset_family,
                                    square_family, quarto_family):
-        # Corank-2 points leave Gauss-Newton's linear tail for Newton on
-        # grad J = 0, and the quarto's pole seeds stall within a few
-        # iterations; before, the six searches took 341 evaluations, 96 of
-        # them for the quarto.
+        # Each search runs two Newton solves of at most 20 steps, one
+        # evaluation per step, and one per classified point.  The six
+        # searches take 180 evaluations, 23 of them for the quarto; the
+        # in-line ones use all 20 steps on the linear approach to their
+        # corank-2 points.  The damped Gauss-Newton took 180 and 21, and 341
+        # and 96 before it switched to Newton on grad J = 0.
         calls = []
 
         def counting(*args):
