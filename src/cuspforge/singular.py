@@ -50,7 +50,10 @@ COEFF_FLOOR = 1e-12
 #: multiple roots, scattered by about 1e-4.
 RESULTANT_DEGREE = 12
 SEED_RING = 1e-3
-#: Detection residual below which a Newton candidate is polished and kept.
+#: Newton steps on (J, k1) and (J, k2) from each resultant seed: a seed lies
+#: close to its point, and a regular system converges quadratically.
+DETECTION_STEPS = 5
+#: Detection residual below which a Newton candidate is kept.
 DETECTION_TOL = 1e-10
 #: |J| and kernel-alignment residual, relative to their scales, within
 #: which a point is classified: on the singularity set, and a cusp.
@@ -158,30 +161,32 @@ def detection_system(family: MapFamily, q) -> DetectionResidual:
 
 
 def _solve_detection(family: MapFamily, seeds):
-    """Newton from every seed on the square systems (J, k1) and (J, k2), 20
-    steps at most.  At a cusp grad J != 0 and k_i changes along the fold
-    with the i-th component of the image direction, so one of them is
-    regular there.  At a corank-2 point both are singular and Newton about
-    halves the distance per step; Newton on grad J = 0 finishes every point whose
-    detection residual is below DETECTION_TOL, and each row keeps whichever
-    point has the smaller residual, so a cusp next to an unfolded corank-2
-    point stays put.  Returns the points below DETECTION_TOL."""
+    """Newton from every seed on the square systems (J, k1) and (J, k2),
+    DETECTION_STEPS steps at most.  At a cusp grad J != 0 and k_i changes
+    along the fold with the i-th component of the image direction, so one of
+    them is regular there.  At a corank-2 point both are singular, and
+    grad J = 0 is regular: Newton on it runs from every end point, and each
+    row keeps whichever point has the smaller detection residual, so a cusp
+    next to an unfolded corank-2 point stays put.  Returns the points whose
+    residual is below DETECTION_TOL, and their residuals."""
     def system(i):
         def f(x, y):
             r = _residual(family, np.column_stack([x, y]))
             return r[:, 0], r[:, i]
         return f, lambda x, y: _detection_batch(family, np.column_stack([x, y]))[1][:, [0, i]]
 
-    q = np.concatenate([newton(*system(i), seeds, (0.0, 0.0), 0.0, 20)[0] for i in (1, 2)])
+    q = np.concatenate([newton(*system(i), seeds, (0.0, 0.0), 0.0, DETECTION_STEPS)[0]
+                        for i in (1, 2)])
     # A seed at a pole of q / A (A = 0) can stay out of range; it is dropped.
     with np.errstate(over="ignore", invalid="ignore"):
         res = np.max(np.abs(_residual(family, q)), axis=-1)
-        low = res < DETECTION_TOL
         polished = newton(family.jdet_grad, lambda x, y: _sym22(*family.jdet_hess(x, y)),
-                          q[low], (0.0, 0.0), 0.0, 40)[0]
-        better = np.max(np.abs(_residual(family, polished)), axis=-1) < res[low]
-    q[np.flatnonzero(low)[better]] = polished[better]
-    return q[low]
+                          q, (0.0, 0.0), 0.0, 40)[0]
+        polished_res = np.max(np.abs(_residual(family, polished)), axis=-1)
+        better = polished_res < res
+        q[better], res[better] = polished[better], polished_res[better]
+        low = res < DETECTION_TOL
+    return q[low], res[low]
 
 
 def _correct(family: MapFamily, pts, jtol, max_iter=10):
@@ -355,8 +360,8 @@ def _coefficients(family: MapFamily, x):
     """(A, B, C) of J and the coefficients (k3, k2, k1, k0), each (n, 2), of
     the cubic k = Jac . (-J_y, J_x) in y at the abscissae x, from k at
     y = -1, 0, 1, 2."""
-    km, k0, k1, k2 = (_residual(family, np.column_stack([x, np.full_like(x, y)]))[:, 1:]
-                      for y in (-1.0, 0.0, 1.0, 2.0))
+    pts = np.stack(np.broadcast_arrays(x, np.array([[-1.0], [0.0], [1.0], [2.0]])), axis=-1)
+    km, k0, k1, k2 = _residual(family, pts)[..., 1:]
     c3 = (k2 - 3.0 * k1 + 3.0 * k0 - km) / 6.0
     return _abc(family, x), (c3, 0.5 * (k1 + km) - k0, 0.5 * (k1 - km) - c3, k0)
 
@@ -387,18 +392,20 @@ def _resultant_seeds(family: MapFamily, box):
     return seeds[np.all(np.isfinite(seeds), axis=1)]
 
 
-def _special_points(family: MapFamily, box, candidates):
+def _special_points(family: MapFamily, box, candidates, residuals):
     """The candidates in the box, deduplicated at radius 1e-6 times the box
-    diagonal (max-norm, angle modulo 2*pi for the periodic families) and
+    diagonal (max-norm, angle modulo 2*pi for the periodic families), each
+    cluster keeping its candidate of least detection residual, and
     classified; periodic angles are reported canonical."""
     (x0, x1), (y0, y1) = box
     if family.periodic:
         candidates[:, 0] = canonical_phi(candidates[:, 0])
-    candidates = candidates[in_box(family, candidates, box)]
+    inside = in_box(family, candidates, box)
+    candidates = candidates[inside]
     if candidates.size == 0:
         return []
 
-    candidates = candidates[np.lexsort((candidates[:, 1], candidates[:, 0]))]
+    candidates = candidates[np.lexsort((candidates[:, 1], candidates[:, 0], residuals[inside]))]
     radius = 1e-6 * math.hypot(x1 - x0, y1 - y0)
     points = [classify_point(family, q) for q in candidates[dedup_mask(family, candidates, radius)]]
     return sorted(points, key=lambda p: (p.location.phi, p.location.y))
@@ -411,4 +418,4 @@ def find_special_points(family: MapFamily, box=None) -> list[SpecialPoint]:
     (x0, x1), (y0, y1) = box
     if not (x1 > x0 and y1 > y0):
         raise ConfigError("box must be non-degenerate")
-    return _special_points(family, box, _solve_detection(family, _resultant_seeds(family, box)))
+    return _special_points(family, box, *_solve_detection(family, _resultant_seeds(family, box)))

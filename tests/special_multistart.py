@@ -99,4 +99,4 @@ def multistart_special_points(family, box=None, *, grid=64):
         converged, residuals = _gauss_newton(family, seeds, math.hypot(x1 - x0, y1 - y0) / 8.0,
                                              jac_floor)
     ok = (residuals < DETECTION_TOL) & np.all(np.isfinite(converged), axis=1)
-    return _special_points(family, box, converged[ok])
+    return _special_points(family, box, converged[ok], residuals[ok])
