@@ -18,7 +18,6 @@ of a family, so signs are globally consistent.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from collections import namedtuple
@@ -387,6 +386,17 @@ def point_distances(family: MapFamily, pts, ref):
     return np.linalg.norm(coord_deltas(family, pts, ref), axis=-1)
 
 
+def _nearest(family: MapFamily, pts, roots):
+    """For each point of ``pts`` (..., r, 2): the index of its nearest root
+    in ``roots`` (..., m, 2, m >= 2, NaN rows absent), and the ratio of the
+    distances to that root and to the second-nearest (NaN if both are 0)."""
+    d = point_distances(family, pts[..., :, None, :], roots[..., None, :, :])
+    d = np.nan_to_num(d, nan=np.finfo(float).max)  # absent roots are far away
+    two = np.partition(d, 1, axis=-1)
+    with np.errstate(invalid="ignore"):
+        return np.argmin(d, axis=-1), two[..., 0] / two[..., 1]
+
+
 def in_box(family: MapFamily, pts, box):
     """Mask of the points (..., 2) inside ``box``, to a slack of 1e-9 times
     its longest side (at least 1e-9).  A periodic family's angle is taken
@@ -442,27 +452,12 @@ def newton(f, jac, q, target, tol, max_iter):
 def dedup_mask(family: MapFamily, pts, radius):
     """Mask of the rows of the (n, 2) ``pts`` kept by a greedy pass in input
     order: a row is dropped when it lies within ``radius`` (max-norm, angle
-    modulo 2*pi) of an earlier kept row, so each cluster keeps its first row.
-
-    Each row is compared only with the kept rows in a window of the first
-    coordinate, found by bisection in their sorted keys.
-    """
+    modulo 2*pi) of an earlier kept row, so each cluster keeps its first row."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    key = np.mod(pts[:, 0], TWO_PI) if family.periodic else pts[:, 0]
+    near = np.max(np.abs(coord_deltas(family, pts[:, None], pts[None])), axis=-1) < radius
     kept = np.zeros(len(pts), dtype=bool)
-    keys: list[float] = []  # first coordinates of the kept rows, ascending
-    rows: list[int] = []    # the kept rows in the same order
-    for i, k in enumerate(key.tolist()):
-        near = rows[bisect.bisect_left(keys, k - radius):bisect.bisect_right(keys, k + radius)]
-        if family.periodic:
-            near += rows[:bisect.bisect_right(keys, k + radius - TWO_PI)]
-            near += rows[bisect.bisect_left(keys, k - radius + TWO_PI):]
-        if near and np.abs(coord_deltas(family, pts[near], pts[i])).max(axis=1).min() < radius:
-            continue
-        at = bisect.bisect_right(keys, k)
-        keys.insert(at, k)
-        rows.insert(at, i)
-        kept[i] = True
+    for i in range(len(pts)):
+        kept[i] = not np.any(near[i, :i] & kept[:i])
     return kept
 
 

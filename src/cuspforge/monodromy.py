@@ -40,6 +40,7 @@ from .maps import (
     JointPoint,
     MapFamily,
     WorkspacePoint,
+    _nearest,
     coord_deltas,
     newton,
     point_distances,
@@ -190,16 +191,6 @@ def _newton_to_target(family, q, target, tol_abs, max_iter=12):
     return q, iters, resid <= tol_abs
 
 
-def _nearest(family, pts, roots):
-    """For each point of ``pts`` (..., r, 2): the index of its nearest root
-    in ``roots`` (..., m, 2, NaN rows absent), and whether that root is
-    closer than MATCH_RATIO times the second-nearest."""
-    d = point_distances(family, pts[..., :, None, :], roots[..., None, :, :])
-    d = np.nan_to_num(d, nan=np.finfo(float).max)  # absent roots are far away
-    two = np.partition(d, 1, axis=-1)
-    return np.argmin(d, axis=-1), two[..., 0] < MATCH_RATIO * two[..., 1]
-
-
 def _root_tables(family, samples):
     """The real non-singular roots at every loop sample (n, m, 2, NaN rows
     absent), and for every step k -> k + 1 the index at k + 1 of each root's
@@ -212,7 +203,8 @@ def _root_tables(family, samples):
     roots = np.pad(roots, ((0, 0), (0, max(0, 2 - roots.shape[1])), (0, 0)),
                    constant_values=np.nan)
     here = ~np.isnan(roots[..., 0])
-    near, sure = _nearest(family, roots[:-1], roots[1:])
+    near, ratio = _nearest(family, roots[:-1], roots[1:])
+    sure = ratio < MATCH_RATIO
     pair = here[:-1, :, None] & here[:-1, None, :] & ~np.eye(roots.shape[1], dtype=bool)
     clean = (np.all(sure | ~here[:-1], axis=1)
              & ~np.any(pair & (near[:, :, None] == near[:, None, :]), axis=(1, 2))
@@ -296,8 +288,8 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts) -> list:
     # The step that ends the run of clean steps from each step on.
     run_end = np.append(np.flatnonzero(~clean) + 1, len(samples))
     rows = np.flatnonzero(~rejected)
-    at, sure = _nearest(family, q[rows], roots[0])
-    at[~sure] = -1  # the root each row is on, -1 for none
+    at, ratio = _nearest(family, q[rows], roots[0])
+    at[~(ratio < MATCH_RATIO)] = -1  # the root each row is on, -1 for none
     step = 1
     while step < len(samples):
         if clean[step - 1] and np.all(at >= 0):
@@ -316,8 +308,8 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts) -> list:
         paths[step, moved] = q_to
         on = chase | np.isin(rows, moved)
         rows, at = rows[on], at[on]
-        near, sure = _nearest(family, paths[step, rows[at < 0]], roots[step])
-        at[at < 0] = np.where(sure, near, -1)
+        near, ratio = _nearest(family, paths[step, rows[at < 0]], roots[step])
+        at[at < 0] = np.where(ratio < MATCH_RATIO, near, -1)
         step += 1
 
     # Roots come with canonical angles: summing the wrapped steps makes each

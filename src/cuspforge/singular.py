@@ -10,8 +10,9 @@ so the extra equations say that this tangent lies in the kernel of the
 Jacobian (or that the fold curve itself is singular).
 
 J is quadratic and k cubic in y, so every special point lies over a real
-zero of the resultants Res_y(J, k_i), from which Newton solves the square
-systems (J, k1) and (J, k2).
+zero of the resultants Res_y(J, k_i) or, for a corank-2 point, of the
+discriminant of J in y, from which Newton solves the square systems (J, k1)
+and (J, k2).
 """
 
 from __future__ import annotations
@@ -370,11 +371,17 @@ def _resultant_seeds(family: MapFamily, box):
     """Both roots y of J(x, .) = 0 at every real zero x of the resultants
     Res_y(J, k_i), i = 1, 2: Sylvester determinants of J and the cubic k_i,
     5 x 5, or 4 x 4 where A vanishes identically (the quarto), which is then
-    sum_j k_j (-C)^j B^(3-j)."""
-    (x0, x1), _ = box
+    sum_j k_j (-C)^j B^(3-j); and of the discriminant B^2 - 4AC of J in y,
+    as a corank-2 point is a double root of J in y, also where both
+    resultants vanish identically (as for u = (x + y)^2, v = (x - y)^2).
+    Seeds more than the box height outside the box in y (q / A, where A is
+    a rounding residue) are dropped."""
+    (x0, x1), (y0, y1) = box
     (a, b, c), k = _coefficients(family, x0 + (x1 - x0) * np.arange(16) / 16.0)
     jref = np.max(np.abs([a, b, c]))
     m = 1 if np.max(np.abs(a)) <= COEFF_FLOOR * jref else 2  # the degree of J in y
+    kref = np.max(np.abs(k)) ** m
+    ref = jref ** 3 * kref
 
     def resultants(x):
         jc, k = _coefficients(family, x)
@@ -383,13 +390,12 @@ def _resultant_seeds(family: MapFamily, box):
             s[:, :, r, r:r + m + 1] = np.column_stack(jc[2 - m:])[:, None]
         for r in range(m):
             s[:, :, 3 + r, r:r + 4] = np.stack(k, axis=-1)
-        return np.linalg.det(s)
+        return np.column_stack([np.linalg.det(s), _disc(*jc) * jref * kref])
 
-    ref = jref ** 3 * np.max(np.abs(k)) ** m
     x = _zeros(family, resultants, x0, x1 - x0, ref, RESULTANT_DEGREE, SEED_RING)
     a, b, c = _abc(family, x)
     seeds = np.column_stack([np.repeat(x, 2), np.column_stack(_roots(a, b, c, b)).ravel()])
-    return seeds[np.all(np.isfinite(seeds), axis=1)]
+    return seeds[(seeds[:, 1] > 2.0 * y0 - y1) & (seeds[:, 1] < 2.0 * y1 - y0)]
 
 
 def _special_points(family: MapFamily, box, candidates, residuals):

@@ -18,7 +18,9 @@ vertex is then set to the located cusp.  The elliptic corank-2 points are
 isolated in {J = 0} and are reported as such.
 
 Characteristic curves are the extra direct-kinematics solutions over the
-images of the singular vertices, chained by nearest-neighbor continuation.
+images of the singular vertices, followed along each branch in order: a
+root continues to the root at the next source that is its mutual nearest,
+and the chains that a cusp interrupts are joined across it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from .maps import (
     JointPoint,
     MapFamily,
     WorkspacePoint,
+    _nearest,
     canonical_phi,
+    coord_deltas,
     dedup_mask,
     point_distances,
     reference_scales,
@@ -71,7 +75,8 @@ BREAK_MERGE = 1e-7
 NODE_RADIUS = 1e-6
 #: Fine samples per vertex, from which vertices are spaced in arc length.
 ARC_OVERSAMPLING = 4
-CHAIN_JUMP_FACTOR = 3.0
+#: Source points on each side of a cusp vertex (:func:`_sources`).
+CUSP_REFINEMENT = 7
 #: The special points at which branches end.
 CORANK2_KINDS = (PointKind.CORANK2_ELLIPTIC, PointKind.CORANK2_HYPERBOLIC,
                  PointKind.DEGENERATE)
@@ -318,95 +323,93 @@ def image_curves(family: MapFamily, cs: CurveSet) -> CurveSet:
     return CurveSet(out, images)
 
 
-def _sorted_window(family, xs, x, radius):
-    """Indices, in increasing order, of the ascending coordinates xs within
-    radius of x, the angle taken modulo 2*pi for the periodic families."""
-    idx = np.arange(np.searchsorted(xs, x - radius), np.searchsorted(xs, x + radius, "right"))
-    if family.periodic:
-        below = np.arange(np.searchsorted(xs, x + radius - TWO_PI, "right"))
-        above = np.arange(np.searchsorted(xs, x - radius + TWO_PI), len(xs))
-        idx = np.unique(np.concatenate([below, idx, above]))
-    return idx
+def _sources(family, poly, jtol):
+    """The source points of a singular branch in branch order: its vertices
+    (a closed branch's last, which repeats vertex 0, left out) and, between
+    each cusp vertex and its neighbors, CUSP_REFINEMENT points projected onto
+    {J = 0}.  The partner preimage recedes from a cusp about twice as fast
+    as the fold point approaches it, so these populate the characteristic
+    there.  Returns the points and the indices of the cusps among them."""
+    verts = poly.vertices[:-1] if poly.closed else poly.vertices
+    n = len(verts)
+    fracs = np.linspace(0.125, 0.875, CUSP_REFINEMENT)
+    at, pts = [np.arange(n, dtype=float)], [verts]  # positions along the branch
+    for vi in poly.cusp_indices:
+        for side in (-1, 1):
+            if poly.closed or 0 <= vi + side < n:
+                delta = coord_deltas(family, verts[(vi + side) % n], verts[vi])
+                refined, ok = _correct(family, verts[vi] + fracs[:, None] * delta, jtol)
+                at.append(np.mod(vi + side * fracs, n)[ok])
+                pts.append(refined[ok])
+    at = np.concatenate(at)
+    order = np.argsort(at, kind="stable")
+    return np.concatenate(pts)[order], np.searchsorted(at[order], poly.cusp_indices)
 
 
 def characteristic_curves(family: MapFamily, cs: CurveSet) -> CurveSet:
     """Characteristic curves: the other preimages of the singular images.
 
-    For every vertex p of every singularity branch, the direct kinematic
-    problem is solved at eval_map(p) and all real solutions that do not lie
-    on the singularity curve itself (the ones not flagged as multiple roots)
-    are collected, then chained into polylines by nearest-neighbor
-    continuation (maximum jump 3x the median vertex spacing of the branches).
+    Each singularity branch is walked in order over its source points
+    (:func:`_sources`).  At each, the direct kinematic problem is solved at
+    its image; the roots there are the real solutions not flagged as
+    multiple roots (the source's own preimage is one, and so is every other
+    preimage on the singularity curve).  A root links to a root at the next
+    source when each is the other's nearest, and the last source of a closed
+    branch links back to the first.  At a cusp the partner root merges into
+    the cusp, where the solver also splits the merging roots into spurious
+    ones: a root next to the cusp that links to neither neighbor is dropped,
+    and the chain ending nearest the cusp before it is joined to the chain
+    starting nearest the cusp after it.  The links form the chains, closed
+    where they return to their first root.
     """
-    singular = cs.by_kind(KIND_SINGULARITY)
-    if not singular:
-        return CurveSet([], [])
-    spacing = [np.median(np.linalg.norm(np.diff(c.vertices, axis=0), axis=1))
-               for c in singular if len(c) > 1]
-    step = float(np.median(spacing)) if spacing else 1e-2
     jtol = 1e-10 * max(1.0, reference_scales(family).jdet)
-
-    def source_points(poly):
-        # The partner preimage recedes from a cusp about twice as fast as
-        # the fold point approaches it, so refine the source sampling near
-        # the cusp vertices to populate the characteristic there.
-        points = list(poly.vertices)
-        for vi in poly.cusp_indices:
-            for nb in (vi - 1, vi + 1):
-                if not (0 <= nb < len(poly.vertices)):
-                    continue
-                a, b = poly.vertices[vi], poly.vertices[nb]
-                fracs = np.linspace(0.125, 0.875, 7)[:, None]
-                refined, ok = _correct(family, a + fracs * (b - a), jtol)
-                points.extend(refined[ok])
-        return points
-
-    cloud = []
-    for poly in singular:
-        for vertex in source_points(poly):
+    chains: list[Polyline] = []
+    for poly in cs.by_kind(KIND_SINGULARITY):
+        sources, cusps = _sources(family, poly, jtol)
+        roots = []
+        for vertex in sources:
             target = family.evaluate(vertex[0], vertex[1])
             sols = solve_dkp(family, (float(target[0]), float(target[1])))
-            # The vertex's own preimage is a double root, reported once and
-            # flagged; so is every other preimage on the singularity curve.
-            cloud.extend([sol.phi, sol.y] for sol, on_curve
-                         in zip(sols.solutions, sols.multiplicity_flags) if not on_curve)
-    if not cloud:
-        return CurveSet([], [])
-    cloud = np.array(cloud)
+            roots.append([[sol.phi, sol.y] for sol, on_curve
+                          in zip(sols.solutions, sols.multiplicity_flags) if not on_curve])
+        # Root i at source k is row k * m + i of a NaN-padded table.
+        n, m = len(roots), max([2, *map(len, roots)])
+        table = np.array([r + [[np.nan, np.nan]] * (m - len(r)) for r in roots])
+        here, after = ~np.isnan(table[..., 0]), np.roll(table, -1, axis=0)
+        ahead, back = _nearest(family, table, after)[0], _nearest(family, after, table)[0]
+        mutual = (here & np.take_along_axis(np.roll(here, -1, axis=0), ahead, axis=1)
+                  & (np.take_along_axis(back, ahead, axis=1) == np.arange(m)))
+        mutual[-1] &= poly.closed
+        k, i = np.nonzero(mutual)
+        succ, pred = np.full(n * m, -1), np.full(n * m, -1)
+        succ[k * m + i] = (k + 1) % n * m + ahead[k, i]
+        pred[succ[k * m + i]] = k * m + i
 
-    # Deduplicate near-identical points contributed by adjacent vertices.
-    cloud = cloud[np.lexsort((cloud[:, 1], cloud[:, 0]))]
-    cloud = cloud[dedup_mask(family, cloud, 0.05 * step)]
+        pts, keep = table.reshape(-1, 2), here.ravel()
+        for c in cusps:
+            d = np.arange(n * m) // m - c  # source offset from the cusp
+            if poly.closed:
+                d = (d + n // 2) % n - n // 2
+            near = keep & (np.abs(d) <= CUSP_REFINEMENT + 1)
+            keep &= ~(near & (succ < 0) & (pred < 0))
+            ends = (np.flatnonzero(near & (d < 0) & (succ < 0) & (pred >= 0)),
+                    np.flatnonzero(near & (d > 0) & (pred < 0) & (succ >= 0)))
+            if all(len(e) for e in ends):
+                tail, head = (e[np.argmin(point_distances(family, pts[e], sources[c]))]
+                              for e in ends)
+                succ[tail], pred[head] = head, tail
 
-    max_jump = CHAIN_JUMP_FACTOR * step
-    unused = np.ones(len(cloud), dtype=bool)
-    chains: list[Polyline] = []
-    while np.any(unused):
-        idx = int(np.flatnonzero(unused)[0])
-        unused[idx] = False
-        chain = [idx]
-        for grow_head in (False, True):
-            while True:
-                end = cloud[chain[0] if grow_head else chain[-1]]
-                cand = _sorted_window(family, cloud[:, 0], end[0], max_jump)
-                cand = cand[unused[cand]]
-                if cand.size == 0:
-                    break
-                dists = point_distances(family, cloud[cand], end)
-                best = int(np.argmin(dists))
-                if dists[best] > max_jump:
-                    break
-                nxt = int(cand[best])
-                unused[nxt] = False
-                if grow_head:
-                    chain.insert(0, nxt)
-                else:
-                    chain.append(nxt)
-        verts = cloud[chain]
-        closed = False
-        if len(chain) > 3:
-            closed = bool(point_distances(family, verts[-1], verts[0]) < max_jump)
-        chains.append(Polyline(verts, closed, KIND_CHARACTERISTIC))
+        # Chains run from every root without a predecessor; what is left
+        # are the closed chains, each from its first root.
+        seen = ~keep
+        for first in np.concatenate([np.flatnonzero(pred < 0), np.arange(n * m)]):
+            chain, j = [], first
+            while j >= 0 and not seen[j]:
+                seen[j] = True
+                chain.append(j)
+                j = succ[j]
+            if chain:
+                chains.append(Polyline(pts[chain], bool(j == first), KIND_CHARACTERISTIC))
 
     chains.sort(key=lambda c: (round(c.vertices[0, 0], 9), round(c.vertices[0, 1], 9)))
     return CurveSet(chains, [])

@@ -1,6 +1,7 @@
 """The quadratic map core: its unfolding presets against the hand-written
 reference, and the paper's second claim over random germs of the class."""
 
+import math
 import zlib
 from dataclasses import dataclass, fields
 
@@ -128,6 +129,20 @@ class Germ(QuadraticMap):
 
 
 WIDE_BOX = ((-4.0, 4.0), (-4.0, 4.0))
+#: The normal forms of the two corank-2 germs as pairs of symmetric
+#: matrices: the quarto (x^2, y^2) and the complex square (x^2 - y^2, 2xy).
+QUARTO_FORMS = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
+SQUARE_FORMS = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+
+
+def linear_image(forms, source, target=np.eye(2)):
+    """The germ target . (q o source) of the quadratic forms q (2, 2, 2)."""
+    mixed = np.einsum("ij,jkl->ikl", target, source.T @ forms @ source)
+    return Germ(tuple((m[0, 0], 2.0 * m[0, 1], m[1, 1], 0.0, 0.0) for m in mixed))
+
+
+def rotation(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
 
 
 def test_germ_without_an_elimination_is_a_typed_error():
@@ -136,6 +151,33 @@ def test_germ_without_an_elimination_is_a_typed_error():
     germ = Germ(((1.0, 0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 1.0, 1.0, 0.0)))
     with pytest.raises(PreconditionViolated):
         solve_dkp(germ, (1.0, 0.5))
+
+
+def linear_images():
+    rng = np.random.default_rng(zlib.crc32(b"linear images"))
+    cases = [pytest.param(linear_image(QUARTO_FORMS, np.array([[1.0, 1.0], [1.0, -1.0]])),
+                          id="(x+y)^2, (x-y)^2"),
+             pytest.param(linear_image(QUARTO_FORMS, rotation(math.pi / 6)),
+                          id="quarto rotated by 30 deg")]
+    for name, forms in (("quarto", QUARTO_FORMS), ("square", SQUARE_FORMS)):
+        for i in range(4):
+            source, target = rng.uniform(-1.0, 1.0, (2, 2, 2))
+            cases.append(pytest.param(linear_image(forms, source, target), id=f"{name} {i}"))
+            cases.append(pytest.param(linear_image(forms, source), id=f"{name} {i}, source only"))
+    return cases
+
+
+@pytest.mark.parametrize("germ", linear_images())
+def test_linear_images_of_the_normal_forms(germ):
+    # A linear change of the source keeps u and v squares of linear forms
+    # for the quarto; then J shares a factor with each k_i, both resultants
+    # Res_y(J, k_i) vanish identically, and only the discriminant of J in y
+    # seeds the origin.
+    kind = classify_point(germ, (0.0, 0.0)).kind
+    assert kind in (PointKind.CORANK2_ELLIPTIC, PointKind.CORANK2_HYPERBOLIC)
+    (point,) = find_special_points(germ)
+    assert point.kind == kind
+    assert max(map(abs, point.location)) < 1e-12
 
 
 class TestSecondClaim:

@@ -446,7 +446,8 @@ class TestSearchWork:
         # a Jacobian and a trial residual per step), evaluates the residual
         # before and after the polish on grad J = 0, and classifies each
         # point: at most 26 calls and one per point.  The six searches take
-        # 164, 21 of them for the quarto.  The damped Gauss-Newton took 180
+        # 154, 9 of them for the quarto, once the seeds far outside the box
+        # are dropped (164 and 21 before).  The damped Gauss-Newton took 180
         # and 21, and 341 and 96 before it switched to Newton on grad J = 0.
         calls = []
 
@@ -477,3 +478,14 @@ class TestSearchWork:
             assert hyper.delta == pytest.approx(13489.0, rel=1e-9)
             assert elliptic.kind == PointKind.CORANK2_ELLIPTIC
             assert periodic_dist(elliptic.location, (math.pi, 0.0)) < 1e-12
+
+    def test_seeds_stay_near_the_box(self):
+        # J of the quarto is linear in y, and A is a rounding residue: the
+        # second root q / A of J(x, .) = 0 used to seed 8 of 18 points at
+        # |y| of about 1.2e16 to 1.7e16 here.
+        family = make_family("quarto_unfolded", a=-0.103, b=-0.00105)
+        seeds = singular._resultant_seeds(family, NORMAL_BOX)
+        assert len(seeds) and np.all(np.abs(seeds) < 12.0)
+        (cusp,) = find_special_points(family, NORMAL_BOX)
+        assert cusp.kind == PointKind.CUSP
+        assert math.dist(cusp.location, quarto_cusp_location(-0.103, -0.00105)) < 1e-12

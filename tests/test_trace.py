@@ -15,6 +15,7 @@ from cuspforge import (
     reference_scales,
     trace_singularity_curves,
 )
+from cuspforge import trace as trace_module
 from cuspforge.errors import PreconditionViolated
 from cuspforge.maps import TWO_PI, JointPoint, WorkspacePoint, coord_deltas, point_distances
 from cuspforge.singular import PointKind, SpecialPoint, _correct
@@ -344,6 +345,54 @@ class TestCharacteristicCurves:
             if len(chain) > 1:
                 gaps = np.linalg.norm(np.diff(chain.vertices, axis=0), axis=1)
                 assert np.max(gaps) <= 3.0 * step + 1e-9
+
+    # Chains at the default step, and why each open one ends.
+    @pytest.mark.parametrize("name, chains, closed", [
+        # The oval's four partner roots close up: two go round once, and the
+        # two that merge into its cusps, joined there, go round twice.  The
+        # open branch with the cusp carries two partners from its end on the
+        # box edge y = 8 until they meet on {J = 0} above the box and turn
+        # complex; the other branch has no partner in the family's box.
+        ("offset", 5, 3),
+        # One partner goes round the circle, joined at each of the 3 cusps.
+        ("square", 1, 1),
+        # The branch with the cusp carries two partners from one box edge
+        # to the other, the one merging into the cusp joined there; the
+        # other branch has none.
+        ("quarto", 2, 0),
+    ])
+    def test_chains_at_the_default_step(self, name, chains, closed, request, monkeypatch):
+        family, cs = (request.getfixturevalue(f"{name}_{what}") for what in ("family", "trace"))
+        solves = []
+
+        def recording(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        solve = trace_module.solve_dkp
+        monkeypatch.setattr(trace_module, "solve_dkp", recording)
+        chars = characteristic_curves(family, cs)
+        assert (len(chars.curves), sum(c.closed for c in chars.curves)) == (chains, closed)
+        # Every vertex is a root the solver reported, and not flagged.
+        unflagged = {(sol.phi, sol.y) for sols in solves
+                     for sol, flag in zip(sols.solutions, sols.multiplicity_flags) if not flag}
+        vertices = np.concatenate([c.vertices for c in chars.curves])
+        assert all((phi, y) in unflagged for phi, y in vertices.tolist())
+
+    def test_cusp_at_the_start_of_a_closed_branch(self, square_family, square_trace):
+        # The same circle, started at its cusp (2, 0): the cusp is refined
+        # and joined across the wrap too, and the same closed chain results.
+        (poly,) = square_trace.curves
+        start = next(vi for vi in poly.cusp_indices
+                     if np.allclose(poly.vertices[vi], (2.0, 0.0)))
+        verts = np.roll(poly.vertices[:-1], -start, axis=0)
+        rolled = dataclasses.replace(
+            poly, vertices=np.vstack([verts, verts[:1]]),
+            cusp_indices=sorted((vi - start) % (len(poly) - 1) for vi in poly.cusp_indices))
+        chains = [characteristic_curves(square_family, dataclasses.replace(square_trace, curves=c))
+                  .curves for c in ([poly], [rolled])]
+        assert [(len(c), c.closed) for c in chains[1]] == [(len(c), c.closed) for c in chains[0]]
+        assert set(map(tuple, chains[1][0].vertices)) == set(map(tuple, chains[0][0].vertices))
 
     def test_degenerate_quarto_characteristic_is_empty(self):
         # All preimages of the fold images lie on the singular axes
