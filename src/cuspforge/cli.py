@@ -30,7 +30,7 @@ from . import output
 from .config import family_from_config, load_config, workspace_box
 from .dkp import count_map, solve_dkp
 from .errors import ConfigError, CuspforgeError
-from .maps import JointPoint, make_family, point_distances
+from .maps import JointPoint, in_box, make_family, point_distances
 from .monodromy import JointLoop, circle_loop, lift_loop, loop_clearance, loop_permutation
 from .singular import DISPLAY_NAMES, PointKind, classify_point, find_special_points
 from .trace import characteristic_curves, image_curves, trace_singularity_curves
@@ -238,12 +238,12 @@ def _swaps_two(perm) -> bool:
     return (not perm.is_identity()) and perm.compose(perm).is_identity()
 
 
-def _reach_image(family):
-    """Image of the singular set over the family's whole reach box."""
-    return image_curves(family, trace_singularity_curves(family))
+def _reach_image(family, found):
+    """Image of the singular set over the reach box, holding the points found."""
+    return image_curves(family, trace_singularity_curves(family, specials=found))
 
 
-def _check_exact(report: _Report, family, points, cs, jcs):
+def _check_exact(report: _Report, family, points, cs, jcs, found):
     report.check(len(points) == 2, "in-line manipulator: exactly 2 special points")
     kinds = sorted(p.kind.value for p in points)
     report.check(kinds == ["corank2_elliptic", "corank2_hyperbolic"],
@@ -262,7 +262,7 @@ def _check_exact(report: _Report, family, points, cs, jcs):
     # against the image of the full singular set (reach box), not just the
     # branches clipped to the plotting window.
     target = JointPoint(81.0, 144.0)
-    pts = np.concatenate([c.vertices for c in _reach_image(family).curves])
+    pts = np.concatenate([c.vertices for c in _reach_image(family, found).curves])
     clearance = float(np.min(np.linalg.norm(pts - np.array(target), axis=1)))
     perm = loop_permutation(family, circle_loop(target, 0.4 * clearance))
     report.check(_swaps_two(perm), "in-line manipulator: loop around the multiple image "
@@ -273,7 +273,7 @@ OFFSET_PAPER_CUSPS = ((-0.0023, 2.9069), (2.6492, -2.2190), (3.5464, -1.2968),
                       (3.0855, 2.6935))
 
 
-def _check_offset(report: _Report, family, points, cs, jcs):
+def _check_offset(report: _Report, family, points, cs, jcs, found):
     cusps = np.array([p.location for p in points if p.kind == PointKind.CUSP]).reshape(-1, 2)
     report.check(len(points) == 4 and len(cusps) == 4,
                  "offset manipulator: exactly 4 special points, all cusps")
@@ -288,7 +288,7 @@ def _check_offset(report: _Report, family, points, cs, jcs):
                  "offset manipulator: exactly one open branch carries the fourth cusp")
     report.check(len(cs.isolated_points) == 0, "offset manipulator: no isolated points")
 
-    full_jcs = _reach_image(family)
+    full_jcs = _reach_image(family, found)
     oval_image = [c for c in full_jcs.curves if c.closed][0].vertices
     centroid = oval_image.mean(axis=0)
     r_in = float(np.max(np.linalg.norm(oval_image - centroid, axis=1)))
@@ -299,7 +299,7 @@ def _check_offset(report: _Report, family, points, cs, jcs):
                                    "solutions and squares to the identity")
 
 
-def _check_square(report: _Report, family, points, cs, jcs):
+def _check_square(report: _Report, family, points, cs, jcs, found):
     cusps = [p for p in points if p.kind == PointKind.CUSP]
     on_circle = all(abs(math.hypot(p.location.phi, p.location.y) - 2.0) < 1e-8
                     for p in cusps)
@@ -319,7 +319,7 @@ def _check_square(report: _Report, family, points, cs, jcs):
                  "outer preimages")
 
 
-def _check_quarto(report: _Report, family, points, cs, jcs):
+def _check_quarto(report: _Report, family, points, cs, jcs, found):
     cusps = [p for p in points if p.kind == PointKind.CUSP]
     on_hyperbola = all(abs(p.location.phi * p.location.y - 1.0) < 1e-8 for p in cusps)
     report.check(len(points) == 1 and len(cusps) == 1 and on_hyperbola,
@@ -345,9 +345,12 @@ PAPER_INSTANCES = (
 
 def _reproduce_instance(out: Path, report: _Report, full: bool,
                         name, kind, params, box, with_counts, checks):
-    """Locate, trace and plot one instance, write its data, then check it."""
+    """Locate, trace and plot one instance, write its data, then check it.
+    One search over the reach box finds the special points of both boxes."""
     family = make_family(kind, **params)
-    points = find_special_points(family, box)
+    found = find_special_points(family, family.default_box())
+    inside = in_box(family, np.reshape([p.location for p in found], (-1, 2)), box)
+    points = [p for p, keep in zip(found, inside) if keep]
     cs = trace_singularity_curves(family, box, specials=points)
     jcs = image_curves(family, cs)
     characteristics = characteristic_curves(family, cs) if full else None
@@ -359,7 +362,7 @@ def _reproduce_instance(out: Path, report: _Report, full: bool,
     output.write_special_points_csv(out / f"{name}_points.csv", points)
     output.write_curves_csv(out / f"{name}_workspace.csv", cs, family.input_names)
     output.write_curves_csv(out / f"{name}_joint.csv", jcs, family.output_names)
-    checks(report, family, points, cs, jcs)
+    checks(report, family, points, cs, jcs, found)
 
 
 def cmd_reproduce(args) -> int:

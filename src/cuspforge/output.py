@@ -58,12 +58,14 @@ def write_curves_csv(path, cs: CurveSet, coord_names=("c1", "c2")):
         writer = csv.writer(fh)
         writer.writerow(["curve", "kind", "closed", "vertex", "is_cusp",
                          coord_names[0], coord_names[1]])
-        # The rows csv.writer would write, "\r\n" included: no field needs quoting.
+        # The rows csv.writer would write, "\r\n" included: no field needs
+        # quoting.  One % operation formats each polyline's rows.
         for ci, poly in enumerate(cs.curves):
-            cusps = set(poly.cusp_indices)
-            head = f"{ci},{poly.kind},{int(poly.closed)},"
-            fh.write("".join(f"{head}{vi},{int(vi in cusps)},{x:.12g},{y:.12g}\r\n"
-                             for vi, (x, y) in enumerate((poly.vertices + 0.0).tolist())))
+            n = len(poly.vertices)
+            rows = np.column_stack([np.arange(n), np.isin(np.arange(n), poly.cusp_indices),
+                                    poly.vertices + 0.0])
+            row = f"{ci},{poly.kind},{int(poly.closed)},%d,%d,%.12g,%.12g\r\n"
+            fh.write(row * n % tuple(rows.ravel().tolist()))
 
 
 def write_solutions_csv(path, sols: DkpSolutionSet):
@@ -115,8 +117,8 @@ class _Canvas:
 
     def path_d(self, vertices, closed):
         px, py = self.to_px(vertices[:, 0], vertices[:, 1])
-        pts = " L".join(f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist()))
-        cmds = ["M" + pts] if pts else []
+        pts = tuple(np.column_stack([px, py]).ravel().tolist())
+        cmds = ["M" + " L".join(["%.2f,%.2f"] * len(px)) % pts] if pts else []
         if closed:
             cmds.append("Z")
         return " ".join(cmds)

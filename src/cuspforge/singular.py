@@ -310,8 +310,9 @@ def classify_point(family: MapFamily, q) -> SpecialPoint:
 
 
 def _abc(family: MapFamily, x):
-    """A, B and C of J = A y^2 + B y + C at the abscissae x."""
-    jm, j0, jp = (family.jdet(x, y) for y in (-1.0, 0.0, 1.0))
+    """A, B and C of J = A y^2 + B y + C at the abscissae x, from J at y = -1, 0, 1."""
+    j = family.jdet(np.asarray(x, dtype=float)[..., None], np.array([-1.0, 0.0, 1.0]))
+    jm, j0, jp = np.moveaxis(j, -1, 0)
     return 0.5 * (jp + jm) - j0, 0.5 * (jp - jm), j0
 
 

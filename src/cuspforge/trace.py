@@ -108,10 +108,6 @@ class CurveSet:
         return [c for c in self.curves if c.kind == kind]
 
 
-def _arclength(pts):
-    return np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
-
-
 def _branches(family, box, step, specials):
     """Vertices, closed flag, corank-2 end tags and special marks of every
     branch of {J = 0} in the box, before the final projection.  The special
@@ -124,11 +120,6 @@ def _branches(family, box, step, specials):
     node_radius = NODE_RADIUS * math.hypot(x1 - x0, y1 - y0)
     locs = np.array([p.location for p in specials]).reshape(-1, 2)
     corank2 = np.array([p.kind in CORANK2_KINDS for p in specials], dtype=bool)
-
-    def special(q):
-        """Index of the special point within node_radius of q, or -1."""
-        dist = point_distances(family, locs, q)
-        return int(np.argmin(dist)) if np.min(dist, initial=np.inf) < node_radius else -1
 
     ref = np.max(np.abs(_abc(family, x0 + width * np.arange(FIT_SAMPLES) / FIT_SAMPLES)))
     # Double zeros of the discriminant come out about 1e-8 off, so its zeros
@@ -154,35 +145,56 @@ def _branches(family, box, step, specials):
 
     a, b, c = _abc(family, 0.5 * (edges[:-1] + edges[1:]))
     ys = np.column_stack(_roots(a, b, c, b))
-    pieces, ends = [], {}
-    for i, k in np.argwhere((_disc(a, b, c) > 0.0)[:, None] & (ys > y0) & (ys < y1)):
-        def at(t, xl=edges[i], xr=edges[i + 1], k=k, sign=b[i]):
-            x = xl + (xr - xl) * (0.5 - 0.5 * np.cos(math.pi * t))
-            return np.column_stack([x, _roots(*_abc(family, x), sign)[k]])
+    # Piece p is root root[p] of J(x, .) between edges i[p] and i[p] + 1.
+    i, root = np.nonzero((_disc(a, b, c) > 0.0)[:, None] & (ys > y0) & (ys < y1))
+    xl, xr, sign = edges[i], edges[i + 1], b[i]
 
-        coarse = _arclength(at(np.linspace(0.0, 1.0, 65)))[-1]
-        fine = at(np.linspace(0.0, 1.0, 65 + ARC_OVERSAMPLING * math.ceil(coarse / step)))
-        # End e of piece e // 2 (its start if e is even) takes the candidate
-        # nearest to the piece, and the ends are grouped where they meet.
-        for side, bi in ((0, i), (1, (i + 1) % len(brk))):
-            near = fine[-2 if side else 1, 1]
-            gap = np.abs(cand[bi] - near)
-            y = cand[bi, np.nanargmin(gap)] if np.isfinite(gap).any() else near
-            fine[-side] = edges[i + side], y
-            ends.setdefault((bi, y), []).append(2 * len(pieces) + side)
-        pieces.append(fine)
+    def at(t, p):
+        """Piece p at x = xl + (xr - xl) (1 - cos(pi t)) / 2."""
+        x = xl[p] + (xr[p] - xl[p]) * (0.5 - 0.5 * np.cos(math.pi * t))
+        return x, np.where(root[p] == 0, *_roots(*_abc(family, x), sign[p]))
+
+    # All pieces are sampled together: 65 coarse samples each for its length,
+    # then the fine samples of every piece in one evaluation.
+    x, y = at(np.linspace(0.0, 1.0, 65), np.arange(len(i))[:, None])
+    coarse = np.cumsum(np.hypot(np.diff(x, axis=1), np.diff(y, axis=1)), axis=1)[:, -1]
+    counts = 65 + ARC_OVERSAMPLING * np.ceil(coarse / step).astype(int)
+    stop = np.cumsum(counts)
+    start = stop - counts
+    t = np.concatenate([np.empty(0)] + [np.linspace(0.0, 1.0, n) for n in counts.tolist()])
+    fine = np.column_stack(at(t, np.repeat(np.arange(len(i)), counts)))
+    # End e of piece e // 2 (its start if e is even) takes the candidate
+    # nearest to the piece, and the ends are grouped where they meet.
+    bis = np.column_stack([i, (i + 1) % len(brk)])
+    near = fine[np.column_stack([start + 1, stop - 2]), 1]
+    gap = np.abs(cand[bis] - near[..., None])
+    finite = np.isfinite(gap)
+    pick = np.argmin(np.where(finite, gap, np.inf), axis=-1)[..., None]
+    y_end = np.where(finite.any(axis=-1), np.take_along_axis(cand[bis], pick, -1)[..., 0], near)
+    fine[start] = np.column_stack([xl, y_end[:, 0]])
+    fine[stop - 1] = np.column_stack([xr, y_end[:, 1]])
+    pieces = [fine[lo:hi] for lo, hi in zip(start, stop)]
+    ends = {}
+    for e, key in enumerate(zip(bis.ravel().tolist(), y_end.ravel().tolist())):
+        ends.setdefault(key, []).append(e)
+    # The special point within node_radius of each end, or -1 (the column of
+    # inf keeps argmin defined where the box holds no special point).
+    q = np.column_stack([brk[bis.ravel()], y_end.ravel()])
+    dist = np.column_stack([point_distances(family, locs, q[:, None]), np.full(len(q), np.inf)])
+    nearest = np.argmin(dist, axis=1)
+    special = np.where(dist[np.arange(len(q)), nearest] < node_radius, nearest, -1).tolist()
 
     # Ends at a corank-2 point stop there, two other ends that meet join (at
     # a turning point, the seam, or another root's breakpoint), and three or
     # more stop.
     link, tagged = {}, set()
-    for (bi, y), group in ends.items():
-        k = special((brk[bi], y))
-        stop = k >= 0 and corank2[k]
-        if stop:
+    for group in ends.values():
+        k = special[group[0]]
+        at_corank2 = k >= 0 and corank2[k]
+        if at_corank2:
             for e in group:
                 pieces[e // 2][-(e % 2)] = locs[k]
-        if stop or len(group) > 2:
+        if at_corank2 or len(group) > 2:
             tagged.update(group)
         elif len(group) == 2:
             link[group[0]], link[group[1]] = group[1], group[0]
@@ -196,25 +208,26 @@ def _branches(family, box, step, specials):
     for e0 in sorted(range(2 * len(pieces)), key=lambda e: e in link):
         if e0 // 2 in used:
             continue
-        fine, cuts, e = np.empty((0, 2)), [0], e0
+        fine, cuts, at_special, e = np.empty((0, 2)), [0], [special[e0]], e0
         while True:
             used.add(e // 2)
             part = pieces[e // 2][::-1] if e % 2 else pieces[e // 2]
             if len(fine):  # continue across the periodic seam
                 part = part + [TWO_PI * np.round((fine[-1, 0] - part[0, 0]) / TWO_PI), 0.0]
-                if special(part[0]) >= 0:
+                if special[e] >= 0:
                     cuts.append(len(fine) - 1)
+                    at_special.append(special[e])
             fine = np.concatenate([fine, part[1:] if len(fine) else part])
             nxt = link.get(e ^ 1)
             if nxt is None or nxt // 2 in used:
                 break
             e = nxt
         cuts.append(len(fine) - 1)
-        at_special = [special(fine[c]) for c in cuts]
+        at_special.append(special[e ^ 1])
         verts = [fine[:1]]
         for lo, hi, k0, k1 in zip(cuts, cuts[1:], at_special, at_special[1:]):
             h0, h1 = float(k0 >= 0), float(k1 >= 0)
-            s = _arclength(fine[lo:hi + 1])
+            s = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(fine[lo:hi + 1], axis=0).T))])
             n = math.ceil(s[-1] / step)
             at = np.append((np.arange(1, n) - 0.5 * h0) * s[-1] / (n - 0.5 * (h0 + h1) * (n > 1)),
                            s[-1])

@@ -2,10 +2,13 @@ import csv
 import math
 from xml.etree import ElementTree as ET
 
+import numpy as np
 import pytest
 
-from cuspforge import monodromy
+from cuspforge import cli, find_special_points, make_family, monodromy
+from cuspforge import trace as trace_module
 from cuspforge.cli import main
+from cuspforge.maps import in_box
 from cuspforge.monodromy import _lift_batch
 
 OFFSET_CFG = """\
@@ -216,6 +219,44 @@ class TestReproduce:
         passes = sum(1 for line in out.splitlines() if line.startswith("PASS:"))
         assert passes > 0 and "FAIL:" not in out
         assert f"{passes}/{passes} checks passed" in out
+
+    @pytest.mark.parametrize("row", cli.PAPER_INSTANCES, ids=lambda row: row[0])
+    def test_reach_search_holds_the_box_search(self, row):
+        # reproduce-paper searches each instance once, over its reach box,
+        # and keeps the points in the plotting box: they must be the points
+        # a search of the plotting box finds, to the last bit.
+        _, kind, params, box, _, _ = row
+        family = make_family(kind, **params)
+        found = find_special_points(family, family.default_box())
+        inside = [p for p in found if in_box(family, np.array(p.location), box)]
+        points = find_special_points(family, box)
+        assert len(points) > 0 and len(inside) == len(points)
+        for got, want in zip(inside, points):
+            assert got.kind == want.kind
+            assert got.location == want.location and got.image == want.image
+            assert got.residual == want.residual
+            assert np.array_equal(got.delta, want.delta, equal_nan=True)
+
+    def test_one_search_per_instance(self, tmp_path, capsys, monkeypatch):
+        # Four searches, one per instance; four traces over the plotting
+        # boxes and two over the manipulators' reach boxes, which reuse the
+        # points of the search.
+        calls = {"find_special_points": 0, "trace_singularity_curves": 0}
+
+        def counting(name):
+            original = getattr(cli, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name))
+        monkeypatch.setattr(trace_module, "find_special_points", None)  # no search inside
+        assert main(["reproduce-paper", "--out", str(tmp_path)]) == 0
+        assert "17/17 checks passed" in capsys.readouterr().out
+        assert calls == {"find_special_points": 4, "trace_singularity_curves": 6}
 
 
 class TestErrorPaths:

@@ -237,7 +237,38 @@ def odd_curves():
     ])
 
 
+@pytest.fixture
+def extreme_curves():
+    """Signed zeros, the least subnormal, +-1e300, cusp flags at both ends of
+    a polyline, and an empty polyline."""
+    return CurveSet([
+        Polyline(np.array([[-0.0, 5e-324], [1e300, -1e300], [-5e-324, -0.0], [0.1, 3.0]]),
+                 False, KIND_SINGULARITY, [0, 3]),
+        Polyline(np.empty((0, 2)), True, KIND_SINGULARITY),
+        Polyline(np.array([[-1e300, 1e300]]), True, KIND_CHARACTERISTIC, [0]),
+    ])
+
+
 class TestOutputMatchesReference:
+    def test_extreme_values_match_the_f_string_rows(self, tmp_path, extreme_curves):
+        # One % operation per polyline gives the rows and path points that
+        # one f-string per row or point gives.
+        path = tmp_path / "got.csv"
+        write_curves_csv(path, extreme_curves, ("x", "y"))
+        want = "curve,kind,closed,vertex,is_cusp,x,y\r\n" + "".join(
+            f"{ci},{poly.kind},{int(poly.closed)},{vi},{int(vi in poly.cusp_indices)},"
+            f"{x + 0.0:.12g},{y + 0.0:.12g}\r\n"
+            for ci, poly in enumerate(extreme_curves.curves)
+            for vi, (x, y) in enumerate(poly.vertices.tolist()))
+        got = path.read_bytes().decode()
+        assert got == want
+        assert "0,singularity,0,0,1,0,4.94065645841e-324\r\n" in got and "-0," not in got
+        assert got.endswith("2,characteristic,1,0,1,-1e+300,1e+300\r\n")
+        canvas = output._Canvas(((-1.0, 1.0), (-1.0, 1.0)))
+        for poly in extreme_curves.curves:
+            assert (canvas.path_d(poly.vertices, poly.closed)
+                    == reference_path_d(canvas, poly.vertices, poly.closed))
+
     def test_curves_csv(self, tmp_path, square_trace, offset_trace, odd_curves):
         # The deltoid is closed with three cusps; the offset branches cross
         # the angle seam.

@@ -435,8 +435,9 @@ class TestOracleAgreement:
 
 
 class TestSearchWork:
-    """The six searches of reproduce-paper: the four instances in their
-    boxes, and the two manipulators over their reach boxes."""
+    """Six searches: the four reference instances in their plotting boxes,
+    and the two manipulators over their reach boxes (reproduce-paper makes
+    one search per instance, over its reach box)."""
 
     def test_detection_evaluations(self, monkeypatch, exact_family, offset_family,
                                    square_family, quarto_family):

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cuspforge import (
     reference_scales,
     trace_singularity_curves,
 )
+from cuspforge import singular
 from cuspforge import trace as trace_module
 from cuspforge.errors import PreconditionViolated
 from cuspforge.maps import TWO_PI, JointPoint, WorkspacePoint, coord_deltas, point_distances
@@ -528,3 +530,40 @@ class TestRandomGeometryCoverage:
             covered |= np.min(np.linalg.norm(
                 coord_deltas(family, verts[:, None, :], corank2[None]), axis=-1), axis=1) < cell
         assert np.all(covered)
+
+
+class TestTraceWork:
+    """The closed-form tracer samples every piece of {J = 0} in two batched
+    evaluations, however many pieces the box holds."""
+
+    @pytest.mark.parametrize("name, box", [("offset", PAPER_BOX), ("square", NORMAL_BOX)])
+    def test_coefficient_evaluations(self, name, box, request, monkeypatch):
+        # Six evaluations find the breakpoints and the root candidates, one
+        # samples every piece coarsely for its length and one finely.  One
+        # evaluation per piece and sample set made it 6 + 2 * 18 = 42 for
+        # the offset instance and 6 + 2 * 4 = 14 for the square.
+        family = request.getfixturevalue(f"{name}_family")
+        specials = find_special_points(family, box)
+        abc, calls = trace_module._abc, []
+
+        def counted(*args):
+            calls.append(1)
+            return abc(*args)
+
+        monkeypatch.setattr(trace_module, "_abc", counted)
+        cs = trace_singularity_curves(family, box, specials=specials)
+        assert cs.curves and len(calls) == 8
+
+    @pytest.mark.parametrize("name", ["exact", "offset", "square", "quarto"])
+    def test_one_evaluation_equals_three(self, name, request):
+        # A, B and C from J evaluated once over y = -1, 0, 1 are, to the last
+        # bit, those from three evaluations at one y each.
+        family = request.getfixturevalue(f"{name}_family")
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        for x in (rng.uniform(-7.0, 7.0, 257), rng.uniform(-7.0, 7.0, (3, 5)), 0.3, -2.5):
+            jm, j0, jp = (family.jdet(x, y) for y in (-1.0, 0.0, 1.0))
+            want = (0.5 * (jp + jm) - j0, 0.5 * (jp - jm), j0)
+            for got, w in zip(singular._abc(family, x), want):
+                assert np.shape(got) == np.shape(w)
+                assert np.array_equal(np.asarray(got, dtype=float).view(np.int64),
+                                      np.asarray(w, dtype=float).view(np.int64))
