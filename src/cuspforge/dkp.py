@@ -18,8 +18,9 @@ Where L1 vanishes (sin phi = 0, 2x + 4b = 0, everywhere for the quarto near
 a = b = 0) the roots in y of the other equation are candidates too.  A batch
 of targets is solved at once: the roots are eigenvalues of stacked real
 companion matrices, polished by the Newton kernel of :mod:`cuspforge.maps`
-and accepted by residual; coinciding ones, such as the double root over a
-point of the fold image, are reported once, flagged where |J| = 0.
+and accepted by residual.  Only a target with two accepted solutions within
+MERGE_RADIUS is searched for coinciding ones, such as the double root over a
+point of the fold image, which are reported once, flagged where |J| = 0.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ from .maps import (
     QuadraticMap,
     WorkspacePoint,
     canonical_phi,
-    coord_deltas,
     in_box,
     newton,
     reference_scales,
+    wrap_delta,
 )
 
 log = logging.getLogger(__name__)
@@ -170,8 +171,8 @@ def _elimination(family):
     scaled to a unit Hessian."""
     if not isinstance(family, QuadraticMap):
         def terms(phi):
-            p1, _, p2, _ = family._axes(phi)
-            u0, v0 = family.evaluate(phi, 0.0)
+            p1, _, p2, _ = axes = family._axes(phi)
+            u0, v0 = family._legs(axes, 0.0)
             return u0 - v0, 2.0 * (p1 + p2), 2.0 * p1, u0
 
         k = np.array(np.broadcast_arrays(*_eliminant(np.multiply, 1.0, *terms(_NODES))))
@@ -274,50 +275,62 @@ def _merge(family, q, resid, ok, tu, tv, tol_abs, jbar):
     pair coincides when either solves the system.
 
     Returns the mask of one solution per cluster (n, m), and for it the
-    representative point, its residual and whether it is singular: of the
-    cluster's points and accepted in-between points, the one closest to
-    singular where its |J| is below ``jbar``, which for a multiple root is
-    an in-between point, and else the cluster's point of least residual.
+    representative point, its residual (both written over ``q`` and
+    ``resid``) and whether it is singular: of the cluster's points and
+    accepted in-between points, the one closest to singular where its |J| is
+    below ``jbar``, which for a multiple root is an in-between point, and
+    else the cluster's point of least residual.  Only the targets with two
+    accepted solutions within MERGE_RADIUS are clustered: on the others each
+    is a cluster of its own, and entries outside the mask are unspecified.
     """
-    n, m = ok.shape
-    if m == 0:
-        return ok, q, resid, ok
+    m = ok.shape[1]
     diag = np.eye(m, dtype=bool)
-    delta = coord_deltas(family, q[:, :, None, :], q[:, None, :, :])
-    near = ok[:, :, None] & ok[:, None, :] & (np.max(np.abs(delta), axis=-1) < MERGE_RADIUS)
-    b, i, j = np.nonzero(near & ~diag)
-    mid = q[b, j] + 0.5 * delta[b, i, j]
-    lifted = _lift(family, mid, tu[b], tv[b])
-    mid_resid = _residual(family, mid, tu[b], tv[b])
-    lifted_resid = _residual(family, lifted, tu[b], tv[b])
+    dx, dy = (c[:, :, None] - c[:, None, :] for c in (q[..., 0], q[..., 1]))
+    dx = wrap_delta(dx) if family.periodic else dx
+    near = (ok[:, :, None] & ok[:, None, :] & ~diag
+            & (np.abs(dx) < MERGE_RADIUS) & (np.abs(dy) < MERGE_RADIUS))
+    paired = np.any(near, axis=(1, 2))
+    rows, first = np.flatnonzero(paired), ok & ~paired[:, None]
+    flags = np.zeros_like(ok)
+    if first.any():  # empty for paired targets only, such as one fold-image target
+        flags[first] = np.abs(family.jdet(q[first][:, 0], q[first][:, 1])) < jbar
+    if rows.size == 0:
+        return first, q, resid, flags
+
+    # The paired targets from here on: between[b, i, j] is the point tried
+    # between solutions i and j, and solution i itself on the diagonal.
+    b, i, j = np.nonzero(near[rows])
+    t = rows[b]
+    mid = q[t, j] + 0.5 * np.stack([dx[t, i, j], dy[t, i, j]], axis=-1)
+    lifted = _lift(family, mid, tu[t], tv[t])
+    mid_resid = _residual(family, mid, tu[t], tv[t])
+    lifted_resid = _residual(family, lifted, tu[t], tv[t])
     use_lifted = lifted_resid < mid_resid
 
-    # between[b, i, j] is the point tried between solutions i and j, and
-    # solution i itself on the diagonal.
-    between = np.repeat(q[:, :, None, :], m, axis=2)
-    between_resid = np.where(diag, resid[:, :, None], np.inf)
+    between = np.repeat(q[rows, :, None, :], m, axis=2)
+    between_resid = np.where(diag, resid[rows, :, None], np.inf)
     between[b, i, j] = np.where(use_lifted[:, None], lifted, mid)
     between_resid[b, i, j] = np.where(use_lifted, lifted_resid, mid_resid)
-    link = between_resid < tol_abs
+    link = between_resid < tol_abs[rows]
     reach = link | np.swapaxes(link, 1, 2)
     for _ in range(math.ceil(math.log2(m))):
         reach = np.matmul(reach.astype(np.int8), reach.astype(np.int8)) > 0
-    first = ok & (np.argmax(reach, axis=-1) == np.arange(m))
+    first[rows] = ok[rows] & (np.argmax(reach, axis=-1) == np.arange(m))
 
-    jdet = np.full((n, m, m), np.inf)
+    jdet = np.full(link.shape, np.inf)
     jdet[link] = np.abs(family.jdet(between[link][:, 0], between[link][:, 1]))
     # For each cluster, a row of reach: the member whose linked point is
     # closest to singular, that point, and the member of least residual.
-    at = np.arange(n)[:, None]
+    at = np.arange(len(rows))[:, None]
     closest = np.argmin(jdet, axis=-1)
     least_j = np.min(jdet, axis=-1)
     singular = np.argmin(np.where(reach, least_j[:, None, :], np.inf), axis=-1)
-    best = np.argmin(np.where(reach, resid[:, None, :], np.inf), axis=-1)
+    best = np.argmin(np.where(reach, resid[rows, None, :], np.inf), axis=-1)
     k = closest[at, singular]
-    flags = least_j[at, singular] < jbar
-    rep = np.where(flags[..., None], between[at, singular, k], q[at, best])
-    rep_resid = np.where(flags, between_resid[at, singular, k], resid[at, best])
-    return first, rep, rep_resid, flags
+    flags[rows] = least_j[at, singular] < jbar
+    q[rows] = np.where(flags[rows, :, None], between[at, singular, k], q[rows][at, best])
+    resid[rows] = np.where(flags[rows], between_resid[at, singular, k], resid[rows][at, best])
+    return first, q, resid, flags
 
 
 def _solve_batch(family: MapFamily, targets, box):

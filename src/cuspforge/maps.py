@@ -126,7 +126,10 @@ class Rpr2PrOffset:
         return p1, cap1, p2, cap2
 
     def evaluate(self, phi, y):
-        p1, cap1, p2, cap2 = self._axes(phi)
+        return self._legs(self._axes(phi), y)
+
+    def _legs(self, axes, y):
+        p1, cap1, p2, cap2 = axes
         y = np.asarray(y, dtype=float)
         k1 = self.a1**2 + self.b1**2 + self.d**2
         k2 = self.a2**2 + self.b2**2 + self.d**2
@@ -198,16 +201,10 @@ class Rpr2PrExact:
     output_names = ("l1_sq", "l2_sq")
     d = 0.0
 
-    __post_init__ = Rpr2PrOffset.__post_init__
-    reach = Rpr2PrOffset.reach
-    default_box = Rpr2PrOffset.default_box
-    _axes = Rpr2PrOffset._axes
-    evaluate = Rpr2PrOffset.evaluate
-    jacobian = Rpr2PrOffset.jacobian
-    hessian = Rpr2PrOffset.hessian
-    jdet = Rpr2PrOffset.jdet
-    jdet_grad = Rpr2PrOffset.jdet_grad
-    jdet_hess = Rpr2PrOffset.jdet_hess
+    __post_init__, reach = Rpr2PrOffset.__post_init__, Rpr2PrOffset.reach
+    default_box, _axes, _legs = Rpr2PrOffset.default_box, Rpr2PrOffset._axes, Rpr2PrOffset._legs
+    evaluate, jacobian, hessian = Rpr2PrOffset.evaluate, Rpr2PrOffset.jacobian, Rpr2PrOffset.hessian
+    jdet, jdet_grad, jdet_hess = Rpr2PrOffset.jdet, Rpr2PrOffset.jdet_grad, Rpr2PrOffset.jdet_hess
 
 
 _MONOMIALS = (lambda x, y: x * x, lambda x, y: x * y, lambda x, y: y * y,
@@ -422,11 +419,12 @@ def newton(f, jac, q, target, tol, max_iter):
     so it ends the row where it stands.  Returns the points, their
     residuals (inf where not finite) and the number of steps each row kept.
     """
-    q = np.array(q, dtype=float)
-    target = np.broadcast_to(np.asarray(target, dtype=float), q.shape)
+    q = np.array(q, dtype=float, order="F")
+    (x, y), (tu, tv) = q.T, np.broadcast_to(np.asarray(target, dtype=float), q.shape).T
     with np.errstate(all="ignore"):
-        r = np.stack(f(q[:, 0], q[:, 1]), axis=-1) - target
-        resid = np.max(np.abs(r), axis=-1)
+        u, v = f(x, y)
+        r0, r1 = u - tu, v - tv
+        resid = np.maximum(np.abs(r0), np.abs(r1))
         live = np.isfinite(resid) & (resid > tol)
         resid[~np.isfinite(resid)] = np.inf
         kept = np.zeros(len(q), dtype=int)
@@ -434,16 +432,18 @@ def newton(f, jac, q, target, tol, max_iter):
             idx = np.flatnonzero(live)
             if idx.size == 0:
                 break
-            a = jac(q[idx, 0], q[idx, 1])
-            r0, r1 = r[idx, 0], r[idx, 1]
+            xi, yi, s0, s1 = x[idx], y[idx], r0[idx], r1[idx]
+            a = jac(xi, yi)
             det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-            trial = q[idx] - np.stack([a[:, 1, 1] * r0 - a[:, 0, 1] * r1,
-                                       a[:, 0, 0] * r1 - a[:, 1, 0] * r0], axis=-1) / det[:, None]
-            trial_r = np.stack(f(trial[:, 0], trial[:, 1]), axis=-1) - target[idx]
-            trial_resid = np.max(np.abs(trial_r), axis=-1)
+            tx = xi - (a[:, 1, 1] * s0 - a[:, 0, 1] * s1) / det
+            ty = yi - (a[:, 0, 0] * s1 - a[:, 1, 0] * s0) / det
+            u, v = f(tx, ty)
+            t0, t1 = u - tu[idx], v - tv[idx]
+            trial_resid = np.maximum(np.abs(t0), np.abs(t1))
             better = trial_resid < resid[idx]
             moved = idx[better]
-            q[moved], r[moved], resid[moved] = trial[better], trial_r[better], trial_resid[better]
+            x[moved], y[moved], resid[moved] = tx[better], ty[better], trial_resid[better]
+            r0[moved], r1[moved] = t0[better], t1[better]
             kept[moved] += 1
             live[idx] = better & (trial_resid > tol)
     return q, resid, kept

@@ -17,15 +17,30 @@ from cuspforge import (
     solve_dkp,
     trace_singularity_curves,
 )
-from cuspforge.maps import TWO_PI, coord_deltas
+from cuspforge import trace as trace_module
+from cuspforge.maps import TWO_PI, coord_deltas, reference_scales
+from cuspforge.trace import KIND_SINGULARITY
 
 from conftest import NORMAL_BOX, PAPER_BOX
 from dkp_reference import manipulator_candidates, manipulator_lift, manipulator_terms
 from gridscan import grid_count, quarto_cusp_location
+from merge_reference import assert_merge_matches_reference
 from multistart import multistart_solutions
 from polish_reference import polish
 
 WIDE_BOX = ((-10.0, 10.0), (-10.0, 10.0))
+#: Joint windows whose 32 x 32 count-map grids are solved against the
+#: reference polish and the reference merge.
+GRID_WINDOWS = [
+    ("exact", ((0.0, 230.0), (0.0, 230.0))), ("offset", ((0.0, 230.0), (0.0, 230.0))),
+    ("square", ((-15.0, 15.0), (-15.0, 15.0))), ("quarto", ((-15.0, 15.0), (-15.0, 15.0)))]
+
+
+def grid_targets(family, window, resolution=32):
+    """The cell centers of the count map over ``window``, as (n, 2) targets."""
+    us, vs = dkp.CountMap(window, (resolution, resolution), None).cell_centers()
+    gu, gv = np.meshgrid(us, vs, indexing="ij")
+    return np.column_stack([gu.ravel(), gv.ravel()])
 
 
 def assert_polish_matches_reference(family, targets):
@@ -234,6 +249,7 @@ class TestBatchCompaction:
                 assert got[i][keep[i]].tobytes() == want[0][k].tobytes()
         assert keep.shape[1] == max(widths)
         assert_polish_matches_reference(family, targets)
+        assert_merge_matches_reference(family, targets)
         return widths
 
     def test_manipulator(self, offset_family, offset_specials, offset_trace):
@@ -380,14 +396,36 @@ class TestLargeTargets:
 
 
 class TestNewtonPolish:
-    @pytest.mark.parametrize("name, window", [
-        ("exact", ((0.0, 230.0), (0.0, 230.0))), ("offset", ((0.0, 230.0), (0.0, 230.0))),
-        ("square", ((-15.0, 15.0), (-15.0, 15.0))), ("quarto", ((-15.0, 15.0), (-15.0, 15.0)))])
+    @pytest.mark.parametrize("name, window", GRID_WINDOWS)
     def test_count_map_cells_match_the_reference_polish(self, name, window, request):
         family = request.getfixturevalue(f"{name}_family")
-        us, vs = count_map(family, window, 32).cell_centers()
-        gu, gv = np.meshgrid(us, vs, indexing="ij")
-        assert_polish_matches_reference(family, np.column_stack([gu.ravel(), gv.ravel()]))
+        assert_polish_matches_reference(family, grid_targets(family, window))
+
+
+class TestMergeReference:
+    """Only the targets with two accepted solutions within MERGE_RADIUS are
+    clustered; every target gives what the all-pairs merge of
+    ``merge_reference`` gives (the loop samples are in test_monodromy)."""
+
+    @pytest.mark.parametrize("name, window", GRID_WINDOWS)
+    def test_count_map_cells(self, name, window, request):
+        family = request.getfixturevalue(f"{name}_family")
+        box = NORMAL_BOX if name in ("square", "quarto") else PAPER_BOX
+        keep, _, _, _, escaped = assert_merge_matches_reference(
+            family, grid_targets(family, window), box)
+        assert np.any(keep) and (name == "offset" or np.any(escaped))
+
+    def test_characteristic_sources(self, offset_family, offset_specials):
+        # The sources of the characteristic curves at step 0.8 lie on {J = 0},
+        # so each image holds a double root: two accepted solutions within
+        # MERGE_RADIUS, merged into one flagged solution.
+        cs = trace_singularity_curves(offset_family, PAPER_BOX, 0.8, specials=offset_specials)
+        jtol = 1e-10 * max(1.0, reference_scales(offset_family).jdet)
+        sources = np.concatenate([trace_module._sources(offset_family, poly, jtol)[0]
+                                  for poly in cs.by_kind(KIND_SINGULARITY)])
+        targets = np.column_stack(offset_family.evaluate(sources[:, 0], sources[:, 1]))
+        keep, _, _, flags, _ = assert_merge_matches_reference(offset_family, targets, PAPER_BOX)
+        assert len(targets) > 100 and np.all(np.any(keep & flags, axis=1))
 
 
 class TestPeriodicBox:

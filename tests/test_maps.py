@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cuspforge import DET_NORMALIZATION, Rpr2PrExact, eval_map, make_family
 from cuspforge.maps import canonical_phi, dedup_mask, newton, point_distances, wrap_delta
 
 from gridscan import fd_hessian, fd_jacobian, fd_jdet_grad
+from newton_reference import newton as reference_newton
 
 ALL_FAMILIES = [
     ("rpr2pr_exact", dict(a1=3.0, a2=7.0, b1=6.0, b2=5.0)),
@@ -215,6 +217,15 @@ class TestPointKernel:
         assert point_distances(quarto_family, self.SEAM[1], self.SEAM[0]) > 6.0
 
 
+def assert_newton_matches_reference(*args):
+    """newton gives bitwise the points, residuals and kept steps of the
+    stacked loop of ``newton_reference``.  Returns its own output."""
+    got, want = newton(*args), reference_newton(*args)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    return got
+
+
 class TestNewtonKernel:
     def test_dead_rows_stop_where_they_stand(self):
         # Rows 1 and 2 of the a = b = 0 quarto: the Jacobian diag(2x, 2y)
@@ -234,6 +245,25 @@ class TestNewtonKernel:
             assert q[i].tobytes() == aq[0].tobytes()
             assert (resid[i], kept[i]) == (ar[0], ak[0])
             assert resid[i] <= 1e-12 and kept[i] > 0
+        assert_newton_matches_reference(family.evaluate, family.jacobian, q0, target, 1e-12, 20)
+
+    @pytest.mark.parametrize("name", ["exact", "offset", "square", "quarto"])
+    def test_matches_the_stacked_reference(self, name, request):
+        # Points of the default box, and seeds moved off them by 1e-4 to 1
+        # times the box: at a positive tolerance some rows converge, some
+        # stall, and with two steps some are still live when the steps run out.
+        family = request.getfixturevalue(f"{name}_family")
+        (x0, x1), (y0, y1) = family.default_box()
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        at = rng.uniform((x0, y0), (x1, y1), (256, 2))
+        scale = np.logspace(-4.0, 0.0, len(at))[:, None] * (x1 - x0, y1 - y0)
+        q0 = at + scale * rng.normal(size=at.shape)
+        target = np.column_stack(family.evaluate(at[:, 0], at[:, 1]))
+        for tol, max_iter in ((1e-9, 20), (1e-9, 2)):
+            _, resid, kept = assert_newton_matches_reference(
+                family.evaluate, family.jacobian, q0, target, tol, max_iter)
+            assert np.any(resid <= tol)
+            assert max_iter == 20 or np.any((kept == max_iter) & (resid > tol))
 
 
 class TestValidation:

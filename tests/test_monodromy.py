@@ -23,6 +23,8 @@ from cuspforge import (
 )
 from cuspforge.cli import main
 from cuspforge.maps import point_distances
+from merge_reference import assert_merge_matches_reference
+
 
 @pytest.fixture(scope="module")
 def inline_loop_setup(exact_family, exact_trace):
@@ -277,6 +279,14 @@ class TestExactRootLifts:
                     at = nxt[step, at]
                     want.append(roots[step + 1, at])
                 assert np.max(point_distances(family, lift.path, np.array(want))) < 1e-12
+
+    def test_paper_loop_samples_match_the_reference_merge(self, paper_loops):
+        # No sample has two solutions within MERGE_RADIUS, so every row keeps
+        # its accepted solutions as they are; the all-pairs merge agrees.
+        loops, _ = paper_loops
+        for family, loop in loops:
+            assert len(loop.samples) == 721
+            assert_merge_matches_reference(family, loop.samples)
 
     def test_paper_loops_agree_with_newton(self, paper_loops):
         loops, _ = paper_loops
