@@ -192,12 +192,13 @@ def cmd_monodromy(args) -> int:
     loop = _loop_from_args(args)
     cs = trace_singularity_curves(family, box)
     jcs = image_curves(family, cs)
-    loop = loop_clearance(loop, jcs)
+    # Every real solution takes part, so the loop is measured against the
+    # image of the whole singular set; the configured window only frames the
+    # plots.
+    loop = loop_clearance(loop, _reach_image(family, None))
     print(f"loop base = ({loop.base.u:.9g}, {loop.base.v:.9g}), "
           f"clearance to image curves = {loop.min_singular_clearance:.6g}")
     out = _outdir(args)
-    # Every real solution takes part; the configured window only frames
-    # the plots.
     if args.start:
         start = _parse_pair(args.start, "--start")
         lift = lift_loop(family, loop, start)
@@ -239,7 +240,8 @@ def _swaps_two(perm) -> bool:
 
 
 def _reach_image(family, found):
-    """Image of the singular set over the reach box, holding the points found."""
+    """Image of the singular set over the reach box, holding the points found
+    there (searched for where ``found`` is None)."""
     return image_curves(family, trace_singularity_curves(family, specials=found))
 
 

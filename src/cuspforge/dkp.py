@@ -45,6 +45,7 @@ from .maps import (
     reference_scales,
     wrap_delta,
 )
+from .singular import _roots
 
 log = logging.getLogger(__name__)
 
@@ -134,20 +135,6 @@ def _half_angle_basis(theta):
 _HALF_ANGLE = np.array([_half_angle_basis(theta + math.pi) for theta in _TURNS])
 
 
-def _horner(p, x):
-    out = p[0]
-    for c in p[1:]:
-        out = out * x + c
-    return out
-
-
-def _pair_roots(a, b, c):
-    """The two roots, larger first, of a z^2 + b z + c (a a scalar) on a new
-    last axis, the discriminant clipped at zero."""
-    root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))[..., None] * np.array([1.0, -1.0])
-    return (root * np.sign(a) - b[..., None]) / (2.0 * a)
-
-
 def _eliminant(mul, c2, l0, l1, p1, p0):
     """K0, K1, K2, K3 from the terms, ``mul`` their product: L1^2 times
     c2 y^2 + P1 y + P0 - t at y = (s - L0) / L1."""
@@ -198,8 +185,9 @@ def _elimination(family):
     for i, row in enumerate(_eliminant(np.convolve, r[2], *poly)):
         k[0, i, 5 - np.size(row):] = row
     zeros = None if m[1] == 0.0 else np.array([-m[4] / m[1]])
-    return _Elimination(swap, w, other, r[2], lambda x: (_horner(poly[0], x), _horner(poly[1], x)),
-                        k, zeros, None if zeros is None else [_horner(p, zeros) for p in poly], poly)
+    return _Elimination(swap, w, other, r[2],
+                        lambda x: (np.polyval(poly[0], x), np.polyval(poly[1], x)), k, zeros,
+                        None if zeros is None else [np.polyval(p, zeros) for p in poly], poly)
 
 
 def _lift(family, q, tu, tv):
@@ -226,11 +214,11 @@ def _lines(e, s, t, tu, tv):
         return np.empty((len(s), 0, 2))
     if e.zeros is None:
         l0, _, p1, p0 = e.poly
-        x = _pair_roots(l0[0], np.full_like(s, l0[1]), l0[2] - s)
-        p1, p0 = _horner(p1, x), _horner(p0, x)
+        x = np.column_stack(_roots(l0[0], l0[1], l0[2] - s, l0[1]))
+        p1, p0 = np.polyval(p1, x), np.polyval(p0, x)
     else:
         (_, _, p1, p0), x = e.at_zeros, np.broadcast_to(e.zeros, far.shape)
-    y = np.where(far[..., None], np.nan, _pair_roots(e.c2, p1, p0 - t[:, None]))
+    y = np.where(far[..., None], np.nan, np.stack(_roots(e.c2, p1, p0 - t[:, None], p1), axis=-1))
     return np.stack([np.repeat(x, 2, axis=1), y.reshape(len(s), -1)], axis=-1)
 
 
@@ -396,24 +384,24 @@ def solve_dkp(family: MapFamily, target, *, box=None) -> DkpSolutionSet:
         [bool(flags[0, i]) for i in idx])
 
 
-def count_map(family: MapFamily, bounds, resolution, *, box=None) -> CountMap:
-    """Solution counts at the cell centers of a joint-space grid.
+def count_map(family: MapFamily, bounds, resolution: int, *, box=None) -> CountMap:
+    """Solution counts at the cell centers of a joint-space grid of
+    ``resolution`` cells per axis.
 
     All cells are solved in one batch.  With an explicit box, a cell with a
     solution outside it is recorded as -1 rather than aborting the sweep.
     """
-    nu, nv = (resolution, resolution) if isinstance(resolution, int) else resolution
-    if nu < 8 or nv < 8:
+    if resolution < 8:
         raise ConfigError("resolution must be at least 8 per axis")
     (u0, u1), (v0, v1) = bounds
     if not (0.0 < u1 - u0 < math.inf and 0.0 < v1 - v0 < math.inf):
         raise ConfigError("joint window must be finite, with u1 > u0 and v1 > v0")
-    cm = CountMap(((float(u0), float(u1)), (float(v0), float(v1))), (nu, nv),
-                  np.zeros((nu, nv), dtype=np.int8))
+    cm = CountMap(((float(u0), float(u1)), (float(v0), float(v1))), (resolution, resolution),
+                  np.zeros((resolution, resolution), dtype=np.int8))
     gu, gv = np.meshgrid(*cm.cell_centers(), indexing="ij")
     keep, _, _, _, escaped = _solve_batch(family, np.column_stack([gu.ravel(), gv.ravel()]), box)
-    cm.counts[...] = np.sum(keep.reshape(nu, nv, -1), axis=-1)
-    failed = np.any(escaped.reshape(nu, nv, -1), axis=-1)
+    cm.counts[...] = np.sum(keep.reshape(resolution, resolution, -1), axis=-1)
+    failed = np.any(escaped.reshape(resolution, resolution, -1), axis=-1)
     if np.any(failed):
         log.debug("%d cell(s) have solutions outside the box", int(np.sum(failed)))
     cm.counts[failed] = -1

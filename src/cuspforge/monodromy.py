@@ -50,6 +50,8 @@ from .maps import (
 FOLD_ZONE_FACTOR = 1e-2
 DEFAULT_SAMPLES_PER_TURN = 720
 MAX_SUBDIVISION = 14
+#: Newton steps at most per continuation step.
+LIFT_NEWTON_STEPS = 12
 #: A root follows its nearest root at the next sample only when that is
 #: closer than this share of the distance to the second-nearest.
 MATCH_RATIO = 0.25
@@ -183,11 +185,13 @@ class Permutation:
 
 # perfbench/layers.py counts the lift steps by patching this function by name,
 # so it cannot be folded into its callers without a change to the harness.
-def _newton_to_target(family, q, target, tol_abs, max_iter=12):
+def _newton_to_target(family, q, target, tol_abs):
     """Newton on (u, v) = target from the (k, 2) rows of q, by the kernel of
-    :mod:`cuspforge.maps`.  Returns the last iterates, the steps each row
-    kept and the mask of the rows that converged."""
-    q, resid, iters = newton(family.evaluate, family.jacobian, q, target, tol_abs, max_iter)
+    :mod:`cuspforge.maps`, for at most LIFT_NEWTON_STEPS steps.  Returns the
+    last iterates, the steps each row kept and the mask of the rows that
+    converged."""
+    q, resid, iters = newton(family.evaluate, family.jacobian, q, target, tol_abs,
+                             LIFT_NEWTON_STEPS)
     return q, iters, resid <= tol_abs
 
 
@@ -342,16 +346,16 @@ def lift_loop(family: MapFamily, loop: JointLoop, start) -> LoopLift:
     return lift
 
 
-def loop_permutation(family: MapFamily, loop: JointLoop, *, box=None) -> Permutation:
-    """Lift every base solution (``solve_dkp`` in ``box``) around the loop and
-    match the endpoints; the lifts are kept in the result.
+def loop_permutation(family: MapFamily, loop: JointLoop) -> Permutation:
+    """Lift every real solution of the loop base (``solve_dkp`` with no box)
+    around the loop and match the endpoints; the lifts are kept in the result.
 
     Endpoints are matched to base solutions by nearest neighbor; a match is
     rejected (PermutationInconsistent) when the nearest distance exceeds half
     the minimum pairwise distance between base solutions, or when two lifts
     land on the same solution.
     """
-    sols = solve_dkp(family, loop.base, box=box).solutions
+    sols = solve_dkp(family, loop.base).solutions
     if len(sols) == 0:
         raise PreconditionViolated("the loop base has no DKP solutions")
     pts = np.array([[s.phi, s.y] for s in sols])

@@ -13,7 +13,6 @@ and its family.
 
 from __future__ import annotations
 
-import csv
 import math
 from xml.etree import ElementTree as ET
 
@@ -28,7 +27,7 @@ from .trace import KIND_CHARACTERISTIC, KIND_SINGULARITY, CurveSet
 #: Width and height of every SVG canvas, in pixels.
 SIZE = 720
 CURVE_COLORS = {KIND_SINGULARITY: "#1f4fd8", KIND_CHARACTERISTIC: "#1f9d3a"}
-CURVE_WIDTHS = {KIND_SINGULARITY: 2.2, KIND_CHARACTERISTIC: 1.2}
+CURVE_WIDTHS = {KIND_SINGULARITY: "2.2", KIND_CHARACTERISTIC: "1.2"}
 COUNT_COLORS = {
     -1: "#d0d0d0", 0: "#ffffff", 1: "#ffe9d9", 2: "#ffd8a8", 3: "#fdc28c",
     4: "#fb9a4b", 5: "#e97029", 6: "#d94801",
@@ -39,67 +38,57 @@ def fmt(x) -> str:
     return f"{float(x) + 0.0:.12g}"  # + 0.0 turns -0.0 into 0.0
 
 
-def write_special_points_csv(path, points: list[SpecialPoint]):
+def _write_csv(path, header, rows):
+    """Write the header and the rows, each a str of comma-joined fields that
+    ends in "\r\n": what csv.writer writes, since no field needs quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi", "y", "u", "v", "kind", "delta", "residual"])
-        for p in points:
-            writer.writerow([
-                fmt(p.location.phi), fmt(p.location.y),
-                fmt(p.image.u), fmt(p.image.v),
-                DISPLAY_NAMES[p.kind],
-                "" if math.isnan(p.delta) else fmt(p.delta),
-                fmt(p.residual),
-            ])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(rows)
+
+
+def write_special_points_csv(path, points: list[SpecialPoint]):
+    _write_csv(path, ["phi", "y", "u", "v", "kind", "delta", "residual"], (
+        f"{fmt(p.location.phi)},{fmt(p.location.y)},{fmt(p.image.u)},{fmt(p.image.v)},"
+        f"{DISPLAY_NAMES[p.kind]},{'' if math.isnan(p.delta) else fmt(p.delta)},"
+        f"{fmt(p.residual)}\r\n" for p in points))
 
 
 def write_curves_csv(path, cs: CurveSet, coord_names=("c1", "c2")):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["curve", "kind", "closed", "vertex", "is_cusp",
-                         coord_names[0], coord_names[1]])
-        # The rows csv.writer would write, "\r\n" included: no field needs
-        # quoting.  One % operation formats each polyline's rows.
-        for ci, poly in enumerate(cs.curves):
-            n = len(poly.vertices)
-            rows = np.column_stack([np.arange(n), np.isin(np.arange(n), poly.cusp_indices),
-                                    poly.vertices + 0.0])
-            row = f"{ci},{poly.kind},{int(poly.closed)},%d,%d,%.12g,%.12g\r\n"
-            fh.write(row * n % tuple(rows.ravel().tolist()))
+    def rows(ci, poly):
+        # One % operation formats a polyline's rows.
+        n = len(poly.vertices)
+        values = np.column_stack([np.arange(n), np.isin(np.arange(n), poly.cusp_indices),
+                                  poly.vertices + 0.0])
+        row = f"{ci},{poly.kind},{int(poly.closed)},%d,%d,%.12g,%.12g\r\n"
+        return row * n % tuple(values.ravel().tolist())
+
+    _write_csv(path, ["curve", "kind", "closed", "vertex", "is_cusp", *coord_names],
+               (rows(ci, poly) for ci, poly in enumerate(cs.curves)))
 
 
 def write_solutions_csv(path, sols: DkpSolutionSet):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi", "y", "residual", "multiplicity_flag"])
-        for s, r, m in zip(sols.solutions, sols.residuals, sols.multiplicity_flags):
-            writer.writerow([fmt(s.phi), fmt(s.y), fmt(r), int(m)])
+    _write_csv(path, ["phi", "y", "residual", "multiplicity_flag"], (
+        f"{fmt(s.phi)},{fmt(s.y)},{fmt(r)},{int(m)}\r\n"
+        for s, r, m in zip(sols.solutions, sols.residuals, sols.multiplicity_flags)))
 
 
 def write_countmap_csv(path, cm: CountMap):
     us, vs = cm.cell_centers()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "count"])
-        for i, u in enumerate(us):
-            for j, v in enumerate(vs):
-                writer.writerow([fmt(u), fmt(v), int(cm.counts[i, j])])
+    _write_csv(path, ["u", "v", "count"], (
+        f"{fmt(u)},{fmt(v)},{int(cm.counts[i, j])}\r\n"
+        for i, u in enumerate(us) for j, v in enumerate(vs)))
 
 
 def write_lift_csv(path, loop: JointLoop, lift: LoopLift):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "u", "v", "phi", "y"])
-        for i, ((u, v), (phi, y)) in enumerate(zip(loop.samples, lift.path)):
-            writer.writerow([i, fmt(u), fmt(v), fmt(phi), fmt(y)])
+    _write_csv(path, ["sample", "u", "v", "phi", "y"], (
+        f"{i},{fmt(u)},{fmt(v)},{fmt(phi)},{fmt(y)}\r\n"
+        for i, ((u, v), (phi, y)) in enumerate(zip(loop.samples, lift.path))))
 
 
 def write_permutation_csv(path, perm: Permutation):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["solution", "phi", "y", "maps_to"])
-        for i, s in enumerate(perm.solutions):
-            writer.writerow([i, fmt(s.phi), fmt(s.y), perm.mapping[i]])
+    _write_csv(path, ["solution", "phi", "y", "maps_to"], (
+        f"{i},{fmt(s.phi)},{fmt(s.y)},{perm.mapping[i]}\r\n"
+        for i, s in enumerate(perm.solutions)))
 
 
 class _Canvas:
@@ -128,6 +117,25 @@ def _split_at_seam(vertices):
     """Split a polyline where the angle wraps across the window seam."""
     cuts = np.flatnonzero(np.abs(np.diff(vertices[:, 0])) > math.pi) + 1
     return [p for p in np.split(vertices, cuts) if len(p) >= 2]
+
+
+def _path(svg, cls, d, stroke, width, dash=None):
+    attrs = {"class": cls, "d": d, "fill": "none", "stroke": stroke, "stroke-width": width}
+    if dash is not None:
+        attrs["stroke-dasharray"] = dash
+    ET.SubElement(svg, "path", attrs)
+
+
+def _circle(svg, canvas, cls, p, r, fill, stroke, width):
+    px, py = canvas.to_px(p[0], p[1])
+    ET.SubElement(svg, "circle", {"class": cls, "cx": f"{px:.2f}", "cy": f"{py:.2f}", "r": r,
+                                  "fill": fill, "stroke": stroke, "stroke-width": width})
+
+
+def _label(svg, x, y, text):
+    if text:
+        ET.SubElement(svg, "text", {"x": x, "y": y, "font-size": "15",
+                                    "font-family": "sans-serif"}).text = text
 
 
 def write_svg(path, box, *, labels=("", ""), curves=(), cusps=(), isolated=(),
@@ -183,49 +191,24 @@ def write_svg(path, box, *, labels=("", ""), curves=(), cusps=(), isolated=(),
             pieces = _split_at_seam(poly.vertices) if periodic_x else [poly.vertices]
             d = " ".join(canvas.path_d(p, poly.closed and len(pieces) == 1)
                          for p in pieces)
-            if not d:
-                continue
-            ET.SubElement(svg, "path", {
-                "class": kind, "d": d, "fill": "none", "stroke": color,
-                "stroke-width": str(CURVE_WIDTHS[kind])})
+            if d:
+                _path(svg, kind, d, color, CURVE_WIDTHS[kind])
 
     if loop is not None:
-        ET.SubElement(svg, "path", {
-            "class": "loop", "d": canvas.path_d(loop.samples, False),
-            "fill": "none", "stroke": "#202020", "stroke-width": "1.2",
-            "stroke-dasharray": "6,4"})
+        _path(svg, "loop", canvas.path_d(loop.samples, False), "#202020", "1.2", "6,4")
 
     for pathline in lifts:
         pieces = _split_at_seam(np.asarray(pathline)) if periodic_x else [np.asarray(pathline)]
         d = " ".join(canvas.path_d(p, False) for p in pieces)
-        ET.SubElement(svg, "path", {
-            "class": "lift", "d": d, "fill": "none",
-            "stroke": "#9016a8", "stroke-width": "1.4",
-            "stroke-dasharray": "2,3"})
+        _path(svg, "lift", d, "#9016a8", "1.4", "2,3")
 
     for p in cusps:
-        px, py = canvas.to_px(p[0], p[1])
-        ET.SubElement(svg, "circle", {
-            "class": "cusp", "cx": f"{px:.2f}", "cy": f"{py:.2f}",
-            "r": "4.5", "fill": "#d8261f", "stroke": "white",
-            "stroke-width": "1"})
-
+        _circle(svg, canvas, "cusp", p, "4.5", "#d8261f", "white", "1")
     for p in isolated:
-        px, py = canvas.to_px(p[0], p[1])
-        ET.SubElement(svg, "circle", {
-            "class": "isolated", "cx": f"{px:.2f}", "cy": f"{py:.2f}",
-            "r": "5", "fill": "none", "stroke": "#1f4fd8",
-            "stroke-width": "2"})
+        _circle(svg, canvas, "isolated", p, "5", "none", "#1f4fd8", "2")
 
-    if labels[0]:
-        label = ET.SubElement(svg, "text", {
-            "x": f"{SIZE - 24}", "y": f"{SIZE - 14}",
-            "font-size": "15", "font-family": "sans-serif"})
-        label.text = labels[0]
-    if labels[1]:
-        label = ET.SubElement(svg, "text", {
-            "x": "10", "y": "24", "font-size": "15", "font-family": "sans-serif"})
-        label.text = labels[1]
+    _label(svg, f"{SIZE - 24}", f"{SIZE - 14}", labels[0])
+    _label(svg, "10", "24", labels[1])
 
     tree = ET.ElementTree(svg)
     ET.indent(tree)

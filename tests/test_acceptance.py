@@ -270,8 +270,9 @@ def test_criterion_5_monodromy(exact_family, offset_family, square_family,
         radius = 1.2 * float(np.max(np.linalg.norm(deltoid - centroid, axis=1)))
         loop = loop_clearance(circle_loop(tuple(centroid), radius), jcs)
         assert loop.min_singular_clearance > 0.0
-        perm = loop_permutation(square_family, loop,
-                                box=((-10.0, 10.0), (-10.0, 10.0)))
+        perm = loop_permutation(square_family, loop)
+        # Every real solution takes part; both lie in the window |x|, |y| <= 10.
+        assert np.all(np.abs([tuple(s) for s in perm.solutions]) <= 10.0)
         assert len(perm.solutions) == 2 and perm.mapping == (1, 0)
 
 

@@ -151,6 +151,18 @@ class TestTraceCommand:
         ns = {"s": "http://www.w3.org/2000/svg"}
         assert len(root.findall(".//s:circle[@class='cusp']", ns)) == 4
 
+    def test_characteristic_curves_are_written_and_drawn(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SQUARE_CFG)
+        assert main(["trace", "--characteristics", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "trace_characteristic.csv")
+        assert rows[0] == ["curve", "kind", "closed", "vertex", "is_cusp", "x", "y"]
+        # The square's characteristic set is one closed chain.
+        assert len(rows) > 100
+        assert {tuple(r[:3]) for r in rows[1:]} == {("0", "characteristic", "1")}
+        root = ET.parse(tmp_path / "trace_workspace.svg").getroot()
+        ns = {"s": "http://www.w3.org/2000/svg"}
+        assert len(root.findall(".//s:path[@class='characteristic']", ns)) == 1
+
 
 class TestRegions:
     def test_quarto_region_counts(self, tmp_path, capsys):
@@ -195,6 +207,37 @@ class TestMonodromyCommand:
         assert main(["monodromy", "--config", cfg, "--out", str(tmp_path),
                      "--loop-csv", str(loop_path)]) == 0
         assert "permutation cycles" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("center, status, clearance", [("81,144", 0, 59.8385),
+                                                           ("50,300", 2, 0.0)])
+    def test_clearance_to_the_image_of_the_whole_singular_set(self, tmp_path, capsys,
+                                                               center, status, clearance):
+        # Every real solution is lifted, not only those in the configured
+        # window (y_max = 8), so the loop is measured against the image over
+        # the reach box: the loop at (50, 300) crosses it and runs into the
+        # fold image.
+        cfg = write_cfg(tmp_path, EXACT_CFG)
+        assert main(["monodromy", "--config", cfg, "--out", str(tmp_path),
+                     "--center", center, "--radius", "20"]) == status
+        out, err = capsys.readouterr()
+        printed = float(out.split("clearance to image curves = ")[1].split()[0])
+        assert printed == pytest.approx(clearance, abs=1e-4)
+        assert ("lift ran into the fold image" in err) == bool(status)
+
+    def test_single_start_lift(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, EXACT_CFG)
+        assert main(["monodromy", "--config", cfg, "--out", str(tmp_path),
+                     "--center", "81,144", "--radius", "20", "--samples", "360",
+                     "--start=3.403391522,-3.309001820"]) == 0
+        out = capsys.readouterr().out
+        assert ("lift: start = (3.403391522, -3.309001820) -> "
+                "end = (2.879793785, 3.309001820)") in out
+        rows = read_csv(tmp_path / "monodromy_lift.csv")
+        assert rows[0] == ["sample", "u", "v", "phi", "y"]
+        assert len(rows) == 1 + 361
+        assert rows[1] == ["0", "101", "144", "3.403391522", "-3.30900182"]
+        assert rows[-1][:3] == ["360", "101", "144"]
+        assert not (tmp_path / "monodromy_permutation.csv").exists()
 
     def test_each_solution_is_lifted_once(self, tmp_path, capsys, monkeypatch):
         calls = []

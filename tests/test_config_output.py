@@ -23,14 +23,22 @@ from cuspforge import (
     parse_config,
 )
 from cuspforge.config import family_from_config, workspace_box
+from cuspforge.dkp import CountMap, DkpSolutionSet
+from cuspforge.maps import JointPoint, WorkspacePoint
+from cuspforge.monodromy import JointLoop, LoopLift, Permutation
 from cuspforge.output import (
     fmt,
     joint_plot,
     workspace_plot,
+    write_countmap_csv,
     write_curves_csv,
+    write_lift_csv,
+    write_permutation_csv,
+    write_solutions_csv,
     write_special_points_csv,
     write_svg,
 )
+from cuspforge.singular import DISPLAY_NAMES, PointKind, SpecialPoint
 
 from conftest import NORMAL_BOX, PAPER_BOX
 
@@ -216,6 +224,14 @@ def reference_curves_csv(path, cs, coord_names=("c1", "c2")):
                                  int(vi in cusps), fmt(x), fmt(y)])
 
 
+def reference_rows_csv(path, header, rows):
+    """The header and rows as csv.writer writes them."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def reference_path_d(canvas, vertices, closed):
     """An SVG path, each vertex mapped to pixels on its own."""
     cmds = []
@@ -268,6 +284,44 @@ class TestOutputMatchesReference:
         for poly in extreme_curves.curves:
             assert (canvas.path_d(poly.vertices, poly.closed)
                     == reference_path_d(canvas, poly.vertices, poly.closed))
+
+    def test_row_writers_match_csv_writer(self, tmp_path):
+        # Signed zeros, the least subnormal, +-1e300, NaN and every kind name.
+        values = [-0.0, 5e-324, 1e300, -1e300, 0.1]
+        points = [SpecialPoint(WorkspacePoint(x, -x), JointPoint(1.0 / 3.0, x), kind, delta, 0.0)
+                  for x, kind, delta in zip(values, PointKind, [math.nan, -0.0, 2.5, 1e300, -7.0])]
+        sols = DkpSolutionSet(JointPoint(1.0, 2.0), [WorkspacePoint(x, 1.0) for x in values],
+                              values[::-1], [True, False, True, False, False])
+        cm = CountMap(((-0.5, 0.5), (0.0, 1e300)), (2, 2), np.array([[-1, 0], [4, 6]]))
+        samples = np.array([[-0.0, 1.0], [1e300, 5e-324], [-0.0, 1.0]])
+        loop = JointLoop(samples)
+        lift = LoopLift(WorkspacePoint(0.0, 1.0), WorkspacePoint(-0.0, 1.0), samples[:, ::-1],
+                        False)
+        perm = Permutation((2, 0, 1), [WorkspacePoint(x, -x) for x in values[:3]])
+        cases = [
+            (write_special_points_csv, (points,),
+             ["phi", "y", "u", "v", "kind", "delta", "residual"],
+             [[fmt(p.location.phi), fmt(p.location.y), fmt(p.image.u), fmt(p.image.v),
+               DISPLAY_NAMES[p.kind], "" if math.isnan(p.delta) else fmt(p.delta),
+               fmt(p.residual)] for p in points]),
+            (write_solutions_csv, (sols,), ["phi", "y", "residual", "multiplicity_flag"],
+             [[fmt(q.phi), fmt(q.y), fmt(r), int(m)]
+              for q, r, m in zip(sols.solutions, sols.residuals, sols.multiplicity_flags)]),
+            (write_countmap_csv, (cm,), ["u", "v", "count"],
+             [[fmt(u), fmt(v), int(cm.counts[i, j])]
+              for i, u in enumerate(cm.cell_centers()[0])
+              for j, v in enumerate(cm.cell_centers()[1])]),
+            (write_lift_csv, (loop, lift), ["sample", "u", "v", "phi", "y"],
+             [[i, fmt(u), fmt(v), fmt(phi), fmt(y)]
+              for i, ((u, v), (phi, y)) in enumerate(zip(loop.samples, lift.path))]),
+            (write_permutation_csv, (perm,), ["solution", "phi", "y", "maps_to"],
+             [[i, fmt(q.phi), fmt(q.y), perm.mapping[i]] for i, q in enumerate(perm.solutions)]),
+        ]
+        for writer, args, header, rows in cases:
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            writer(got, *args)
+            reference_rows_csv(want, header, rows)
+            assert got.read_bytes() == want.read_bytes(), writer.__name__
 
     def test_curves_csv(self, tmp_path, square_trace, offset_trace, odd_curves):
         # The deltoid is closed with three cusps; the offset branches cross

@@ -7,7 +7,9 @@ import pytest
 
 from cuspforge import (
     CuspforgeError,
+    DivergedLift,
     JointLoop,
+    PermutationInconsistent,
     PreconditionViolated,
     SingularEncounter,
     circle_loop,
@@ -113,8 +115,9 @@ class TestNormalFormMonodromy:
                                                           deltoid_loop):
         loop = deltoid_loop
         assert loop.min_singular_clearance > 0.0
-        perm = loop_permutation(square_family, loop,
-                                box=((-10.0, 10.0), (-10.0, 10.0)))
+        perm = loop_permutation(square_family, loop)
+        # Every real solution takes part; both lie in the window |x|, |y| <= 10.
+        assert np.all(np.abs([tuple(s) for s in perm.solutions]) <= 10.0)
         assert len(perm.solutions) == 2
         assert perm.mapping == (1, 0)
 
@@ -384,6 +387,61 @@ class TestLoopClearance:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+class TestLiftFailures:
+    """Each way a lift or a permutation fails, reached by a loop."""
+
+    def test_lift_into_a_corank2_point_crosses_the_threshold(self):
+        # z -> z^2 is singular only at 0.  Both roots are lost at the sample
+        # on the origin, so the lift takes the Newton continuation there, and
+        # it converges onto the origin, where |J|, a multiple of |z|^2, falls
+        # below the flag.
+        family = make_family("complex_square_unfolded", a=0.0, b=0.0)
+        corners = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        t = np.linspace(0.0, 1.0, 51)[1:, None]
+        samples = np.concatenate([corners[:1]] + [a + (b - a) * t
+                                                   for a, b in zip(corners, corners[1:])])
+        with pytest.raises(SingularEncounter, match="crossed the clearance threshold") as err:
+            lift_loop(family, JointLoop(samples), (1.0, 0.0))
+        assert err.value.partial.crossed_singularity
+        assert np.max(np.abs(err.value.partial.end)) < 1e-4
+
+    def test_step_too_long_for_the_sub_steps_diverges(self):
+        # u = x^2, v = y^2 from (1, 1) to (1, 1e6) in one step, whose four
+        # roots fail the match ratio test.  After MAX_SUBDIVISION halvings the
+        # first sub-step still takes v from 1 to 62, and Newton's first step
+        # from y = 1 (to y = 31.5) raises the residual.  |J| at (1, 1) is
+        # far above the fold zone, so the lift diverges.
+        family = make_family("quarto_unfolded", a=0.0, b=0.0)
+        loop = JointLoop(np.array([[1.0, 1.0], [1.0, 1e6], [1.0, 1.0]]))
+        with pytest.raises(DivergedLift, match=r"near joint point \(1, 62.0351\)"):
+            lift_loop(family, loop, (1.0, 1.0))
+
+    def test_coarse_loop_lands_two_lifts_on_one_solution(self, exact_family):
+        # Three samples, far apart and 48 from every image curve: the
+        # continuation steps to other sheets (ROADMAP item 7), and two of the
+        # four lifts end on one base solution.
+        loop = JointLoop(np.array([[80.0, 150.0], [200.0, 200.0], [50.0, 70.0], [80.0, 150.0]]))
+        with pytest.raises(PermutationInconsistent, match="two lifts landed on the same"):
+            loop_permutation(exact_family, loop)
+
+    def test_lift_ending_off_every_base_solution(self, inline_loop_setup, monkeypatch):
+        # Every lift ends on a solution of the base, so no loop reaches this
+        # check while solve_dkp finds them all; a lift is moved instead.
+        family, loop = inline_loop_setup
+        lift_batch = monodromy._lift_batch
+
+        def moved(family, loop, starts):
+            lifts = lift_batch(family, loop, starts)
+            lift = lifts[1]
+            lifts[1] = monodromy.LoopLift(lift.start, (lift.end[0], lift.end[1] + 100.0),
+                                          lift.path, False)
+            return lifts
+
+        monkeypatch.setattr(monodromy, "_lift_batch", moved)
+        with pytest.raises(PermutationInconsistent, match="lift of solution 1 ended"):
+            loop_permutation(family, loop)
 
 
 class TestValidation:

@@ -180,6 +180,14 @@ def test_linear_images_of_the_normal_forms(germ):
     assert max(map(abs, point.location)) < 1e-12
 
 
+def test_rank_zero_point_with_a_square_determinant_is_degenerate():
+    # u = x^2, v = xy: the Jacobian vanishes at the origin, and J = 2 x^2 is
+    # a square, so the discriminant of its quadratic part is 0.
+    germ = Germ(((1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0)))
+    point = classify_point(germ, (0.0, 0.0))
+    assert point.kind == PointKind.DEGENERATE and point.delta == 0.0
+
+
 class TestSecondClaim:
     """Germs of multiplicity 4 with random quadratic parts are corank-2
     points; under a small linear perturbation an elliptic one unfolds into
