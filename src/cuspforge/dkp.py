@@ -20,7 +20,9 @@ of targets is solved at once: the roots are eigenvalues of stacked real
 companion matrices, polished by the Newton kernel of :mod:`cuspforge.maps`
 and accepted by residual.  Only a target with two accepted solutions within
 MERGE_RADIUS is searched for coinciding ones, such as the double root over a
-point of the fold image, which are reported once, flagged where |J| = 0.
+point of the fold image, which are reported once, flagged where |J| is small
+on the family's own scale.  A workspace box given to :func:`solve_dkp` or
+:func:`count_map` only decides which of the solutions escape it.
 """
 
 from __future__ import annotations
@@ -321,14 +323,15 @@ def _merge(family, q, resid, ok, tu, tv, tol_abs, jbar):
     return first, q, resid, flags
 
 
-def _solve_batch(family: MapFamily, targets, box):
+def _solve_batch(family: MapFamily, targets):
     """Solve f(q) = t for every row t of ``targets`` (n, 2).
 
     Returns the mask of solutions (n, m) and, under it, their points
-    (n, m, 2), residuals and multiplicity flags, plus the mask of those
-    outside an explicit box (its angle window taken modulo 2*pi).  m is the
-    largest number of candidates a row accepted, and each row holds its
-    accepted candidates first, in order.
+    (n, m, 2), residuals and multiplicity flags.  m is the largest number of
+    candidates a row accepted, and each row holds its accepted candidates
+    first, in order.  The flags, and so the representatives of merged
+    solutions, are decided by the family's |J| scale alone: a caller's box
+    only decides which of the solutions escape it.
     """
     tu, tv = targets[:, 0], targets[:, 1]
     # Candidates off the real line or on a division-by-zero line are NaN or
@@ -346,16 +349,12 @@ def _solve_batch(family: MapFamily, targets, box):
         # cluster's first member.
         order = np.argsort(~ok, axis=1, kind="stable")[:, :np.max(np.sum(ok, axis=1), initial=0)]
         at = (np.arange(len(ok))[:, None], order)
-        jbar = SINGULAR_FLAG_FACTOR * max(1.0, reference_scales(family, box).jdet)
+        jbar = SINGULAR_FLAG_FACTOR * max(1.0, reference_scales(family).jdet)
         keep, q, resid, flags = _merge(family, q[at], resid[at], ok[at], tu, tv,
                                        tol_abs[:, :, None], jbar)
     if family.periodic:
         q[..., 0] = canonical_phi(q[..., 0])
-
-    escaped = np.zeros_like(keep)
-    if box is not None:
-        escaped[keep] = ~in_box(family, q[keep], box)
-    return keep, q, resid, flags, escaped
+    return keep, q, resid, flags
 
 
 def solve_dkp(family: MapFamily, target, *, box=None) -> DkpSolutionSet:
@@ -364,18 +363,21 @@ def solve_dkp(family: MapFamily, target, *, box=None) -> DkpSolutionSet:
     With ``box=None`` every real solution is returned.  With an explicit box
     the solutions must lie inside it, for a periodic family with the angle
     window taken modulo 2*pi: :class:`BoxTooSmall` is raised, reporting the
-    escaping points, when one does not.
+    escaping points, when one does not.  The box changes nothing else: the
+    solutions and flags returned are those of the call without it.
     """
     target = JointPoint(float(target[0]), float(target[1]))
     if not (math.isfinite(target.u) and math.isfinite(target.v)):
         raise ConfigError("target must be finite")
-    keep, q, resid, flags, escaped = _solve_batch(family, np.array([target]), box)
-    if np.any(escaped):
-        pts = sorted({(round(p[0], 9), round(p[1], 9)) for p in q[escaped]})
-        raise BoxTooSmall(
-            f"{len(pts)} solution(s) of target {tuple(target)} escaped the box",
-            escaped=[WorkspacePoint(*p) for p in pts])
+    keep, q, resid, flags = _solve_batch(family, np.array([target]))
     idx = np.flatnonzero(keep[0])
+    if box is not None:
+        escaped = q[0, idx][~in_box(family, q[0, idx], box)]
+        if len(escaped):
+            pts = sorted({(round(p[0], 9), round(p[1], 9)) for p in escaped})
+            raise BoxTooSmall(
+                f"{len(pts)} solution(s) of target {tuple(target)} escaped the box",
+                escaped=[WorkspacePoint(*p) for p in pts])
     idx = idx[np.lexsort((q[0, idx, 1], q[0, idx, 0]))]
     return DkpSolutionSet(
         target,
@@ -399,10 +401,13 @@ def count_map(family: MapFamily, bounds, resolution: int, *, box=None) -> CountM
     cm = CountMap(((float(u0), float(u1)), (float(v0), float(v1))), (resolution, resolution),
                   np.zeros((resolution, resolution), dtype=np.int8))
     gu, gv = np.meshgrid(*cm.cell_centers(), indexing="ij")
-    keep, _, _, _, escaped = _solve_batch(family, np.column_stack([gu.ravel(), gv.ravel()]), box)
+    keep, q, _, _ = _solve_batch(family, np.column_stack([gu.ravel(), gv.ravel()]))
     cm.counts[...] = np.sum(keep.reshape(resolution, resolution, -1), axis=-1)
-    failed = np.any(escaped.reshape(resolution, resolution, -1), axis=-1)
-    if np.any(failed):
-        log.debug("%d cell(s) have solutions outside the box", int(np.sum(failed)))
-    cm.counts[failed] = -1
+    if box is not None:
+        escaped = np.zeros_like(keep)
+        escaped[keep] = ~in_box(family, q[keep], box)
+        failed = np.any(escaped, axis=-1).reshape(resolution, resolution)
+        if np.any(failed):
+            log.debug("%d cell(s) have solutions outside the box", int(np.sum(failed)))
+        cm.counts[failed] = -1
     return cm

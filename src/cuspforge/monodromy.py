@@ -7,9 +7,10 @@ clean when every such match is much closer than the second-nearest root, no
 two roots share a target and the root count stays the same.  A lift follows
 the tables by index across clean steps; while every lift is on a root, the
 lifts cross a whole run of clean steps at once, and the run's roots are
-written into the paths in one indexing step.  The angles are unwrapped
-afterwards, so each path is continuous across the seam of the canonical
-angle window.
+written into the paths in one indexing step.  A lift's outcome is built at
+the step that decides it: the finished lift, or the error with the partial
+path taken so far; either path has its angle unwrapped there, so it is
+continuous across the seam of the canonical angle window.
 
 Across any other step a lift falls back to continuation: Newton correction
 from the previous lifted point, with adaptive sub-stepping whenever Newton
@@ -140,12 +141,13 @@ def loop_clearance(loop: JointLoop, joint_curves) -> JointLoop:
 
 @dataclass(frozen=True)
 class LoopLift:
-    """Result of lifting one loop from one start solution."""
+    """Result of lifting one loop from one start solution: ``path`` is the
+    lifted point at each loop sample, with a continuous angle.  A lift that
+    met {J = 0} is only ever the ``partial`` of a SingularEncounter."""
 
     start: WorkspacePoint
     end: WorkspacePoint
     path: np.ndarray = field(repr=False)
-    crossed_singularity: bool
 
 
 @dataclass(frozen=True)
@@ -201,7 +203,7 @@ def _root_tables(family, samples):
     nearest root (n - 1, m) and whether the step is clean: every root's
     match passes the ratio test, no two share a target and the root count
     does not change.  All samples are solved and matched at once."""
-    keep, q, _, flags, _ = _solve_batch(family, samples, None)
+    keep, q, _, flags = _solve_batch(family, samples)
     roots = np.where((keep & ~flags)[..., None], q, np.nan)
     # The ratio test reads the two nearest roots, present or absent.
     roots = np.pad(roots, ((0, 0), (0, max(0, 2 - roots.shape[1])), (0, 0)),
@@ -214,6 +216,16 @@ def _root_tables(family, samples):
              & ~np.any(pair & (near[:, :, None] == near[:, None, :]), axis=(1, 2))
              & (np.sum(here[:-1], axis=1) == np.sum(here[1:], axis=1)))
     return roots, near, clean
+
+
+def _unwrapped(family, path):
+    """A copy of the lifted path (k, 2) with a continuous angle: the roots
+    come with canonical angles, and summing the wrapped steps undoes that."""
+    path = path.copy()
+    if family.periodic:
+        steps = coord_deltas(family, path[1:], path[:-1])[:, 0]
+        path[1:, 0] = path[0, 0] + np.cumsum(steps)
+    return path
 
 
 def _lift_batch(family: MapFamily, loop: JointLoop, starts) -> list:
@@ -235,29 +247,24 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts) -> list:
 
     q = np.array([[s[0], s[1]] for s in starts], dtype=float).reshape(-1, 2)
     begin = [WorkspacePoint(float(p[0]), float(p[1])) for p in q]
-    errors: list = [None] * len(q)
+    outcomes: list = [None] * len(q)  # the LoopLift or the error of each start
     u, v = family.evaluate(q[:, 0], q[:, 1])
     off_base = np.maximum(np.abs(u - base.u), np.abs(v - base.v)) > tol_abs
     singular = np.abs(family.jdet(q[:, 0], q[:, 1])) < jbar
     rejected = off_base | singular
     for row in np.flatnonzero(rejected):
-        errors[row] = PreconditionViolated(
+        outcomes[row] = PreconditionViolated(
             "start point does not solve the DKP at the loop base" if off_base[row]
             else "start point is singular; the lift is not defined")
 
     samples = loop.samples
     paths = np.full((len(samples),) + q.shape, np.nan)
     paths[0] = q
-    # row -> (step, last point, message) of a lift that met {J = 0}; the
-    # error is built once the paths are unwrapped.
-    stops = {}
-    step = 0
-
-    def singular_abort(row, q_at, jval, note):
-        stops[row] = (step, q_at, f"{note}: |J| = {jval:.3e} (clearance {jbar:.3e})")
 
     def advance(rows, q_from, t_from, t_to, depth):
-        # Returns the rows that reach t_to and their points there.
+        # Returns the rows that reach t_to and their points there.  A row
+        # that meets {J = 0} stops here, with the path it took up to the
+        # current loop step and its last point.
         if not rows.size:
             return rows, q_from
         target = tuple(t_to)
@@ -266,8 +273,8 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts) -> list:
         if ok.any():
             jval[ok] = np.abs(family.jdet(cand[ok, 0], cand[ok, 1]))
         crossed = jval < jbar
-        for r in np.flatnonzero(crossed):
-            singular_abort(rows[r], cand[r], float(jval[r]), "lift crossed the clearance threshold")
+        hits = [(r, cand[r], jval[r], "lift crossed the clearance threshold")
+                for r in np.flatnonzero(crossed)]
         last = depth >= MAX_SUBDIVISION
         done = ok & ~crossed & ((iters <= 4) | last)
         rest = ~done & ~crossed
@@ -277,10 +284,16 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts) -> list:
                 if jfrom < fold_zone:
                     # The target slipped off the current sheet: the path ran
                     # into the fold image rather than genuinely diverging.
-                    singular_abort(rows[r], q_from[r], jfrom, "lift ran into the fold image")
+                    hits.append((r, q_from[r], jfrom, "lift ran into the fold image"))
                 else:
-                    errors[rows[r]] = DivergedLift(
+                    outcomes[rows[r]] = DivergedLift(
                         f"Newton failed near joint point ({target[0]:.6g}, {target[1]:.6g})")
+        for r, q_at, jhit, note in hits:
+            partial = _unwrapped(family, paths[:step, rows[r]])
+            end = partial[-1] + coord_deltas(family, q_at, partial[-1])
+            outcomes[rows[r]] = SingularEncounter(
+                f"{note}: |J| = {jhit:.3e} (clearance {jbar:.3e})",
+                partial=LoopLift(begin[rows[r]], WorkspacePoint(*map(float, end)), partial))
         if last or not rest.any():
             return rows[done], cand[done]
         mid = 0.5 * (np.asarray(t_from) + np.asarray(t_to))
@@ -316,21 +329,11 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts) -> list:
         at[at < 0] = np.where(ratio < MATCH_RATIO, near, -1)
         step += 1
 
-    # Roots come with canonical angles: summing the wrapped steps makes each
-    # path continuous.
-    if family.periodic:
-        steps = coord_deltas(family, paths[1:], paths[:-1])[..., 0]
-        paths[1:, :, 0] = paths[0, :, 0] + np.cumsum(steps, axis=0)
-    for row, (at_step, q_at, note) in stops.items():
-        last = paths[at_step - 1, row]
-        end = last + coord_deltas(family, q_at, last)
-        errors[row] = SingularEncounter(note, partial=LoopLift(
-            begin[row], WorkspacePoint(float(end[0]), float(end[1])),
-            paths[:at_step, row].copy(), True))
-
-    return [LoopLift(begin[r], WorkspacePoint(*(float(w) for w in paths[-1, r])),
-                     paths[:, r].copy(), False) if errors[r] is None else errors[r]
-            for r in range(len(begin))]
+    for r, outcome in enumerate(outcomes):
+        if outcome is None:
+            path = _unwrapped(family, paths[:, r])
+            outcomes[r] = LoopLift(begin[r], WorkspacePoint(*map(float, path[-1])), path)
+    return outcomes
 
 
 def lift_loop(family: MapFamily, loop: JointLoop, start) -> LoopLift:

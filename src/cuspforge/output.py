@@ -1,7 +1,8 @@
 """Deterministic CSV and SVG emission.
 
 Floating values in CSV files are printed with 12 significant digits, and a
-zero without its sign, so identical inputs produce byte-identical files.
+zero without its sign, so identical inputs produce byte-identical files; the
+SVG files are written as text too, one element per line.
 ``write_svg`` draws exactly the data it is given on a 720 x 720 canvas,
 mapping the plotted box linearly onto it with the y-axis pointing up: an
 optional solution-count heat layer, singularity curves in blue and
@@ -13,8 +14,8 @@ and its family.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.etree import ElementTree as ET
 
 import numpy as np
 
@@ -119,23 +120,16 @@ def _split_at_seam(vertices):
     return [p for p in np.split(vertices, cuts) if len(p) >= 2]
 
 
-def _path(svg, cls, d, stroke, width, dash=None):
-    attrs = {"class": cls, "d": d, "fill": "none", "stroke": stroke, "stroke-width": width}
-    if dash is not None:
-        attrs["stroke-dasharray"] = dash
-    ET.SubElement(svg, "path", attrs)
+def _path(cls, d, stroke, width, dash=None):
+    dash = "" if dash is None else f' stroke-dasharray="{dash}"'
+    return (f'  <path class="{cls}" d="{d}" fill="none" stroke="{stroke}" '
+            f'stroke-width="{width}"{dash} />')
 
 
-def _circle(svg, canvas, cls, p, r, fill, stroke, width):
+def _circle(canvas, cls, p, r, fill, stroke, width):
     px, py = canvas.to_px(p[0], p[1])
-    ET.SubElement(svg, "circle", {"class": cls, "cx": f"{px:.2f}", "cy": f"{py:.2f}", "r": r,
-                                  "fill": fill, "stroke": stroke, "stroke-width": width})
-
-
-def _label(svg, x, y, text):
-    if text:
-        ET.SubElement(svg, "text", {"x": x, "y": y, "font-size": "15",
-                                    "font-family": "sans-serif"}).text = text
+    return (f'  <circle class="{cls}" cx="{px:.2f}" cy="{py:.2f}" r="{r}" fill="{fill}" '
+            f'stroke="{stroke}" stroke-width="{width}" />')
 
 
 def write_svg(path, box, *, labels=("", ""), curves=(), cusps=(), isolated=(),
@@ -150,39 +144,32 @@ def write_svg(path, box, *, labels=("", ""), curves=(), cusps=(), isolated=(),
     ``periodic_x`` the curves and lifts are split where the angle wraps.
     """
     canvas = _Canvas(box)
-    svg = ET.Element("svg", {
-        "xmlns": "http://www.w3.org/2000/svg",
-        "width": str(SIZE),
-        "height": str(SIZE),
-        "viewBox": f"0 0 {SIZE} {SIZE}",
-    })
-    ET.SubElement(svg, "rect", {
-        "x": "0", "y": "0", "width": str(SIZE), "height": str(SIZE),
-        "fill": "white"})
+    lines = ["<?xml version='1.0' encoding='utf-8'?>",
+             f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+             f'viewBox="0 0 {SIZE} {SIZE}">',
+             f'  <rect x="0" y="0" width="{SIZE}" height="{SIZE}" fill="white" />']
 
     if countmap is not None:
         (u0, u1), (v0, v1) = countmap.bounds
         nu, nv = countmap.resolution
         du, dv = (u1 - u0) / nu, (v1 - v0) / nv
-        group = ET.SubElement(svg, "g", {"class": "countmap"})
+        width, height = f"{abs(du * canvas.sx):.2f}", f"{abs(dv * canvas.sy):.2f}"
+        lines.append('  <g class="countmap">')
         for i in range(nu):
             for j in range(nv):
                 count = int(countmap.counts[i, j])
                 px0, py0 = canvas.to_px(u0 + i * du, v0 + (j + 1) * dv)
-                color = COUNT_COLORS.get(count, "#b10026")
-                ET.SubElement(group, "rect", {
-                    "class": "count", "data-count": str(count),
-                    "x": f"{px0:.2f}", "y": f"{py0:.2f}",
-                    "width": f"{abs(du * canvas.sx):.2f}",
-                    "height": f"{abs(dv * canvas.sy):.2f}",
-                    "fill": color, "stroke": "none"})
+                lines.append(
+                    f'    <rect class="count" data-count="{count}" x="{px0:.2f}" y="{py0:.2f}" '
+                    f'width="{width}" height="{height}" '
+                    f'fill="{COUNT_COLORS.get(count, "#b10026")}" stroke="none" />')
+        lines.append("  </g>")
 
     frame0 = canvas.to_px(canvas.x0, canvas.y1)
-    ET.SubElement(svg, "rect", {
-        "x": f"{frame0[0]:.2f}", "y": f"{frame0[1]:.2f}",
-        "width": f"{(canvas.x1 - canvas.x0) * canvas.sx:.2f}",
-        "height": f"{(canvas.y1 - canvas.y0) * canvas.sy:.2f}",
-        "fill": "none", "stroke": "#404040", "stroke-width": "1"})
+    lines.append(f'  <rect x="{frame0[0]:.2f}" y="{frame0[1]:.2f}" '
+                 f'width="{(canvas.x1 - canvas.x0) * canvas.sx:.2f}" '
+                 f'height="{(canvas.y1 - canvas.y0) * canvas.sy:.2f}" '
+                 'fill="none" stroke="#404040" stroke-width="1" />')
 
     for kind, color in CURVE_COLORS.items():
         for poly in curves:
@@ -192,27 +179,26 @@ def write_svg(path, box, *, labels=("", ""), curves=(), cusps=(), isolated=(),
             d = " ".join(canvas.path_d(p, poly.closed and len(pieces) == 1)
                          for p in pieces)
             if d:
-                _path(svg, kind, d, color, CURVE_WIDTHS[kind])
+                lines.append(_path(kind, d, color, CURVE_WIDTHS[kind]))
 
     if loop is not None:
-        _path(svg, "loop", canvas.path_d(loop.samples, False), "#202020", "1.2", "6,4")
+        lines.append(_path("loop", canvas.path_d(loop.samples, False), "#202020", "1.2", "6,4"))
 
     for pathline in lifts:
         pieces = _split_at_seam(np.asarray(pathline)) if periodic_x else [np.asarray(pathline)]
         d = " ".join(canvas.path_d(p, False) for p in pieces)
-        _path(svg, "lift", d, "#9016a8", "1.4", "2,3")
+        lines.append(_path("lift", d, "#9016a8", "1.4", "2,3"))
 
-    for p in cusps:
-        _circle(svg, canvas, "cusp", p, "4.5", "#d8261f", "white", "1")
-    for p in isolated:
-        _circle(svg, canvas, "isolated", p, "5", "none", "#1f4fd8", "2")
+    lines += [_circle(canvas, "cusp", p, "4.5", "#d8261f", "white", "1") for p in cusps]
+    lines += [_circle(canvas, "isolated", p, "5", "none", "#1f4fd8", "2") for p in isolated]
 
-    _label(svg, f"{SIZE - 24}", f"{SIZE - 14}", labels[0])
-    _label(svg, "10", "24", labels[1])
-
-    tree = ET.ElementTree(svg)
-    ET.indent(tree)
-    tree.write(path, encoding="unicode", xml_declaration=True)
+    for x, y, text in ((SIZE - 24, SIZE - 14, labels[0]), (10, 24, labels[1])):
+        if text:
+            lines.append(f'  <text x="{x}" y="{y}" font-size="15" font-family="sans-serif">'
+                         f'{html.escape(text, quote=False)}</text>')
+    lines.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
 
 
 def _cusp_points(cs: CurveSet):

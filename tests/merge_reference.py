@@ -57,15 +57,15 @@ def merge(family, q, resid, ok, tu, tv, tol_abs, jbar):
     return first, rep, rep_resid, flags
 
 
-def assert_merge_matches_reference(family, targets, box=None):
+def assert_merge_matches_reference(family, targets):
     """_solve_batch keeps the same solutions with ``merge`` swapped in, and
-    gives bitwise the same points, residuals, flags and escape masks under
-    the keep mask.  Returns the solver's own output."""
+    gives bitwise the same points, residuals and flags under the keep mask.
+    Returns the solver's own output."""
     targets = np.array(targets, dtype=float)
-    got = dkp._solve_batch(family, targets, box)
+    got = dkp._solve_batch(family, targets)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dkp, "_merge", merge)
-        want = dkp._solve_batch(family, targets, box)
+        want = dkp._solve_batch(family, targets)
     keep = got[0]
     assert keep.shape == want[0].shape and np.array_equal(keep, want[0])
     for g, w in zip(got[1:], want[1:], strict=True):

@@ -301,6 +301,16 @@ class TestReproduce:
         assert "17/17 checks passed" in capsys.readouterr().out
         assert calls == {"find_special_points": 4, "trace_singularity_curves": 6}
 
+    def test_failed_check_is_reported_and_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Reference cusps moved by 0.1 in phi fail exactly one check.
+        moved = tuple((phi + 0.1, y) for phi, y in cli.OFFSET_PAPER_CUSPS)
+        monkeypatch.setattr(cli, "OFFSET_PAPER_CUSPS", moved)
+        assert main(["reproduce-paper", "--out", str(tmp_path)]) == 2
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("FAIL:")] == [
+            "FAIL: offset manipulator: cusp coordinates match to 1e-3"]
+        assert "16/17 checks passed" in out
+
 
 class TestErrorPaths:
     def test_config_error_is_exit_1(self, tmp_path, capsys):
@@ -316,14 +326,30 @@ class TestErrorPaths:
         (["monodromy", "--center", "81,144", "--radius", "20", "--turns", "0"], "turns"),
         (["monodromy", "--center", "81,144", "--radius", "20", "--samples", "1"], "samples"),
         (["monodromy", "--center", "81,144", "--radius", "20", "--samples", "-5"], "samples"),
-        (["dkp", "--target=nan,1"], "target")],
+        (["dkp", "--target=nan,1"], "target"),
+        (["dkp", "--target", "x,1"], "--target must be numeric, got 'x,1'"),
+        (["regions", "--bounds", "0,100,0"], "--bounds must be u_min,u_max,v_min,v_max"),
+        (["regions", "--bounds", "0,100,x,100"], "--bounds must be numeric"),
+        (["monodromy"], "monodromy needs either --loop-csv or --center and --radius"),
+        (["monodromy", "--center", "81,144"],
+         "monodromy needs either --loop-csv or --center and --radius")],
         ids=["resolution-4", "resolution-0", "step", "radius", "turns", "samples-1", "samples-negative",
-             "target"])
+             "target", "target-not-numeric", "bounds-fields", "bounds-not-numeric", "no-loop",
+             "no-radius"])
     def test_option_out_of_range_is_exit_1(self, tmp_path, capsys, args, word):
         cfg = write_cfg(tmp_path, EXACT_CFG)
         assert main(args + ["--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1 and word in err
+
+    def test_loop_csv_with_two_numeric_rows_is_exit_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, EXACT_CFG)
+        loop_csv = tmp_path / "loop.csv"
+        loop_csv.write_text("u,v\n81,144\n\nnot,numbers\n82,145\n")
+        assert main(["monodromy", "--config", cfg, "--loop-csv", str(loop_csv),
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: loop CSV needs at least 3 numeric (u, v) rows\n")
 
     def test_solver_error_is_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUARTO_CFG.replace("y_max = 4", "y_max = 0.5")

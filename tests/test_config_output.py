@@ -85,6 +85,25 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="needs a number"):
             parse_config("family = quarto_unfolded\na = twelve\n")
 
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("family = rpr2pr_exact\na1 3\n")
+        assert str(err.value) == "line 2: expected 'key = value', got 'a1 3'"
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"family = quarto_unfolded\na = {value}\n")
+        assert str(err.value) == "line 2: a must be finite"
+
+    @pytest.mark.parametrize("window", ["phi_min = 1\nphi_max = 1\n", "phi_min = 2\nphi_max = 1\n",
+                                        "y_max = 0\n", "y_max = -2\n"])
+    def test_degenerate_window_rejected(self, window):
+        cfg = parse_config("family = quarto_unfolded\na = 1\nb = 1\n" + window)
+        with pytest.raises(ConfigError) as err:
+            workspace_box(cfg, family_from_config(cfg))
+        assert str(err.value) == "workspace window is degenerate"
+
     def test_family_required(self):
         with pytest.raises(ConfigError, match="must set 'family'"):
             parse_config("a = 1.0\n")
@@ -191,6 +210,20 @@ class TestSvgOutput:
         ns = {"s": "http://www.w3.org/2000/svg"}
         assert not root.findall(".//s:path", ns) + root.findall(".//s:circle", ns)
 
+    def test_axis_labels_are_escaped(self, tmp_path, square_family, square_trace):
+        # The labels are the only free text of a figure: markup characters in
+        # them must be escaped, and read back unchanged.
+        class Marked(type(square_family)):
+            input_names = ("x < 1 & y", "y > <z> && w")
+
+        family = Marked(a=1.0, b=-1.0)
+        path = tmp_path / "ws.svg"
+        workspace_plot(path, family, NORMAL_BOX, square_trace)
+        root = ET.parse(path).getroot()
+        ns = {"s": "http://www.w3.org/2000/svg"}
+        assert [t.text for t in root.findall("s:text", ns)] == list(family.input_names)
+        assert "&lt;z&gt; &amp;&amp; w" in path.read_text(encoding="utf-8")
+
     def test_periodic_seam_is_split(self, tmp_path, offset_family, offset_trace):
         # Branches wrapping across phi = 3*pi/2 must not draw a full-width
         # chord; every drawn segment stays shorter than half the canvas.
@@ -295,8 +328,7 @@ class TestOutputMatchesReference:
         cm = CountMap(((-0.5, 0.5), (0.0, 1e300)), (2, 2), np.array([[-1, 0], [4, 6]]))
         samples = np.array([[-0.0, 1.0], [1e300, 5e-324], [-0.0, 1.0]])
         loop = JointLoop(samples)
-        lift = LoopLift(WorkspacePoint(0.0, 1.0), WorkspacePoint(-0.0, 1.0), samples[:, ::-1],
-                        False)
+        lift = LoopLift(WorkspacePoint(0.0, 1.0), WorkspacePoint(-0.0, 1.0), samples[:, ::-1])
         perm = Permutation((2, 0, 1), [WorkspacePoint(x, -x) for x in values[:3]])
         cases = [
             (write_special_points_csv, (points,),

@@ -9,6 +9,7 @@ from cuspforge import (
     CuspforgeError,
     DivergedLift,
     JointLoop,
+    LoopLift,
     PermutationInconsistent,
     PreconditionViolated,
     SingularEncounter,
@@ -61,7 +62,7 @@ class TestInlineManipulatorMonodromy:
                              turns=2)
         lift = lift_loop(family, double, start)
         assert math.hypot(lift.end.phi - start.phi, lift.end.y - start.y) < 1e-6
-        assert not lift.crossed_singularity
+        assert lift.start == start
 
     def test_lift_tracks_every_sample(self, inline_loop_setup):
         family, loop = inline_loop_setup
@@ -127,8 +128,7 @@ class TestNormalFormMonodromy:
                            samples_per_turn=360)
         with pytest.raises(SingularEncounter) as err:
             lift_loop(fam, loop, (1.0, 1.0))
-        assert err.value.partial is not None
-        assert err.value.partial.crossed_singularity
+        assert isinstance(err.value.partial, LoopLift)
 
 
 def assert_same_lifts(family, loop, perm):
@@ -168,8 +168,7 @@ class TestBatchedLifts:
             loop_permutation(square_family, loop)
         assert str(err.value) == str(first)
         got, want = err.value.partial, first.partial
-        assert (got.start, got.end, got.crossed_singularity) == (
-            want.start, want.end, want.crossed_singularity)
+        assert (got.start, got.end) == (want.start, want.end)
         assert got.path.tobytes() == want.path.tobytes()
 
 
@@ -189,7 +188,7 @@ def outcome(family, loop):
 
 
 def assert_close_lifts(got, want):
-    assert (got.start, got.crossed_singularity) == (want.start, want.crossed_singularity)
+    assert got.start == want.start
     assert got.path.shape == want.path.shape
     assert np.max(np.abs(got.path - want.path)) < 1e-7
     assert np.max(np.abs(np.subtract(got.end, want.end))) < 1e-7
@@ -404,7 +403,7 @@ class TestLiftFailures:
                                                    for a, b in zip(corners, corners[1:])])
         with pytest.raises(SingularEncounter, match="crossed the clearance threshold") as err:
             lift_loop(family, JointLoop(samples), (1.0, 0.0))
-        assert err.value.partial.crossed_singularity
+        assert isinstance(err.value.partial, LoopLift)
         assert np.max(np.abs(err.value.partial.end)) < 1e-4
 
     def test_step_too_long_for_the_sub_steps_diverges(self):
@@ -436,7 +435,7 @@ class TestLiftFailures:
             lifts = lift_batch(family, loop, starts)
             lift = lifts[1]
             lifts[1] = monodromy.LoopLift(lift.start, (lift.end[0], lift.end[1] + 100.0),
-                                          lift.path, False)
+                                          lift.path)
             return lifts
 
         monkeypatch.setattr(monodromy, "_lift_batch", moved)
@@ -469,6 +468,17 @@ class TestValidation:
         loop = circle_loop((-100.0, -100.0), 5.0, samples_per_turn=90)
         with pytest.raises(PreconditionViolated):
             lift_loop(exact_family, loop, (0.0, 1.0))
+
+    def test_permutations_of_different_sizes_do_not_compose(self):
+        with pytest.raises(ValueError, match="permutation sizes differ"):
+            monodromy.Permutation((1, 0), []).compose(monodromy.Permutation((0, 2, 1), []))
+
+    def test_base_without_solutions_has_no_permutation(self):
+        # u = x^2, v = y^2 has no real solution at a negative target.
+        family = make_family("quarto_unfolded", a=0.0, b=0.0)
+        loop = circle_loop((-5.0, -5.0), 1.0, samples_per_turn=90)
+        with pytest.raises(PreconditionViolated, match="the loop base has no DKP solutions"):
+            loop_permutation(family, loop)
 
     def test_singular_start_is_rejected(self, exact_family):
         base = eval_map(exact_family, (0.0, 0.0))

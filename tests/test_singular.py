@@ -302,6 +302,11 @@ class TestClassifyEdgeCases:
         with pytest.raises(ValueError):
             find_special_points(exact_family, ((0.0, 0.0), (-1.0, 1.0)))
 
+    @pytest.mark.parametrize("box", [((50.0, 51.0), (50.0, 51.0)), ((0.5, 0.6), (-0.1, 0.1))])
+    def test_box_without_special_points(self, quarto_family, box):
+        # The quarto's one cusp, and every detection candidate, lies outside.
+        assert find_special_points(quarto_family, box) == []
+
 
 def fd_whitney_derivative(family, q, jac):
     """The Whitney derivative by central differences at +-1e-4 along the

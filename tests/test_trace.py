@@ -18,7 +18,7 @@ from cuspforge import (
 )
 from cuspforge import singular
 from cuspforge import trace as trace_module
-from cuspforge.errors import PreconditionViolated
+from cuspforge.errors import ConfigError, PreconditionViolated
 from cuspforge.maps import TWO_PI, JointPoint, WorkspacePoint, coord_deltas, point_distances
 from cuspforge.singular import PointKind, SpecialPoint, _correct
 from tracer_oracle import _sign_change_seeds, oracle_trace
@@ -453,6 +453,11 @@ class TestOracleAgreement:
         ours = np.concatenate([c.vertices for c in cs.curves])
         assert np.max(segment_distances(offset_family, ours, oracle.curves, step)) < step
         assert curve_signature(cs) == curve_signature(oracle)
+
+    @pytest.mark.parametrize("box", [((1.0, 1.0), (-1.0, 1.0)), ((-1.0, 1.0), (2.0, -2.0))])
+    def test_degenerate_box_is_refused(self, square_family, box):
+        with pytest.raises(ConfigError, match="box must be non-degenerate"):
+            trace_singularity_curves(square_family, box)
 
     def test_determinant_of_higher_degree_is_refused(self, exact_family):
         # The breakpoints assume coefficients of low trigonometric degree; a
