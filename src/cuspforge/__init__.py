@@ -7,6 +7,8 @@ joint-space regions, and verifies non-singular assembly-mode changes by
 lifting closed joint-space loops.
 """
 
+from types import ModuleType as _ModuleType
+
 from .config import AnalysisConfig, emit_config, family_from_config, load_config, parse_config
 from .dkp import CountMap, DkpSolutionSet, count_map, solve_dkp
 from .errors import (
@@ -65,4 +67,6 @@ from .trace import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules bound by the imports above are not part of the star import.
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import output
+from . import monodromy, output
 from .config import family_from_config, load_config, workspace_box
 from .dkp import count_map, solve_dkp
 from .errors import ConfigError, CuspforgeError
@@ -167,13 +167,25 @@ def cmd_regions(args) -> int:
 
 def _loop_from_args(args) -> JointLoop:
     if args.loop_csv:
-        rows = []
+        rows, header = [], False
         with open(args.loop_csv, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
+                if not "".join(row).strip():
+                    continue  # a blank line
                 try:
-                    rows.append((float(row[0]), float(row[1])))
-                except (IndexError, ValueError):  # blank, short or header rows
-                    continue
+                    u, v = float(row[0]), float(row[1])
+                except ValueError:
+                    if not (rows or header):
+                        header = True  # a non-numeric first row
+                        continue
+                    u = v = math.nan
+                except IndexError:
+                    u = v = math.nan
+                if not (math.isfinite(u) and math.isfinite(v)):
+                    raise ConfigError(f"loop CSV line {reader.line_num}: expected two finite "
+                                      f"numbers u,v, got {','.join(row)!r}")
+                rows.append((u, v))
         if len(rows) < 3:
             raise ConfigError("loop CSV needs at least 3 numeric (u, v) rows")
         samples = np.array(rows)
@@ -251,9 +263,8 @@ def _check_exact(report: _Report, family, points, cs, jcs, found):
     report.check(kinds == ["corank2_elliptic", "corank2_hyperbolic"],
                  "in-line manipulator: one hyperbolic and one elliptic corank-2 point")
     hyper = [p for p in points if p.kind == PointKind.CORANK2_HYPERBOLIC]
-    if hyper:
-        report.check(abs(hyper[0].delta - 13489.0) < 1e-6 * 13489.0,
-                     "in-line manipulator: node discriminant = 13489")
+    report.check(bool(hyper) and abs(hyper[0].delta - 13489.0) < 1e-6 * 13489.0,
+                 "in-line manipulator: node discriminant = 13489")
     report.check(len(cs.isolated_points) == 1,
                  "in-line manipulator: one isolated singular point")
     report.check(sum(len(c.cusp_indices) for c in cs.curves) == 0,
@@ -291,14 +302,17 @@ def _check_offset(report: _Report, family, points, cs, jcs, found):
     report.check(len(cs.isolated_points) == 0, "offset manipulator: no isolated points")
 
     full_jcs = _reach_image(family, found)
-    oval_image = [c for c in full_jcs.curves if c.closed][0].vertices
-    centroid = oval_image.mean(axis=0)
-    r_in = float(np.max(np.linalg.norm(oval_image - centroid, axis=1)))
+    ovals = [c.vertices for c in full_jcs.curves if c.closed]
     others = [c.vertices for c in full_jcs.curves if not c.closed]
-    r_out = min(float(np.min(np.linalg.norm(v - centroid, axis=1))) for v in others)
-    perm = loop_permutation(family, circle_loop(tuple(centroid), math.sqrt(r_in * r_out)))
-    report.check(_swaps_two(perm), "offset manipulator: loop around the deltoid swaps two "
-                                   "solutions and squares to the identity")
+    swaps = False
+    if ovals and others:
+        centroid = ovals[0].mean(axis=0)
+        r_in = float(np.max(np.linalg.norm(ovals[0] - centroid, axis=1)))
+        r_out = min(float(np.min(np.linalg.norm(v - centroid, axis=1))) for v in others)
+        loop = circle_loop(tuple(centroid), math.sqrt(r_in * r_out))
+        swaps = _swaps_two(loop_permutation(family, loop))
+    report.check(swaps, "offset manipulator: loop around the deltoid swaps two "
+                        "solutions and squares to the identity")
 
 
 def _check_square(report: _Report, family, points, cs, jcs, found):
@@ -312,13 +326,15 @@ def _check_square(report: _Report, family, points, cs, jcs, found):
                  and len(closed[0].cusp_indices) == 3,
                  "unfolded complex square: one closed singular curve with 3 cusps")
 
-    deltoid = jcs.curves[0].vertices
-    centroid = deltoid.mean(axis=0)
-    radius = 1.2 * float(np.max(np.linalg.norm(deltoid - centroid, axis=1)))
-    perm = loop_permutation(family, circle_loop(tuple(centroid), radius))
-    report.check(len(perm.solutions) == 2 and _swaps_two(perm),
-                 "unfolded complex square: circling the deltoid swaps the two "
-                 "outer preimages")
+    swaps = False
+    if jcs.curves:
+        deltoid = jcs.curves[0].vertices
+        centroid = deltoid.mean(axis=0)
+        radius = 1.2 * float(np.max(np.linalg.norm(deltoid - centroid, axis=1)))
+        perm = loop_permutation(family, circle_loop(tuple(centroid), radius))
+        swaps = len(perm.solutions) == 2 and _swaps_two(perm)
+    report.check(swaps, "unfolded complex square: circling the deltoid swaps the two "
+                        "outer preimages")
 
 
 def _check_quarto(report: _Report, family, points, cs, jcs, found):
@@ -433,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     "--center=-1.5,0.5)")
     p.add_argument("--radius", type=float, help="circle radius")
     p.add_argument("--turns", type=int, default=1, help="number of revolutions")
-    p.add_argument("--samples", type=int, default=720, help="samples per revolution")
+    p.add_argument("--samples", type=int, default=monodromy.DEFAULT_SAMPLES_PER_TURN,
+                   help="samples per revolution (default %(default)s)")
     p.add_argument("--loop-csv", help="CSV file with u,v loop samples")
     p.add_argument("--start", help="lift only this start point 'phi,y' (a negative phi "
                                    "needs '=': --start=-0.2,10.8)")

@@ -385,8 +385,11 @@ def point_distances(family: MapFamily, pts, ref):
 
 def _nearest(family: MapFamily, pts, roots):
     """For each point of ``pts`` (..., r, 2): the index of its nearest root
-    in ``roots`` (..., m, 2, m >= 2, NaN rows absent), and the ratio of the
-    distances to that root and to the second-nearest (NaN if both are 0)."""
+    in ``roots`` (..., m, 2, NaN rows absent, padded to two), and the ratio
+    of the distances to that root and to the second-nearest (NaN if both are 0)."""
+    if roots.shape[-2] < 2:
+        pad = np.full(roots.shape[:-2] + (2 - roots.shape[-2], 2), np.nan)
+        roots = np.concatenate([roots, pad], axis=-2)
     d = point_distances(family, pts[..., :, None, :], roots[..., None, :, :])
     d = np.nan_to_num(d, nan=np.finfo(float).max)  # absent roots are far away
     two = np.partition(d, 1, axis=-1)

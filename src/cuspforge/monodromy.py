@@ -12,14 +12,14 @@ the step that decides it: the finished lift, or the error with the partial
 path taken so far; either path has its angle unwrapped there, so it is
 continuous across the seam of the canonical angle window.
 
-Across any other step a lift falls back to continuation: Newton correction
-from the previous lifted point, with adaptive sub-stepping whenever Newton
-works too hard or stops short, after which it attaches to the roots again.
-A lift that comes too close to the singularity set is aborted loudly
-(continuation across a fold silently merges solution sheets), carrying the
-partial path for diagnosis.  The base solutions of a loop are lifted
-together, one array row each; every row converges, sub-steps and fails on
-its own, exactly as a lift of its own.
+Across any other step a lift falls back to continuation, one point at a
+time: Newton correction from the previous lifted point, with the step
+halved whenever Newton works too hard or stops short, after which the lift
+attaches to the roots again.  A lift that comes too close to the
+singularity set is aborted loudly (continuation across a fold silently
+merges solution sheets), carrying the partial path for diagnosis.  The base
+solutions of a loop are lifted together, one array row each, and every row
+is continued on its own, so it ends exactly as a lift of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dkp import DKP_TOL, SINGULAR_FLAG_FACTOR, _solve_batch, solve_dkp
+from .dkp import DKP_TOL, SINGULAR_FLAG_FACTOR, _residual, _solve_batch, solve_dkp
 from .errors import (
     ConfigError,
     DivergedLift,
@@ -205,9 +205,6 @@ def _root_tables(family, samples):
     does not change.  All samples are solved and matched at once."""
     keep, q, _, flags = _solve_batch(family, samples)
     roots = np.where((keep & ~flags)[..., None], q, np.nan)
-    # The ratio test reads the two nearest roots, present or absent.
-    roots = np.pad(roots, ((0, 0), (0, max(0, 2 - roots.shape[1])), (0, 0)),
-                   constant_values=np.nan)
     here = ~np.isnan(roots[..., 0])
     near, ratio = _nearest(family, roots[:-1], roots[1:])
     sure = ratio < MATCH_RATIO
@@ -228,16 +225,40 @@ def _unwrapped(family, path):
     return path
 
 
+def _continue(family, q, t_from, t_to, tol_abs, jbar, fold_zone, depth=0):
+    """Continue the lifted point q (2,) from t_from to t_to by Newton, halving
+    the step up to MAX_SUBDIVISION times while Newton takes more than 4 steps
+    or fails.  Returns the point reached, the (note, point, |J|) of a singular
+    encounter (|J| < jbar, or a failure at the last depth from inside the
+    fold zone, which the target slipped off), or a :class:`DivergedLift`."""
+    cand, iters, ok = _newton_to_target(family, q[None], tuple(t_to), tol_abs)
+    if ok[0]:
+        jval = abs(float(family.jdet(cand[:, 0], cand[:, 1])[0]))
+        if jval < jbar:
+            return "lift crossed the clearance threshold", cand[0], jval
+        if iters[0] <= 4 or depth >= MAX_SUBDIVISION:
+            return cand[0]
+    if depth >= MAX_SUBDIVISION:
+        jfrom = abs(float(family.jdet(q[0], q[1])))
+        if jfrom < fold_zone:
+            return "lift ran into the fold image", q, jfrom
+        return DivergedLift(f"Newton failed near joint point ({t_to[0]:.6g}, {t_to[1]:.6g})")
+    mid = 0.5 * (np.asarray(t_from) + np.asarray(t_to))
+    reached = _continue(family, q, t_from, mid, tol_abs, jbar, fold_zone, depth + 1)
+    if not isinstance(reached, np.ndarray):
+        return reached
+    return _continue(family, reached, mid, t_to, tol_abs, jbar, fold_zone, depth + 1)
+
+
 def _lift_batch(family: MapFamily, loop: JointLoop, starts) -> list:
     """Continue every start solution along the loop, all rows together.
 
     A row follows the exact roots of the loop samples across every clean
     step of the match tables, and while every row is on a root, all rows
     cross a whole run of clean steps at once.  Across any other step a row
-    takes the Newton continuation, sub-stepping and checks of a lift of its
-    own, and then attaches to a root again.  Returns, for each start in order, its
-    :class:`LoopLift` or the error that ended it (with the partial path
-    where there is one).
+    is continued on its own by :func:`_continue`, and then attaches to a
+    root again.  Returns, for each start in order, its :class:`LoopLift` or
+    the error that ended it (with the partial path where there is one).
     """
     scales = reference_scales(family)
     jbar = SINGULAR_FLAG_FACTOR * max(1.0, scales.jdet)
@@ -248,8 +269,7 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts) -> list:
     q = np.array([[s[0], s[1]] for s in starts], dtype=float).reshape(-1, 2)
     begin = [WorkspacePoint(float(p[0]), float(p[1])) for p in q]
     outcomes: list = [None] * len(q)  # the LoopLift or the error of each start
-    u, v = family.evaluate(q[:, 0], q[:, 1])
-    off_base = np.maximum(np.abs(u - base.u), np.abs(v - base.v)) > tol_abs
+    off_base = _residual(family, q, base.u, base.v) > tol_abs
     singular = np.abs(family.jdet(q[:, 0], q[:, 1])) < jbar
     rejected = off_base | singular
     for row in np.flatnonzero(rejected):
@@ -260,47 +280,6 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts) -> list:
     samples = loop.samples
     paths = np.full((len(samples),) + q.shape, np.nan)
     paths[0] = q
-
-    def advance(rows, q_from, t_from, t_to, depth):
-        # Returns the rows that reach t_to and their points there.  A row
-        # that meets {J = 0} stops here, with the path it took up to the
-        # current loop step and its last point.
-        if not rows.size:
-            return rows, q_from
-        target = tuple(t_to)
-        cand, iters, ok = _newton_to_target(family, q_from, target, tol_abs)
-        jval = np.full(len(rows), math.inf)
-        if ok.any():
-            jval[ok] = np.abs(family.jdet(cand[ok, 0], cand[ok, 1]))
-        crossed = jval < jbar
-        hits = [(r, cand[r], jval[r], "lift crossed the clearance threshold")
-                for r in np.flatnonzero(crossed)]
-        last = depth >= MAX_SUBDIVISION
-        done = ok & ~crossed & ((iters <= 4) | last)
-        rest = ~done & ~crossed
-        if last:
-            for r in np.flatnonzero(rest):
-                jfrom = abs(float(family.jdet(q_from[r, 0], q_from[r, 1])))
-                if jfrom < fold_zone:
-                    # The target slipped off the current sheet: the path ran
-                    # into the fold image rather than genuinely diverging.
-                    hits.append((r, q_from[r], jfrom, "lift ran into the fold image"))
-                else:
-                    outcomes[rows[r]] = DivergedLift(
-                        f"Newton failed near joint point ({target[0]:.6g}, {target[1]:.6g})")
-        for r, q_at, jhit, note in hits:
-            partial = _unwrapped(family, paths[:step, rows[r]])
-            end = partial[-1] + coord_deltas(family, q_at, partial[-1])
-            outcomes[rows[r]] = SingularEncounter(
-                f"{note}: |J| = {jhit:.3e} (clearance {jbar:.3e})",
-                partial=LoopLift(begin[rows[r]], WorkspacePoint(*map(float, end)), partial))
-        if last or not rest.any():
-            return rows[done], cand[done]
-        mid = 0.5 * (np.asarray(t_from) + np.asarray(t_to))
-        mid_rows, q_mid = advance(rows[rest], q_from[rest], t_from, mid, depth + 1)
-        end_rows, q_end = advance(mid_rows, q_mid, mid, t_to, depth + 1)
-        return np.concatenate([rows[done], end_rows]), np.concatenate([cand[done], q_end])
-
     roots, nxt, clean = _root_tables(family, samples)
     # The step that ends the run of clean steps from each step on.
     run_end = np.append(np.flatnonzero(~clean) + 1, len(samples))
@@ -317,13 +296,26 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts) -> list:
             paths[step:end, rows] = roots[np.arange(step, end)[:, None], ats]
             step = end
             continue
-        chase = (at >= 0) & clean[step - 1]
-        at = np.where(chase, nxt[step - 1, at], -1)
-        paths[step, rows[chase]] = roots[step, at[chase]]
-        moved, q_to = advance(rows[~chase], paths[step - 1, rows[~chase]],
-                              samples[step - 1], samples[step], 0)
-        paths[step, moved] = q_to
-        on = chase | np.isin(rows, moved)
+        on = (at >= 0) & clean[step - 1]
+        at[on] = nxt[step - 1, at[on]]
+        at[~on] = -1
+        paths[step, rows[on]] = roots[step, at[on]]
+        for i in np.flatnonzero(~on):
+            r = rows[i]
+            reached = _continue(family, paths[step - 1, r], samples[step - 1], samples[step],
+                                tol_abs, jbar, fold_zone)
+            if isinstance(reached, np.ndarray):
+                paths[step, r], on[i] = reached, True
+            elif isinstance(reached, DivergedLift):
+                outcomes[r] = reached
+            else:
+                # A row that meets {J = 0} stops here, at the point it reached.
+                note, q_at, jhit = reached
+                partial = _unwrapped(family, paths[:step, r])
+                end = partial[-1] + coord_deltas(family, q_at, partial[-1])
+                outcomes[r] = SingularEncounter(
+                    f"{note}: |J| = {jhit:.3e} (clearance {jbar:.3e})",
+                    partial=LoopLift(begin[r], WorkspacePoint(*map(float, end)), partial))
         rows, at = rows[on], at[on]
         near, ratio = _nearest(family, paths[step, rows[at < 0]], roots[step])
         at[at < 0] = np.where(ratio < MATCH_RATIO, near, -1)

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import math
 from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
 
-from cuspforge import cli, find_special_points, make_family, monodromy
+from cuspforge import PointKind, cli, find_special_points, make_family, monodromy
 from cuspforge import trace as trace_module
 from cuspforge.cli import main
 from cuspforge.maps import in_box
@@ -253,6 +254,10 @@ class TestMonodromyCommand:
         n = int(capsys.readouterr().out.split("base solution(s)")[0].split()[-1])
         assert n > 0 and len(calls) == n and len(set(calls)) == n
 
+    def test_samples_default_is_the_library_default(self):
+        args = cli.build_parser().parse_args(["monodromy", "--config", "x.cfg"])
+        assert args.samples == monodromy.DEFAULT_SAMPLES_PER_TURN
+
 
 
 class TestReproduce:
@@ -312,6 +317,67 @@ class TestReproduce:
         assert "16/17 checks passed" in out
 
 
+    @staticmethod
+    def run_with_check(monkeypatch, capsys, tmp_path, name, check):
+        """reproduce-paper with instance ``name`` checked by ``check``: its
+        exit status, FAIL lines and summary line."""
+        rows = tuple(row[:5] + (check,) if row[0] == name else row
+                     for row in cli.PAPER_INSTANCES)
+        monkeypatch.setattr(cli, "PAPER_INSTANCES", rows)
+        status = main(["reproduce-paper", "--out", str(tmp_path)])
+        out = capsys.readouterr().out.splitlines()
+        return (status, [line for line in out if line.startswith("FAIL:")],
+                [line for line in out if "checks passed" in line])
+
+    def test_node_discriminant_is_checked_without_a_hyperbolic_point(
+            self, tmp_path, capsys, monkeypatch):
+        def without_hyperbolic(report, family, points, *rest):
+            points = [p for p in points if p.kind != PointKind.CORANK2_HYPERBOLIC]
+            cli._check_exact(report, family, points, *rest)
+
+        status, fails, summary = self.run_with_check(monkeypatch, capsys, tmp_path,
+                                                     "exact", without_hyperbolic)
+        assert status == 2
+        assert fails == [
+            "FAIL: in-line manipulator: exactly 2 special points",
+            "FAIL: in-line manipulator: one hyperbolic and one elliptic corank-2 point",
+            "FAIL: in-line manipulator: node discriminant = 13489"]
+        assert summary == [f"14/17 checks passed; figures in {tmp_path}/"]
+
+    def test_offset_reach_image_without_an_oval_fails_its_loop_check(
+            self, tmp_path, capsys, monkeypatch):
+        reach_image = cli._reach_image
+
+        def without_ovals(family, found):
+            jcs = reach_image(family, found)
+            if family.kind == "rpr2pr_offset":
+                jcs = dataclasses.replace(jcs, curves=[c for c in jcs.curves if not c.closed])
+            return jcs
+
+        monkeypatch.setattr(cli, "_reach_image", without_ovals)
+        status, fails, summary = self.run_with_check(monkeypatch, capsys, tmp_path,
+                                                     "offset", cli._check_offset)
+        assert status == 2
+        assert fails == ["FAIL: offset manipulator: loop around the deltoid swaps two "
+                         "solutions and squares to the identity"]
+        assert summary == [f"16/17 checks passed; figures in {tmp_path}/"]
+
+    def test_square_trace_without_curves_fails_its_checks(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def without_curves(report, family, points, cs, jcs, found):
+            cli._check_square(report, family, points, dataclasses.replace(cs, curves=[]),
+                              dataclasses.replace(jcs, curves=[]), found)
+
+        status, fails, summary = self.run_with_check(monkeypatch, capsys, tmp_path,
+                                                     "square", without_curves)
+        assert status == 2
+        assert fails == [
+            "FAIL: unfolded complex square: one closed singular curve with 3 cusps",
+            "FAIL: unfolded complex square: circling the deltoid swaps the two outer "
+            "preimages"]
+        assert summary == [f"15/17 checks passed; figures in {tmp_path}/"]
+
+
 class TestErrorPaths:
     def test_config_error_is_exit_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "family = rpr2pr_exact\na1 = 3\n")
@@ -345,11 +411,29 @@ class TestErrorPaths:
     def test_loop_csv_with_two_numeric_rows_is_exit_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, EXACT_CFG)
         loop_csv = tmp_path / "loop.csv"
-        loop_csv.write_text("u,v\n81,144\n\nnot,numbers\n82,145\n")
+        loop_csv.write_text("u,v\n81,144\n\n82,145\n")
         assert main(["monodromy", "--config", cfg, "--loop-csv", str(loop_csv),
                      "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
             "config error: loop CSV needs at least 3 numeric (u, v) rows\n")
+
+    @pytest.mark.parametrize("row, line", [
+        ("1O2,132", 4), ("not,numbers", 4), ("102", 4), ("102,nan", 4), ("inf,132", 4),
+        ("u,v", 2)], ids=["typo", "words", "short", "nan", "inf", "header-after-a-row"])
+    def test_loop_csv_bad_row_is_exit_1_naming_its_line(self, tmp_path, capsys, row, line):
+        # Only blank lines and a non-numeric first row are skipped; any other
+        # bad row would make the command lift a different loop.
+        cfg = write_cfg(tmp_path, EXACT_CFG)
+        loop_csv = tmp_path / "loop.csv"
+        rows = ["101,144", row, "81,164", "61,144", "81,124", "101,144"]
+        if line == 4:
+            rows = ["u,v", "", "101,144", row, "81,164", "61,144", "81,124", "101,144"]
+        loop_csv.write_text("\n".join(rows) + "\n")
+        assert main(["monodromy", "--config", cfg, "--loop-csv", str(loop_csv),
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: loop CSV line {line}: expected two finite numbers u,v, "
+            f"got {row!r}\n")
 
     def test_solver_error_is_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUARTO_CFG.replace("y_max = 4", "y_max = 0.5")

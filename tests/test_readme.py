@@ -1,4 +1,5 @@
 import re
+import types
 from dataclasses import fields
 from pathlib import Path
 
@@ -24,3 +25,11 @@ def test_readme_lists_exactly_the_config_keys():
     listed = re.search(r"Recognized keys:(.*?)\.\s", TEXT, re.DOTALL).group(1)
     keys = {k for span in re.findall(r"`([^`]*)`", listed) for k in span.split()}
     assert keys == {f.name for f in fields(AnalysisConfig)}
+
+
+def test_star_import_binds_no_submodule():
+    namespace = {}
+    exec("from cuspforge import *", namespace)
+    names = set(namespace) - {"__builtins__"}
+    assert {"solve_dkp", "lift_loop", "SingularEncounter", "make_family"} <= names
+    assert not [n for n in names if isinstance(namespace[n], types.ModuleType)]
