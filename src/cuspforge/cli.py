@@ -246,9 +246,18 @@ class _Report:
         if not ok:
             self.failures += 1
 
-
-def _swaps_two(perm) -> bool:
-    return (not perm.is_identity()) and perm.compose(perm).is_identity()
+    def check_turn(self, family, circle, label: str, solutions=None):
+        """Check that one turn of ``circle`` (center, radius; None where there
+        is no loop) swaps two solutions, of ``solutions`` if given, and squares
+        to the identity.  A solver error FAILs the check, named in its line."""
+        if circle is None:
+            return self.check(False, label)
+        try:
+            perm = loop_permutation(family, circle_loop(*circle))
+        except CuspforgeError as exc:
+            return self.check(False, f"{label} ({type(exc).__name__}: {exc})")
+        self.check((solutions is None or len(perm.solutions) == solutions)
+                   and not perm.is_identity() and perm.compose(perm).is_identity(), label)
 
 
 def _reach_image(family, found):
@@ -270,16 +279,17 @@ def _check_exact(report: _Report, family, points, cs, jcs, found):
     report.check(sum(len(c.cusp_indices) for c in cs.curves) == 0,
                  "in-line manipulator: no cusps")
 
-    # One turn around the image of the isolated point; _swaps_two checks
-    # that the permutation squares to the identity.  Clearance is measured
+    # One turn around the image of the isolated point.  Clearance is measured
     # against the image of the full singular set (reach box), not just the
     # branches clipped to the plotting window.
     target = JointPoint(81.0, 144.0)
-    pts = np.concatenate([c.vertices for c in _reach_image(family, found).curves])
-    clearance = float(np.min(np.linalg.norm(pts - np.array(target), axis=1)))
-    perm = loop_permutation(family, circle_loop(target, 0.4 * clearance))
-    report.check(_swaps_two(perm), "in-line manipulator: loop around the multiple image "
-                                   "swaps two solutions and squares to the identity")
+    pts = [c.vertices for c in _reach_image(family, found).curves]
+    circle = None
+    if pts:
+        clearance = float(np.min(np.linalg.norm(np.concatenate(pts) - np.array(target), axis=1)))
+        circle = (target, 0.4 * clearance)
+    report.check_turn(family, circle, "in-line manipulator: loop around the multiple image "
+                                      "swaps two solutions and squares to the identity")
 
 
 OFFSET_PAPER_CUSPS = ((-0.0023, 2.9069), (2.6492, -2.2190), (3.5464, -1.2968),
@@ -304,15 +314,14 @@ def _check_offset(report: _Report, family, points, cs, jcs, found):
     full_jcs = _reach_image(family, found)
     ovals = [c.vertices for c in full_jcs.curves if c.closed]
     others = [c.vertices for c in full_jcs.curves if not c.closed]
-    swaps = False
+    circle = None
     if ovals and others:
         centroid = ovals[0].mean(axis=0)
         r_in = float(np.max(np.linalg.norm(ovals[0] - centroid, axis=1)))
         r_out = min(float(np.min(np.linalg.norm(v - centroid, axis=1))) for v in others)
-        loop = circle_loop(tuple(centroid), math.sqrt(r_in * r_out))
-        swaps = _swaps_two(loop_permutation(family, loop))
-    report.check(swaps, "offset manipulator: loop around the deltoid swaps two "
-                        "solutions and squares to the identity")
+        circle = (tuple(centroid), math.sqrt(r_in * r_out))
+    report.check_turn(family, circle, "offset manipulator: loop around the deltoid swaps two "
+                                      "solutions and squares to the identity")
 
 
 def _check_square(report: _Report, family, points, cs, jcs, found):
@@ -326,15 +335,14 @@ def _check_square(report: _Report, family, points, cs, jcs, found):
                  and len(closed[0].cusp_indices) == 3,
                  "unfolded complex square: one closed singular curve with 3 cusps")
 
-    swaps = False
+    circle = None
     if jcs.curves:
         deltoid = jcs.curves[0].vertices
         centroid = deltoid.mean(axis=0)
         radius = 1.2 * float(np.max(np.linalg.norm(deltoid - centroid, axis=1)))
-        perm = loop_permutation(family, circle_loop(tuple(centroid), radius))
-        swaps = len(perm.solutions) == 2 and _swaps_two(perm)
-    report.check(swaps, "unfolded complex square: circling the deltoid swaps the two "
-                        "outer preimages")
+        circle = (tuple(centroid), radius)
+    report.check_turn(family, circle, "unfolded complex square: circling the deltoid swaps "
+                                      "the two outer preimages", solutions=2)
 
 
 def _check_quarto(report: _Report, family, points, cs, jcs, found):

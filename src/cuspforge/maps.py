@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -207,35 +206,24 @@ class Rpr2PrExact:
     jdet, jdet_grad, jdet_hess = Rpr2PrOffset.jdet, Rpr2PrOffset.jdet_grad, Rpr2PrOffset.jdet_hess
 
 
-_MONOMIALS = (lambda x, y: x * x, lambda x, y: x * y, lambda x, y: y * y,
-              lambda x, y: x, lambda x, y: y, lambda x, y: 1.0)
+def _form(row, x, y):
+    """The sum row[0] x^2 + row[1] xy + row[2] y^2 + row[3] x + row[4] y + row[5],
+    in that order."""
+    return row[0] * (x * x) + row[1] * (x * y) + row[2] * (y * y) + row[3] * x + row[4] * y + row[5]
 
 
-def _terms(coef):
-    """The terms (k, c) of sum c * _MONOMIALS[k] with c != 0, and a zero x or
-    y term for a variable no other term holds, so that the sum broadcasts."""
-    terms = [(k, float(c)) for k, c in enumerate(coef) if c != 0.0]
-    held = {k for k, _ in terms}
-    return terms + [(k, 0.0) for k, ks in ((3, {0, 1, 3}), (4, {1, 2, 4})) if not held & ks]
-
-
-def _polynomial(terms, x, y):
-    """The sum of the ``_terms`` in order; a square or product is not scaled by 1."""
-    total = None
-    for k, c in terms:
-        m = _MONOMIALS[k](x, y)
-        m = m if c == 1.0 and k < 3 else c * m
-        total = m if total is None else total + m
-    return total
+def _gradient(rows):
+    """The gradients (d/dx, d/dy) of the ``_form`` of each of ``rows`` as
+    ``_affine`` coefficients (3, len(rows), 2); the first two are the constant
+    Hessians."""
+    return np.array([[[2.0 * r[0], r[1]] for r in rows], [[r[1], 2.0 * r[2]] for r in rows],
+                     [[r[3], r[4]] for r in rows]])
 
 
 def _affine(coef, x, y):
-    """coef[0] x + coef[1] y + coef[2] for coef (3, k): (..., k) over x, y."""
+    """coef[0] x + coef[1] y + coef[2] for coef (3, k, 2): (..., k, 2) over x, y."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return x[..., None] * coef[0] + y[..., None] * coef[1] + coef[2]
-
-
-_Jets = namedtuple("_Jets", "u v jdet jac jdet_grad hess jdet_hess")
+    return x[..., None, None] * coef[0] + y[..., None, None] * coef[1] + coef[2]
 
 
 class QuadraticMap:
@@ -243,9 +231,11 @@ class QuadraticMap:
     form plus a linear part: the germs of multiplicity 4 and their unfoldings.
 
     A subclass is a frozen dataclass with ``kind``, ``default_box`` and
-    ``coefficients``, the rows of u and v on x^2, xy, y^2, x and y.  The jets
-    are derived from these once per instance, and each subclass binds them
-    in its own body, so that every family class holds its own jets.
+    ``coefficients``, the rows of u and v on x^2, xy, y^2, x and y.  Every jet
+    reads one table, derived once per instance: the rows of u, v and J on
+    x^2, xy, y^2, x, y and 1, each summed by ``_form`` and differentiated by
+    ``_gradient``.  Each subclass binds the jets in its own body, so that
+    every family class holds its own jets.
     """
 
     periodic = False
@@ -257,41 +247,40 @@ class QuadraticMap:
             raise ConfigError("quadratic map coefficients must be finite")
 
     @functools.cached_property
-    def _jets(self):
-        """u, v and J as ``_terms``; the Jacobian (3, 4) and the gradient of J
-        (3, 2) as ``_affine`` coefficients; the Hessians of (u, v) and of J."""
-        c = np.array(self.coefficients, dtype=float)
-        hess = np.array([[[2.0 * r[0], r[1]], [r[1], 2.0 * r[2]]] for r in c])
-        jac = np.concatenate([hess.transpose(2, 0, 1).reshape(2, 4), c[:, 3:].reshape(1, 4)])
+    def _table(self):
+        """The rows of u, v and J on x^2, xy, y^2, x, y and 1, as lists of
+        Python floats, which ``_form`` indexes faster than an array."""
+        uv = [list(row) + [0.0] for row in self.coefficients]
+        jac = _gradient(uv).reshape(3, 4)  # J00, J01, J10, J11
         # J00 J11 - J01 J10 is the quadratic form of m on (x, y, 1).
         m = np.outer(jac[:, 0], jac[:, 3]) - np.outer(jac[:, 1], jac[:, 2])
         m = (m + m.T) / (2.0 * DET_NORMALIZATION)
-        jdet = (m[0, 0], 2.0 * m[0, 1], m[1, 1], 2.0 * m[0, 2], 2.0 * m[1, 2], m[2, 2])
-        return _Jets(_terms(c[0]), _terms(c[1]), _terms(jdet), jac, 2.0 * m[:, :2], hess,
-                     (2.0 * m[0, 0], 2.0 * m[0, 1], 2.0 * m[1, 1]))
+        jdet = [m[0, 0], 2.0 * m[0, 1], m[1, 1], 2.0 * m[0, 2], 2.0 * m[1, 2], m[2, 2]]
+        return np.array(uv + [jdet]).tolist()
 
     def evaluate(self, x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        return _polynomial(self._jets.u, x, y), _polynomial(self._jets.v, x, y)
+        return _form(self._table[0], x, y), _form(self._table[1], x, y)
 
     def jdet(self, x, y):
-        return _polynomial(self._jets.jdet, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return _form(self._table[2], np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def jacobian(self, x, y):
-        jac = _affine(self._jets.jac, x, y)
-        return jac.reshape(jac.shape[:-1] + (2, 2))
+        return _affine(_gradient(self._table[:2]), x, y)
 
     def jdet_grad(self, x, y):
-        grad = _affine(self._jets.jdet_grad, x, y)
-        return grad[..., 0], grad[..., 1]
+        grad = _affine(_gradient(self._table[2:]), x, y)
+        return grad[..., 0, 0], grad[..., 0, 1]
 
     def hessian(self, x, y):
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        return np.broadcast_to(self._jets.hess, shape + (2, 2, 2)).copy()
+        hess = _gradient(self._table[:2])[:2].swapaxes(0, 1)
+        return np.broadcast_to(hess, shape + (2, 2, 2)).copy()
 
     def jdet_hess(self, x, y):
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        return tuple(np.full(shape, h) for h in self._jets.jdet_hess)
+        (hxx, hxy), (_, hyy) = _gradient(self._table[2:])[:2, 0]
+        return np.full(shape, hxx), np.full(shape, hxy), np.full(shape, hyy)
 
 
 def _unfolding_box(self):

@@ -9,6 +9,7 @@ import pytest
 from cuspforge import PointKind, cli, find_special_points, make_family, monodromy
 from cuspforge import trace as trace_module
 from cuspforge.cli import main
+from cuspforge.errors import SingularEncounter
 from cuspforge.maps import in_box
 from cuspforge.monodromy import _lift_batch
 
@@ -361,6 +362,46 @@ class TestReproduce:
         assert fails == ["FAIL: offset manipulator: loop around the deltoid swaps two "
                          "solutions and squares to the identity"]
         assert summary == [f"16/17 checks passed; figures in {tmp_path}/"]
+
+    def test_loop_error_fails_its_check_and_the_report_goes_on(self, tmp_path, capsys,
+                                                              monkeypatch):
+        permutation = cli.loop_permutation
+
+        def singular_on_offset(family, loop):
+            if family.kind == "rpr2pr_offset":
+                raise SingularEncounter("lift met the fold image")
+            return permutation(family, loop)
+
+        monkeypatch.setattr(cli, "loop_permutation", singular_on_offset)
+        assert main(["reproduce-paper", "--out", str(tmp_path)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("FAIL:")] == [
+            "FAIL: offset manipulator: loop around the deltoid swaps two solutions and "
+            "squares to the identity (SingularEncounter: lift met the fold image)"]
+        assert [line for line in out if "checks passed" in line] == [
+            f"16/17 checks passed; figures in {tmp_path}/"]
+        for name in ("square", "quarto"):
+            for suffix in ("_workspace.svg", "_joint.svg", "_points.csv", "_workspace.csv",
+                           "_joint.csv"):
+                assert (tmp_path / f"{name}{suffix}").stat().st_size > 0
+
+    def test_empty_reach_image_fails_both_manipulator_loop_checks(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        reach_image = cli._reach_image
+
+        def empty(family, found):
+            return dataclasses.replace(reach_image(family, found), curves=[])
+
+        monkeypatch.setattr(cli, "_reach_image", empty)
+        assert main(["reproduce-paper", "--out", str(tmp_path)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("FAIL:")] == [
+            "FAIL: in-line manipulator: loop around the multiple image swaps two solutions "
+            "and squares to the identity",
+            "FAIL: offset manipulator: loop around the deltoid swaps two solutions and "
+            "squares to the identity"]
+        assert [line for line in out if "checks passed" in line] == [
+            f"15/17 checks passed; figures in {tmp_path}/"]
 
     def test_square_trace_without_curves_fails_its_checks(self, tmp_path, capsys,
                                                           monkeypatch):

@@ -3,7 +3,7 @@ reference, and the paper's second claim over random germs of the class."""
 
 import math
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from cuspforge.maps import ComplexSquareUnfolded, QuadraticMap, QuartoUnfolded, 
 from gridscan import grid_count
 from unfolding_reference import (
     ComplexSquareReference,
+    Germ,
     QuartoReference,
     quarto_candidates,
     quarto_lift,
@@ -114,18 +115,6 @@ class TestUnfoldingPresets:
         x = np.full_like(y, -2.0 * square_family.b)
         assert_matches_reference_elimination(square_family,
                                              np.column_stack(square_family.evaluate(x, y)))
-
-
-@dataclass(frozen=True)
-class Germ(QuadraticMap):
-    """A quadratic map with arbitrary coefficients, on the box (-1, 1)^2."""
-
-    coefficients: tuple
-
-    kind = "quadratic_germ"
-
-    def default_box(self):
-        return ((-1.0, 1.0), (-1.0, 1.0))
 
 
 WIDE_BOX = ((-4.0, 4.0), (-4.0, 4.0))

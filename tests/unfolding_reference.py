@@ -5,7 +5,8 @@ These are the classes and the candidate generators ``cuspforge`` ran for
 the two unfoldings before both became coefficient presets of the quadratic
 map core, with one elimination derived from the coefficients.  A test
 requires the same jets to within rounding, and, with these eliminations
-swapped back in, the same counts, flags and solutions.
+swapped back in, the same counts, flags and solutions.  ``Germ`` is the
+core with arbitrary coefficients.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from cuspforge.dkp import LINE_BAND, _real_roots
-from cuspforge.maps import _pack22, _sym22
+from cuspforge.maps import QuadraticMap, _pack22, _sym22
+
+
+@dataclass(frozen=True)
+class Germ(QuadraticMap):
+    """A quadratic map with arbitrary coefficients, on the box (-1, 1)^2."""
+
+    coefficients: tuple
+
+    kind = "quadratic_germ"
+
+    def default_box(self):
+        return ((-1.0, 1.0), (-1.0, 1.0))
 
 
 @dataclass(frozen=True)
