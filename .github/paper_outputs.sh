@@ -38,6 +38,9 @@
 #   solutions of u = x^2, v = y^2.  There the crossing of the singular axes
 #   is the hyperbolic corank-2 germ, and at a = 1, b = 0 a degenerate point;
 #   cusps must report each as such.
+# - The square's window [5, 6] x [-1, 1] holds no singular point, so its
+#   image frames no joint plot: trace and regions stop with a config error
+#   and write nothing, and monodromy frames its joint plot by its loop.
 #
 # A RuntimeWarning (NaN, overflow) or a DeprecationWarning on a CLI path is
 # an error here, as it is under pytest.
@@ -61,6 +64,7 @@ printf 'family = rpr2pr_offset\na1 = 3\na2 = 7\nb1 = 6\nb2 = 5\nd = 3\ny_max = 2
 printf 'family = quarto_unfolded\na = 0.3\nb = 1.2\n' > cfg/quarto.cfg
 printf 'family = quarto_unfolded\na = 0\nb = 0\n' > cfg/quarto0.cfg
 printf 'family = quarto_unfolded\na = 1\nb = 0\n' > cfg/quarto10.cfg
+printf 'family = complex_square_unfolded\na = 1\nb = -1\nphi_min = 5\nphi_max = 6\ny_max = 1\n' > cfg/far.cfg
 
 # run NAME STATUS COMMAND ARGS...: run a cuspforge command writing to NAME/,
 # keep its console output in NAME.txt, and stop unless it exits with STATUS.
@@ -105,6 +109,12 @@ run cusps-quarto0 0 cusps --config cfg/quarto0.cfg
 grep -F "Corank2Hyperbolic" cusps-quarto0.txt
 run cusps-quarto10 0 cusps --config cfg/quarto10.cfg
 grep -F "Degenerate" cusps-quarto10.txt
+run trace-far 1 trace --config cfg/far.cfg
+grep -F "config error" trace-far.txt
+test ! -e trace-far
+run regions-far 1 regions --config cfg/far.cfg
+test ! -e regions-far
+run monodromy-far 0 monodromy --config cfg/far.cfg --center 0,0 --radius 1
 
 # write_svg writes its files as text, so each must parse as XML.
 python -c "import pathlib; from xml.etree import ElementTree as ET

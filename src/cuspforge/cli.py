@@ -62,9 +62,21 @@ def _load(args):
 JOINT_MARGIN = 0.12
 
 
-def _auto_joint_bounds(jcs):
+def _window(box) -> str:
+    return f"[{box[0][0]:.6g}, {box[0][1]:.6g}] x [{box[1][0]:.6g}, {box[1][1]:.6g}]"
+
+
+def _auto_joint_bounds(jcs, box, fallback=None, hint=""):
+    """The joint window around the image of the singular set in the
+    workspace window ``box``.  Where that image is empty, the window is put
+    around the ``fallback`` points (k, 2); without them it is a ConfigError
+    that names ``box`` and ends with ``hint``."""
     pts = np.concatenate([c.vertices for c in jcs.curves]
                          + [np.reshape(jcs.isolated_points, (-1, 2))])
+    if len(pts) == 0:
+        if fallback is None:
+            raise ConfigError(f"the workspace window {_window(box)} holds no singular point{hint}")
+        pts = fallback
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     pad = JOINT_MARGIN * np.maximum(hi - lo, 1e-6)
@@ -77,8 +89,7 @@ def cmd_cusps(args) -> int:
     points = find_special_points(family, box)
     out = _outdir(args)
     output.write_special_points_csv(out / "cusps.csv", points)
-    print(f"{len(points)} special point(s) in "
-          f"[{box[0][0]:.6g}, {box[0][1]:.6g}] x [{box[1][0]:.6g}, {box[1][1]:.6g}]")
+    print(f"{len(points)} special point(s) in {_window(box)}")
     header = f"{'phi':>18} {'y':>18} {'kind':<20} {'delta':>12} {'residual':>10}"
     print(header)
     for p in points:
@@ -93,6 +104,7 @@ def cmd_trace(args) -> int:
     family, box = _load(args)
     cs = trace_singularity_curves(family, box, args.step)
     jcs = image_curves(family, cs)
+    bounds = _auto_joint_bounds(jcs, box)
     characteristics = None
     if args.characteristics:
         characteristics = characteristic_curves(family, cs)
@@ -104,7 +116,7 @@ def cmd_trace(args) -> int:
                                 family.input_names)
     output.workspace_plot(out / "trace_workspace.svg", family, box, cs,
                           characteristics=characteristics)
-    output.joint_plot(out / "trace_joint.svg", family, _auto_joint_bounds(jcs), jcs)
+    output.joint_plot(out / "trace_joint.svg", family, bounds, jcs)
     n_cusps = sum(len(c.cusp_indices) for c in cs.curves)
     closed = sum(1 for c in cs.curves if c.closed)
     print(f"{len(cs.curves)} branch(es) ({closed} closed), {n_cusps} cusp vertex(es), "
@@ -153,7 +165,8 @@ def cmd_regions(args) -> int:
             raise ConfigError("--bounds must be numeric") from None
         bounds = ((u0, u1), (v0, v1))
     else:
-        bounds = _auto_joint_bounds(image_curves(family, trace_singularity_curves(family, box)))
+        bounds = _auto_joint_bounds(image_curves(family, trace_singularity_curves(family, box)),
+                                    box, hint="; give the joint window by --bounds")
     cm = count_map(family, bounds, args.resolution, box=box)
     out = _outdir(args)
     output.write_countmap_csv(out / "regions.csv", cm)
@@ -230,7 +243,7 @@ def cmd_monodromy(args) -> int:
     output.workspace_plot(out / "monodromy_workspace.svg", family, box, cs,
                           lift_paths=lifts)
     output.joint_plot(out / "monodromy_joint.svg", family,
-                      _auto_joint_bounds(jcs), jcs, loop=loop)
+                      _auto_joint_bounds(jcs, box, loop.samples), jcs, loop=loop)
     print(f"wrote {out / 'monodromy_workspace.svg'} and {out / 'monodromy_joint.svg'}")
     return 0
 
@@ -380,7 +393,7 @@ def _reproduce_instance(out: Path, report: _Report, full: bool,
     cs = trace_singularity_curves(family, box, specials=points)
     jcs = image_curves(family, cs)
     characteristics = characteristic_curves(family, cs) if full else None
-    bounds = _auto_joint_bounds(jcs)
+    bounds = _auto_joint_bounds(jcs, box)
     cm = count_map(family, bounds, 32) if full and with_counts else None
     output.workspace_plot(out / f"{name}_workspace.svg", family, box, cs,
                           characteristics=characteristics)

@@ -4,22 +4,21 @@ The loop samples are solved exactly, in one batch, by the elimination core
 of :mod:`cuspforge.dkp`, and the roots flagged singular are dropped.  Match
 tables pair each root with its nearest root at the next sample; a step is
 clean when every such match is much closer than the second-nearest root, no
-two roots share a target and the root count stays the same.  A lift follows
-the tables by index across clean steps; while every lift is on a root, the
-lifts cross a whole run of clean steps at once, and the run's roots are
-written into the paths in one indexing step.  A lift's outcome is built at
-the step that decides it: the finished lift, or the error with the partial
-path taken so far; either path has its angle unwrapped there, so it is
-continuous across the seam of the canonical angle window.
+two roots share a target and the root count stays the same.  Each start is
+lifted on its own over the loop's shared tables: a lift on a root follows
+the tables by index across the whole run of clean steps from there, and
+the run's roots are written into its path in one indexing step.  A lift's
+outcome is built at the step that decides it: the finished lift, or the
+error with the partial path taken so far; either path has its angle
+unwrapped there, so it is continuous across the seam of the canonical angle
+window.
 
 Across any other step a lift falls back to continuation, one point at a
 time: Newton correction from the previous lifted point, with the step
 halved whenever Newton works too hard or stops short, after which the lift
 attaches to the roots again.  A lift that comes too close to the
 singularity set is aborted loudly (continuation across a fold silently
-merges solution sheets), carrying the partial path for diagnosis.  The base
-solutions of a loop are lifted together, one array row each, and every row
-is continued on its own, so it ends exactly as a lift of its own.
+merges solution sheets), carrying the partial path for diagnosis.
 """
 
 from __future__ import annotations
@@ -107,11 +106,12 @@ def circle_loop(center, radius, *, turns: int = 1,
 
 
 def _point_segment_distance(p, v):
-    """Smallest distance from the points p (k, 2) to the polyline v (s, 2)."""
+    """Distance from each of the points p (k, 2) to each segment of the
+    polyline v (s, 2): (k, s - 1)."""
     (ax, ay), (bx, by) = v[:-1].T, np.diff(v, axis=0).T
     dx, dy = p[:, None, 0] - ax, p[:, None, 1] - ay
     t = np.clip((dx * bx + dy * by) / np.maximum(bx * bx + by * by, 1e-300), 0.0, 1.0)
-    return math.sqrt(float(np.min((dx - t * bx) ** 2 + (dy - t * by) ** 2)))
+    return np.sqrt((dx - t * bx) ** 2 + (dy - t * by) ** 2)
 
 
 def loop_clearance(loop: JointLoop, joint_curves) -> JointLoop:
@@ -135,7 +135,8 @@ def loop_clearance(loop: JointLoop, joint_curves) -> JointLoop:
                 t = (dx * ry - dy * rx) / den
             if np.any((s >= 0.0) & (s <= 1.0) & (t >= 0.0) & (t <= 1.0)):
                 return JointLoop(p, 0.0)
-            best = min(best, _point_segment_distance(q, v), _point_segment_distance(v, q))
+            best = min(best, float(np.min(_point_segment_distance(q, v))),
+                       float(np.min(_point_segment_distance(v, q))))
     return JointLoop(p, best)
 
 
@@ -251,81 +252,65 @@ def _continue(family, q, t_from, t_to, tol_abs, jbar, fold_zone, depth=0):
 
 
 def _lift_batch(family: MapFamily, loop: JointLoop, starts) -> list:
-    """Continue every start solution along the loop, all rows together.
+    """Continue every start solution along the loop, each on its own.
 
-    A row follows the exact roots of the loop samples across every clean
-    step of the match tables, and while every row is on a root, all rows
-    cross a whole run of clean steps at once.  Across any other step a row
-    is continued on its own by :func:`_continue`, and then attaches to a
-    root again.  Returns, for each start in order, its :class:`LoopLift` or
-    the error that ended it (with the partial path where there is one).
+    A lift on a root crosses the whole run of clean steps of the match
+    tables from there at once.  Across any other step it is continued by
+    :func:`_continue`, and then attaches to a root again.  Returns, for each
+    start in order, its :class:`LoopLift` or the error that ended it (with
+    the partial path where there is one).
     """
     scales = reference_scales(family)
     jbar = SINGULAR_FLAG_FACTOR * max(1.0, scales.jdet)
     fold_zone = FOLD_ZONE_FACTOR * max(1.0, scales.jdet)
     base = loop.base
     tol_abs = DKP_TOL * (1.0 + max(abs(base.u), abs(base.v)))
-
-    q = np.array([[s[0], s[1]] for s in starts], dtype=float).reshape(-1, 2)
-    begin = [WorkspacePoint(float(p[0]), float(p[1])) for p in q]
-    outcomes: list = [None] * len(q)  # the LoopLift or the error of each start
-    off_base = _residual(family, q, base.u, base.v) > tol_abs
-    singular = np.abs(family.jdet(q[:, 0], q[:, 1])) < jbar
-    rejected = off_base | singular
-    for row in np.flatnonzero(rejected):
-        outcomes[row] = PreconditionViolated(
-            "start point does not solve the DKP at the loop base" if off_base[row]
-            else "start point is singular; the lift is not defined")
-
     samples = loop.samples
-    paths = np.full((len(samples),) + q.shape, np.nan)
-    paths[0] = q
     roots, nxt, clean = _root_tables(family, samples)
     # The step that ends the run of clean steps from each step on.
     run_end = np.append(np.flatnonzero(~clean) + 1, len(samples))
-    rows = np.flatnonzero(~rejected)
-    at, ratio = _nearest(family, q[rows], roots[0])
-    at[~(ratio < MATCH_RATIO)] = -1  # the root each row is on, -1 for none
-    step = 1
-    while step < len(samples):
-        if clean[step - 1] and np.all(at >= 0):
-            end = run_end[np.searchsorted(run_end, step)]
-            ats = np.empty((end - step, len(at)), dtype=int)
-            for k in range(step, end):
-                ats[k - step] = at = nxt[k - 1, at]
-            paths[step:end, rows] = roots[np.arange(step, end)[:, None], ats]
-            step = end
-            continue
-        on = (at >= 0) & clean[step - 1]
-        at[on] = nxt[step - 1, at[on]]
-        at[~on] = -1
-        paths[step, rows[on]] = roots[step, at[on]]
-        for i in np.flatnonzero(~on):
-            r = rows[i]
-            reached = _continue(family, paths[step - 1, r], samples[step - 1], samples[step],
-                                tol_abs, jbar, fold_zone)
-            if isinstance(reached, np.ndarray):
-                paths[step, r], on[i] = reached, True
-            elif isinstance(reached, DivergedLift):
-                outcomes[r] = reached
-            else:
-                # A row that meets {J = 0} stops here, at the point it reached.
-                note, q_at, jhit = reached
-                partial = _unwrapped(family, paths[:step, r])
-                end = partial[-1] + coord_deltas(family, q_at, partial[-1])
-                outcomes[r] = SingularEncounter(
-                    f"{note}: |J| = {jhit:.3e} (clearance {jbar:.3e})",
-                    partial=LoopLift(begin[r], WorkspacePoint(*map(float, end)), partial))
-        rows, at = rows[on], at[on]
-        near, ratio = _nearest(family, paths[step, rows[at < 0]], roots[step])
-        at[at < 0] = np.where(ratio < MATCH_RATIO, near, -1)
-        step += 1
 
-    for r, outcome in enumerate(outcomes):
-        if outcome is None:
-            path = _unwrapped(family, paths[:, r])
-            outcomes[r] = LoopLift(begin[r], WorkspacePoint(*map(float, path[-1])), path)
-    return outcomes
+    def attach(q, k):
+        """The root at sample k that q is on, -1 for none."""
+        near, ratio = _nearest(family, q[None], roots[k])
+        return int(near[0]) if ratio[0] < MATCH_RATIO else -1
+
+    def lift(q):
+        begin = WorkspacePoint(float(q[0]), float(q[1]))
+        if _residual(family, q, base.u, base.v) > tol_abs:
+            return PreconditionViolated("start point does not solve the DKP at the loop base")
+        if abs(family.jdet(q[0], q[1])) < jbar:
+            return PreconditionViolated("start point is singular; the lift is not defined")
+        path = np.full(samples.shape, np.nan)
+        path[0] = q
+        at, step = attach(q, 0), 1
+        while step < len(samples):
+            if at >= 0 and clean[step - 1]:
+                end = run_end[np.searchsorted(run_end, step)]
+                ats = np.empty(end - step, dtype=int)
+                for k in range(step, end):
+                    ats[k - step] = at = nxt[k - 1, at]
+                path[step:end] = roots[np.arange(step, end), ats]
+                step = end
+                continue
+            reached = _continue(family, path[step - 1], samples[step - 1], samples[step],
+                                tol_abs, jbar, fold_zone)
+            if isinstance(reached, DivergedLift):
+                return reached
+            if not isinstance(reached, np.ndarray):
+                # A lift that meets {J = 0} stops here, at the point it reached.
+                note, q_at, jhit = reached
+                partial = _unwrapped(family, path[:step])
+                end = partial[-1] + coord_deltas(family, q_at, partial[-1])
+                return SingularEncounter(
+                    f"{note}: |J| = {jhit:.3e} (clearance {jbar:.3e})",
+                    partial=LoopLift(begin, WorkspacePoint(*map(float, end)), partial))
+            path[step] = reached
+            at, step = attach(reached, step), step + 1
+        path = _unwrapped(family, path)
+        return LoopLift(begin, WorkspacePoint(*map(float, path[-1])), path)
+
+    return [lift(np.array([s[0], s[1]], dtype=float)) for s in starts]
 
 
 def lift_loop(family: MapFamily, loop: JointLoop, start) -> LoopLift:

@@ -50,6 +50,10 @@ phi_max = 4
 y_max = 4
 """
 
+# A window of the square that holds no point of its singular circle.
+FAR_CFG = SQUARE_CFG.replace("phi_min = -4\nphi_max = 4\ny_max = 4",
+                             "phi_min = 5\nphi_max = 6\ny_max = 1")
+
 
 def write_cfg(tmp_path, text, name="analysis.cfg"):
     path = tmp_path / name
@@ -417,6 +421,39 @@ class TestReproduce:
             "FAIL: unfolded complex square: circling the deltoid swaps the two outer "
             "preimages"]
         assert summary == [f"15/17 checks passed; figures in {tmp_path}/"]
+
+
+class TestEmptyWindow:
+    """A workspace window that holds no singular point has no image to frame
+    a joint plot by."""
+
+    @pytest.mark.parametrize("args, hint", [(["trace"], ""),
+                                            (["regions"], "; give the joint window by --bounds")],
+                             ids=["trace", "regions"])
+    def test_is_a_config_error_naming_the_window(self, tmp_path, capsys, args, hint):
+        cfg = write_cfg(tmp_path, FAR_CFG)
+        out = tmp_path / "out"
+        assert main(args + ["--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: the workspace window [5, 6] x [-1, 1] holds no singular point{hint}\n")
+        assert not out.exists()
+
+    def test_monodromy_frames_its_joint_plot_by_the_loop(self, tmp_path, capsys, monkeypatch):
+        boxes, joint_plot = [], cli.output.joint_plot
+
+        def recording(path, family, box, jcs, **kwargs):
+            boxes.append(box)
+            return joint_plot(path, family, box, jcs, **kwargs)
+
+        monkeypatch.setattr(cli.output, "joint_plot", recording)
+        cfg = write_cfg(tmp_path, FAR_CFG)
+        assert main(["monodromy", "--config", cfg, "--out", str(tmp_path),
+                     "--center", "0,0", "--radius", "1"]) == 0
+        assert "permutation cycles" in capsys.readouterr().out
+        pad = 2.0 * cli.JOINT_MARGIN
+        assert len(boxes) == 1
+        assert np.allclose(boxes[0], [(-1.0 - pad, 1.0 + pad)] * 2, rtol=0.0, atol=1e-9)
+        ET.parse(tmp_path / "monodromy_joint.svg")
 
 
 class TestErrorPaths:

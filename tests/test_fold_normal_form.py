@@ -1,0 +1,114 @@
+"""The Whitney fold normal form as an invariant over the reference instances
+and seeded families.
+
+Past a fold point p, with k spanning the kernel of the Jacobian, the number
+of real solutions rises by exactly 2 toward d2F(p)(k, k): the normal form
+(x, y^2), read off the jets (H. Whitney, Ann. of Math. 62, 1955).  The check
+couples ``maps`` (the jets), ``trace`` (the fold points) and ``dkp`` (the
+counts).  The in-line manipulator's fold image is covered twice, so there
+the count rises by 4: the non-genericity of the paper's first claim.
+"""
+
+import math
+import zlib
+
+import numpy as np
+
+from cuspforge import dkp, find_special_points, make_family, trace_singularity_curves
+from cuspforge.maps import in_box, point_distances
+from cuspforge.monodromy import _point_segment_distance
+from unfolding_reference import Germ
+
+MANIPULATOR = dict(a1=3.0, a2=7.0, b1=6.0, b2=5.0)
+#: Trace steps per diagonal of the family's box.
+STEPS = 100
+#: Fold points closer than this share of the diagonal to a special point
+#: (a cusp, or a corank-2 point where branches end) are not checked: there
+#: the offset straddles both arcs of the cusp's image.
+SKIP_RADIUS = 0.02
+#: The offset off the fold image, as a share of 1 + max|F(p)|; it is never
+#: more than a tenth of the distance to any other image segment.
+EPSILON = 1e-6
+#: Image segments closer than this share of 1 + max|F(p)| pass through F(p).
+COVER = dkp.DKP_TOL
+
+
+def families():
+    """The reference instances and 40 seeded draws, with the rise of each
+    one's count across its fold image."""
+    yield "in-line", make_family("rpr2pr_exact", **MANIPULATOR), 4
+    yield "offset", make_family("rpr2pr_offset", **MANIPULATOR, d=3.0), 2
+    yield "square", make_family("complex_square_unfolded", a=1.0, b=-1.0), 2
+    yield "quarto", make_family("quarto_unfolded", a=1.0, b=1.0), 2
+    rng = np.random.default_rng(zlib.crc32(b"whitney folds"))
+    for i in range(10):
+        a1, a2, b1, b2 = rng.uniform(1.0, 8.0, 4).tolist()
+        d = float(rng.uniform(0.5, 4.0))
+        yield f"offset {i}", make_family("rpr2pr_offset", a1=a1, a2=a2, b1=b1, b2=b2, d=d), 2
+        a, b = rng.uniform(-1.0, 1.0, 2).tolist()
+        yield f"square {i}", make_family("complex_square_unfolded", a=a, b=b), 2
+        a, b = rng.uniform(-1.0, 1.0, 2).tolist()
+        yield f"quarto {i}", make_family("quarto_unfolded", a=a, b=b), 2
+        yield f"germ {i}", Germ(tuple(map(tuple, rng.uniform(-1.0, 1.0, (2, 5)).tolist()))), 2
+
+
+def weighted_counts(family, targets):
+    """The solutions of each target, a flagged (double) root counted twice."""
+    keep, _, _, flags = dkp._solve_batch(family, targets)
+    return np.sum(keep, axis=1) + np.sum(keep & flags, axis=1)
+
+
+def fold_points(family):
+    """The trace vertices inside the family's box that lie away from the
+    special points, their images, and each image's distance to every image
+    segment that does not pass through it (the segments that end at it, and
+    on a fold image covered twice those of the other cover)."""
+    box = family.default_box()
+    (x0, x1), (y0, y1) = box
+    diag = math.hypot(x1 - x0, y1 - y0)
+    # The trace spans three times the box (the angle keeps its period), so
+    # that the special points and image arcs just outside the box count too.
+    wide = ((x0, x1) if family.periodic else (2.0 * x0 - x1, 2.0 * x1 - x0),
+            (2.0 * y0 - y1, 2.0 * y1 - y0))
+    specials = find_special_points(family, wide)
+    cs = trace_singularity_curves(family, wide, diag / STEPS, specials=specials)
+    marks = np.reshape([p.location for p in specials], (-1, 2))
+    images = [np.column_stack(family.evaluate(*c.vertices.T)) for c in cs.curves]
+    images += [np.repeat([family.evaluate(*p)], 2, axis=0) for p in cs.isolated_points]
+    found = []
+    for own, curve in enumerate(cs.curves):
+        n = len(curve) - curve.closed  # a closed branch repeats vertex 0 last
+        at = np.flatnonzero(in_box(family, curve.vertices[:n], box)
+                            & np.all(point_distances(family, curve.vertices[:n, None], marks)
+                                     > SKIP_RADIUS * diag, axis=1))
+        image = images[own][at]
+        cover = COVER * (1.0 + np.max(np.abs(image), axis=1, keepdims=True))
+        dist = np.full(len(at), np.inf)
+        for v in images:
+            d = _point_segment_distance(image, v)
+            d[d < cover] = np.inf
+            dist = np.minimum(dist, np.min(d, axis=1, initial=np.inf))
+        found.append((curve.vertices[at], image, dist))
+    return (np.concatenate(part) for part in zip(*found, strict=True))
+
+
+def fold_rises(family):
+    """The rise of the count across the fold image at each fold point."""
+    p, image, dist = fold_points(family)
+    u, _, vt = np.linalg.svd(family.jacobian(p[:, 0], p[:, 1]))
+    k, w = vt[:, 1], u[:, :, 1]  # the kernel, and the normal to the image
+    bend = np.einsum("nkij,ni,nj->nk", family.hessian(p[:, 0], p[:, 1]), k, k)
+    normal = w * np.sign(np.sum(w * bend, axis=1))[:, None]
+    eps = np.minimum(EPSILON * (1.0 + np.max(np.abs(image), axis=1)), 0.1 * dist)
+    off = eps[:, None] * normal
+    return weighted_counts(family, image + off) - weighted_counts(family, image - off)
+
+
+def test_count_rises_by_the_normal_form_across_every_fold():
+    checked = 0
+    for name, family, rise in families():
+        rises = fold_rises(family)
+        checked += len(rises)
+        values, counts = np.unique(rises, return_counts=True)
+        assert np.all(rises == rise), f"{name}: rises {dict(zip(values, counts))}"
+    assert checked > 3000

@@ -131,6 +131,15 @@ class TestNormalFormMonodromy:
         assert isinstance(err.value.partial, LoopLift)
 
 
+@pytest.fixture(scope="module")
+def fold_crossing(square_family):
+    """A loop across a fold edge of the square's deltoid, with its four base
+    solutions and (0, 1), which does not solve the base."""
+    center = eval_map(square_family, (2.0 * math.cos(1.3), 2.0 * math.sin(1.3)))
+    loop = circle_loop(tuple(center), 0.5, start_angle=math.pi / 2, samples_per_turn=360)
+    return loop, solve_dkp(square_family, loop.base).solutions + [(0.0, 1.0)]
+
+
 def assert_same_lifts(family, loop, perm):
     for sol, lift in zip(perm.solutions, perm.lifts):
         single = lift_loop(family, loop, sol)
@@ -170,6 +179,24 @@ class TestBatchedLifts:
         got, want = err.value.partial, first.partial
         assert (got.start, got.end) == (want.start, want.end)
         assert got.path.tobytes() == want.path.tobytes()
+
+    def test_mixed_outcomes_are_one_start_outcomes(self, square_family, fold_crossing):
+        # Two starts lift cleanly, two meet the fold and one is rejected; each
+        # outcome is bitwise the outcome of its start lifted alone.
+        loop, starts = fold_crossing
+        got = monodromy._lift_batch(square_family, loop, starts)
+        assert [type(g) for g in got] == [LoopLift, SingularEncounter, SingularEncounter,
+                                          LoopLift, PreconditionViolated]
+        for start, g in zip(starts, got, strict=True):
+            (w,) = monodromy._lift_batch(square_family, loop, [start])
+            assert type(g) is type(w) and str(g) == str(w)
+            if isinstance(w, Exception):
+                g, w = getattr(g, "partial", None), getattr(w, "partial", None)
+                if w is None:
+                    assert g is None
+                    continue
+            assert (g.start, g.end) == (w.start, w.end)
+            assert g.path.tobytes() == w.path.tobytes()
 
 
 def newton_only(fn, *args, **kwargs):
@@ -309,10 +336,8 @@ class TestExactRootLifts:
                 assert loop.min_singular_clearance > 0.0
             assert_same_outcome(outcome(family, loop), newton_only(outcome, family, loop))
 
-    def test_fold_crossing_fails_as_newton_does(self, square_family):
-        center = eval_map(square_family, (2.0 * math.cos(1.3), 2.0 * math.sin(1.3)))
-        loop = circle_loop(tuple(center), 0.5, start_angle=math.pi / 2, samples_per_turn=360)
-        starts = solve_dkp(square_family, loop.base).solutions + [(0.0, 1.0)]
+    def test_fold_crossing_fails_as_newton_does(self, square_family, fold_crossing):
+        loop, starts = fold_crossing
         got = monodromy._lift_batch(square_family, loop, starts)
         want = newton_only(monodromy._lift_batch, square_family, loop, starts)
         assert [type(w) for w in want] == [monodromy.LoopLift, SingularEncounter,
