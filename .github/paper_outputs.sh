@@ -25,7 +25,11 @@
 # - The monodromy loop at (50, 300) lies outside the configured window's
 #   image but crosses the image over the reach box, where its lifts run: it
 #   must print a clearance of 0 and exit 2 on the fold image.
-# - classify runs on the first cusp that cusps prints.
+# - classify runs on the first cusp that cusps prints, and on the in-line
+#   instance's two corank-2 points, which must come out hyperbolic with
+#   discriminant 13489 at (0, 0) and elliptic at (pi, 0): the paper's first
+#   claim.  A NaN point is a config error; on the square, (1e200, 1e200)
+#   overflows its jets (J = NaN), which is one solver error line, exit 2.
 # - The first two dkp targets have 4 solutions inside the box; the second
 #   box's angle window, (5.5, 7.0), lies past the canonical [-pi/2, 3pi/2)
 #   and counts modulo 2pi.  The next two are the images of (0, 1.3) and
@@ -98,6 +102,15 @@ run crossing 2 monodromy --config cfg/exact.cfg --center 50,300 --radius 20
 grep -E "clearance to image curves = 0$" crossing.txt
 run cusps 0 cusps --config cfg/offset.cfg
 run classify 0 classify --config cfg/offset.cfg --point=-0.00234328474958,2.90691669249
+run classify-node 0 classify --config cfg/exact.cfg --point 0,0
+grep -F "Corank2Hyperbolic, Δ = 13489 (normalized)" classify-node.txt
+run classify-isolated 0 classify --config cfg/exact.cfg --point 3.141592653589793,0
+grep -F "Corank2Elliptic" classify-isolated.txt
+run classify-nan 1 classify --config cfg/exact.cfg --point=nan,0
+grep -F "config error" classify-nan.txt
+run classify-overflow 2 classify --config cfg/square.cfg --point 1e200,1e200
+grep -F "solver error" classify-overflow.txt
+test "$(wc -l < classify-overflow.txt)" -eq 1
 run dkp 0 dkp --config cfg/exact.cfg --target 40,60
 run dkp-window 0 dkp --config cfg/window.cfg --target 18,14
 run dkp-phi-0 0 dkp --config cfg/offset.cfg --target 11.89,6.89

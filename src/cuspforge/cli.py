@@ -32,7 +32,7 @@ from .dkp import count_map, solve_dkp
 from .errors import ConfigError, CuspforgeError
 from .maps import JointPoint, in_box, make_family, point_distances
 from .monodromy import JointLoop, circle_loop, lift_loop, loop_clearance, loop_permutation
-from .singular import DISPLAY_NAMES, PointKind, classify_point, find_special_points
+from .singular import PointKind, classify_point, find_special_points
 from .trace import characteristic_curves, image_curves, trace_singularity_curves
 
 
@@ -41,9 +41,12 @@ def _parse_pair(text, what):
     if len(parts) != 2:
         raise ConfigError(f"{what} must be two comma-separated numbers, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        pair = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"{what} must be numeric, got {text!r}") from None
+    if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+        raise ConfigError(f"{what} must be finite, got {text!r}")
+    return pair
 
 
 def _outdir(args) -> Path:
@@ -95,7 +98,7 @@ def cmd_cusps(args) -> int:
     for p in points:
         delta = "" if math.isnan(p.delta) else f"{p.delta:12.5g}"
         print(f"{p.location.phi:18.12g} {p.location.y:18.12g} "
-              f"{DISPLAY_NAMES[p.kind]:<20} {delta:>12} {p.residual:10.2e}")
+              f"{p.kind.value:<20} {delta:>12} {p.residual:10.2e}")
     print(f"wrote {out / 'cusps.csv'}")
     return 0
 
@@ -130,9 +133,9 @@ def cmd_classify(args) -> int:
     phi, y = _parse_pair(args.point, "--point")
     point = classify_point(family, (phi, y))
     if point.kind in (PointKind.CORANK2_ELLIPTIC, PointKind.CORANK2_HYPERBOLIC):
-        print(f"{DISPLAY_NAMES[point.kind]}, Δ = {point.delta:g} (normalized)")
+        print(f"{point.kind.value}, Δ = {point.delta:g} (normalized)")
     else:
-        print(DISPLAY_NAMES[point.kind])
+        print(point.kind.value)
     print(f"residual = {point.residual:.3e}, image = "
           f"({point.image.u:.9g}, {point.image.v:.9g})")
     return 0
@@ -215,6 +218,7 @@ def _loop_from_args(args) -> JointLoop:
 def cmd_monodromy(args) -> int:
     family, box = _load(args)
     loop = _loop_from_args(args)
+    start = _parse_pair(args.start, "--start") if args.start else None
     cs = trace_singularity_curves(family, box)
     jcs = image_curves(family, cs)
     # Every real solution takes part, so the loop is measured against the
@@ -224,8 +228,7 @@ def cmd_monodromy(args) -> int:
     print(f"loop base = ({loop.base.u:.9g}, {loop.base.v:.9g}), "
           f"clearance to image curves = {loop.min_singular_clearance:.6g}")
     out = _outdir(args)
-    if args.start:
-        start = _parse_pair(args.start, "--start")
+    if start is not None:
         lift = lift_loop(family, loop, start)
         output.write_lift_csv(out / "monodromy_lift.csv", loop, lift)
         print(f"lift: start = ({lift.start.phi:.9f}, {lift.start.y:.9f}) -> "
@@ -282,7 +285,7 @@ def _reach_image(family, found):
 def _check_exact(report: _Report, family, points, cs, jcs, found):
     report.check(len(points) == 2, "in-line manipulator: exactly 2 special points")
     kinds = sorted(p.kind.value for p in points)
-    report.check(kinds == ["corank2_elliptic", "corank2_hyperbolic"],
+    report.check(kinds == ["Corank2Elliptic", "Corank2Hyperbolic"],
                  "in-line manipulator: one hyperbolic and one elliptic corank-2 point")
     hyper = [p for p in points if p.kind == PointKind.CORANK2_HYPERBOLIC]
     report.check(bool(hyper) and abs(hyper[0].delta - 13489.0) < 1e-6 * 13489.0,
@@ -296,10 +299,11 @@ def _check_exact(report: _Report, family, points, cs, jcs, found):
     # against the image of the full singular set (reach box), not just the
     # branches clipped to the plotting window.
     target = JointPoint(81.0, 144.0)
-    pts = [c.vertices for c in _reach_image(family, found).curves]
+    curves = [c.vertices for c in _reach_image(family, found).curves if len(c.vertices) > 1]
     circle = None
-    if pts:
-        clearance = float(np.min(np.linalg.norm(np.concatenate(pts) - np.array(target), axis=1)))
+    if curves:
+        clearance = min(float(np.min(monodromy._point_segment_distance(np.array([target]), v)))
+                        for v in curves)
         circle = (target, 0.4 * clearance)
     report.check_turn(family, circle, "in-line manipulator: loop around the multiple image "
                                       "swaps two solutions and squares to the identity")

@@ -70,6 +70,8 @@ class JointLoop:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != 2 or len(samples) < 3:
             raise ConfigError("loop needs at least 3 samples of shape (n, 2)")
+        if not np.all(np.isfinite(samples)):
+            raise ConfigError("loop samples must be finite")
         if not np.array_equal(samples[0], samples[-1]):
             raise ConfigError("loop must be closed: first and last samples must coincide")
         object.__setattr__(self, "samples", samples)
@@ -91,8 +93,8 @@ def circle_loop(center, radius, *, turns: int = 1,
                 samples_per_turn: int = DEFAULT_SAMPLES_PER_TURN,
                 start_angle: float = 0.0) -> JointLoop:
     """Parametric circle loop; the closure sample repeats the start exactly."""
-    if not radius > 0.0:
-        raise ConfigError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ConfigError("radius must be positive and finite")
     if turns < 1 or samples_per_turn < 2:
         raise ConfigError("turns must be at least 1, and samples per turn at least 2")
     n = turns * samples_per_turn
@@ -277,7 +279,7 @@ def _lift_batch(family: MapFamily, loop: JointLoop, starts) -> list:
 
     def lift(q):
         begin = WorkspacePoint(float(q[0]), float(q[1]))
-        if _residual(family, q, base.u, base.v) > tol_abs:
+        if not _residual(family, q, base.u, base.v) <= tol_abs:
             return PreconditionViolated("start point does not solve the DKP at the loop base")
         if abs(family.jdet(q[0], q[1])) < jbar:
             return PreconditionViolated("start point is singular; the lift is not defined")

@@ -22,7 +22,7 @@ import numpy as np
 from .dkp import CountMap, DkpSolutionSet
 from .maps import MapFamily
 from .monodromy import JointLoop, LoopLift, Permutation
-from .singular import DISPLAY_NAMES, SpecialPoint
+from .singular import SpecialPoint
 from .trace import KIND_CHARACTERISTIC, KIND_SINGULARITY, CurveSet
 
 #: Width and height of every SVG canvas, in pixels.
@@ -50,7 +50,7 @@ def _write_csv(path, header, rows):
 def write_special_points_csv(path, points: list[SpecialPoint]):
     _write_csv(path, ["phi", "y", "u", "v", "kind", "delta", "residual"], (
         f"{fmt(p.location.phi)},{fmt(p.location.y)},{fmt(p.image.u)},{fmt(p.image.v)},"
-        f"{DISPLAY_NAMES[p.kind]},{'' if math.isnan(p.delta) else fmt(p.delta)},"
+        f"{p.kind.value},{'' if math.isnan(p.delta) else fmt(p.delta)},"
         f"{fmt(p.residual)}\r\n" for p in points))
 
 

@@ -62,20 +62,13 @@ CLASSIFY_TOL = 1e-8
 
 
 class PointKind(enum.Enum):
-    CUSP = "cusp"
-    CORANK2_ELLIPTIC = "corank2_elliptic"
-    CORANK2_HYPERBOLIC = "corank2_hyperbolic"
-    FOLD_ONLY = "fold_only"
-    DEGENERATE = "degenerate"
+    """The kind of a special point; each value is the name that reports print."""
 
-
-DISPLAY_NAMES = {
-    PointKind.CUSP: "Cusp",
-    PointKind.CORANK2_ELLIPTIC: "Corank2Elliptic",
-    PointKind.CORANK2_HYPERBOLIC: "Corank2Hyperbolic",
-    PointKind.FOLD_ONLY: "FoldOnly",
-    PointKind.DEGENERATE: "Degenerate",
-}
+    CUSP = "Cusp"
+    CORANK2_ELLIPTIC = "Corank2Elliptic"
+    CORANK2_HYPERBOLIC = "Corank2Hyperbolic"
+    FOLD_ONLY = "FoldOnly"
+    DEGENERATE = "Degenerate"
 
 
 class DetectionResidual(NamedTuple):
@@ -216,25 +209,14 @@ def _correct(family: MapFamily, pts, jtol, max_iter=10):
     return q, ok
 
 
-def _whitney_term(a, jac):
+def _whitney_term(a, u1):
     """From the detection Jacobian ``a`` (rows grad J, grad k1, grad k2):
     the derivative u1 . (grad k) . t of the kernel alignment k along the
-    fold curve's unit tangent t = (-J_y, J_phi) / |grad J|, and its local
-    scale |Jac| |grad J|.  Along the curve k stays in the 1-d image of the
-    rank-1 Jacobian, so it is measured on the unit image direction u1."""
-    gnorm = math.hypot(a[0, 0], a[0, 1])
-    u, sing, _ = np.linalg.svd(jac)
-    tangent = np.array([-a[0, 1], a[0, 0]]) / gnorm
-    return float(u[:, 0] @ a[1:] @ tangent), float(sing[0]) * gnorm
-
-
-def _cusp_nondegenerate(a, jac, scales):
-    """Whitney test: the kernel alignment must change at first order along
-    the fold curve (:func:`_whitney_term`)."""
-    if math.hypot(a[0, 0], a[0, 1]) < 1e-12 * max(1.0, scales.jdet):
-        return False
-    derivative, local_scale = _whitney_term(a, jac)
-    return abs(derivative) > CUSP_TEST_REL_THRESHOLD * max(local_scale, 1e-12)
+    fold curve's unit tangent t = (-J_y, J_phi) / |grad J|.  Along the curve
+    k stays in the 1-d image of the rank-1 Jacobian, so it is measured on
+    that image's unit direction u1."""
+    tangent = np.array([-a[0, 1], a[0, 0]]) / math.hypot(a[0, 0], a[0, 1])
+    return float(u1 @ a[1:] @ tangent)
 
 
 def quadratic_expansion(family: MapFamily, q) -> QuadraticExpansion:
@@ -244,7 +226,7 @@ def quadratic_expansion(family: MapFamily, q) -> QuadraticExpansion:
     jac = np.asarray(family.jacobian(q[0], q[1]), float)
     scales = reference_scales(family)
     sing = np.linalg.svd(jac, compute_uv=False)
-    if sing[0] > 1e-5 * scales.jac_entry:
+    if sing[0] >= RANK_ZERO_FACTOR * scales.jac_entry:
         raise PreconditionViolated(
             f"quadratic expansion requires a corank-2 point; |Jac| = {sing[0]:.3e}")
     jpp, jpy, jyy = (float(v) for v in family.jdet_hess(q[0], q[1]))
@@ -261,31 +243,37 @@ def discriminant(expansion: QuadraticExpansion) -> float:
 
 
 def classify_point(family: MapFamily, q) -> SpecialPoint:
-    """Classify a point of the singularity set.
+    """Classify a point of the singularity set from one evaluation of the
+    detection system and one SVD of the Jacobian.
 
-    The point must satisfy J = 0 within CLASSIFY_TOL (PreconditionViolated
-    otherwise).  Rank-1 points are cusps when the Whitney nondegeneracy test
-    passes and the full detection residual is small; rank-1 points with a
-    large kernel-alignment residual are plain folds.  Rank-0 points are
-    classified by the sign of the discriminant of the determinant's
-    quadratic part.
+    The point must be finite (ConfigError otherwise) and satisfy J = 0
+    within CLASSIFY_TOL (PreconditionViolated otherwise, also where a jet
+    overflows).  Rank-0 points are classified by the sign of the
+    discriminant of the determinant's quadratic part.  Rank-1 points with a
+    large kernel-alignment residual are plain folds; the others are cusps
+    where the alignment changes at first order along the fold curve, on the
+    scale |Jac| |grad J| (Whitney's test, :func:`_whitney_term`), and
+    degenerate elsewhere.
     """
     q = np.asarray([q[0], q[1]], dtype=float)
+    if not np.all(np.isfinite(q)):
+        raise ConfigError(f"point must be finite, got ({q[0]:g}, {q[1]:g})")
     scales = reference_scales(family)
-    r, a, jac = _detection_batch(family, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, a, jac = _detection_batch(family, q)
     j_res = abs(float(r[0]))
-    k_res = float(np.max(np.abs(r[1:])))
     jtol = CLASSIFY_TOL * max(1.0, scales.jdet)
-    if j_res > jtol:
+    if not j_res <= jtol:
         raise PreconditionViolated(
             f"point is not on the singularity set: |J| = {j_res:.3e} > {jtol:.3e}")
 
-    residual = float(np.max(np.abs(r)))
-    sing = np.linalg.svd(jac, compute_uv=False)
     location = WorkspacePoint(
         float(canonical_phi(q[0])) if family.periodic else float(q[0]), float(q[1]))
     image = eval_map(family, q)
-
+    residual = float(np.max(np.abs(r)))
+    delta = float("nan")
+    u, sing, _ = np.linalg.svd(jac)
+    gnorm = math.hypot(a[0, 0], a[0, 1])
     if sing[0] < RANK_ZERO_FACTOR * scales.jac_entry:
         expansion = quadratic_expansion(family, q)
         delta = discriminant(expansion)
@@ -296,17 +284,16 @@ def classify_point(family: MapFamily, q) -> SpecialPoint:
             kind = PointKind.CORANK2_HYPERBOLIC
         else:
             kind = PointKind.CORANK2_ELLIPTIC
-        return SpecialPoint(location, image, kind, float(delta), residual)
-
-    ktol = CLASSIFY_TOL * max(1.0, scales.jac_entry * scales.jdet)
-    ratio = sing[1] / max(sing[0], 1e-300)
-    if k_res > ktol or ratio >= RANK_RATIO_THRESHOLD:
-        return SpecialPoint(location, image, PointKind.FOLD_ONLY, float("nan"), residual)
-    if _cusp_nondegenerate(a, jac, scales):
+    elif (np.max(np.abs(r[1:])) > CLASSIFY_TOL * max(1.0, scales.jac_entry * scales.jdet)
+          or sing[1] / max(sing[0], 1e-300) >= RANK_RATIO_THRESHOLD):
+        kind = PointKind.FOLD_ONLY
+    elif (gnorm >= 1e-12 * max(1.0, scales.jdet)
+          and abs(_whitney_term(a, u[:, 0]))
+          > CUSP_TEST_REL_THRESHOLD * max(float(sing[0]) * gnorm, 1e-12)):
         kind = PointKind.CUSP
     else:
         kind = PointKind.DEGENERATE
-    return SpecialPoint(location, image, kind, float("nan"), residual)
+    return SpecialPoint(location, image, kind, delta, residual)
 
 
 def _abc(family: MapFamily, x):

@@ -321,7 +321,7 @@ def test_criterion_7_degeneration_continuity():
                             d=0.0)
         points = find_special_points(limit, PAPER_BOX)
         kinds = sorted(p.kind.value for p in points)
-        assert kinds == ["corank2_elliptic", "corank2_hyperbolic"]
+        assert kinds == ["Corank2Elliptic", "Corank2Hyperbolic"]
 
 
 def test_criterion_8_reproduction_figures(tmp_path):

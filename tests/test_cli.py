@@ -471,6 +471,13 @@ class TestErrorPaths:
         (["monodromy", "--center", "81,144", "--radius", "20", "--samples", "1"], "samples"),
         (["monodromy", "--center", "81,144", "--radius", "20", "--samples", "-5"], "samples"),
         (["dkp", "--target=nan,1"], "target"),
+        (["dkp", "--target=1,inf"], "--target must be finite, got '1,inf'"),
+        (["classify", "--point=nan,0"], "--point must be finite, got 'nan,0'"),
+        (["monodromy", "--center=nan,144", "--radius", "20"],
+         "--center must be finite, got 'nan,144'"),
+        (["monodromy", "--center", "81,144", "--radius", "inf"], "radius"),
+        (["monodromy", "--center", "81,144", "--radius", "20", "--start=nan,0"],
+         "--start must be finite, got 'nan,0'"),
         (["dkp", "--target", "x,1"], "--target must be numeric, got 'x,1'"),
         (["regions", "--bounds", "0,100,0"], "--bounds must be u_min,u_max,v_min,v_max"),
         (["regions", "--bounds", "0,100,x,100"], "--bounds must be numeric"),
@@ -478,13 +485,27 @@ class TestErrorPaths:
         (["monodromy", "--center", "81,144"],
          "monodromy needs either --loop-csv or --center and --radius")],
         ids=["resolution-4", "resolution-0", "step", "radius", "turns", "samples-1", "samples-negative",
-             "target", "target-not-numeric", "bounds-fields", "bounds-not-numeric", "no-loop",
+             "target", "target-inf", "point-nan", "center-nan", "radius-inf", "start-nan",
+             "target-not-numeric", "bounds-fields", "bounds-not-numeric", "no-loop",
              "no-radius"])
     def test_option_out_of_range_is_exit_1(self, tmp_path, capsys, args, word):
+        # The command stops before it prints anything.
         cfg = write_cfg(tmp_path, EXACT_CFG)
         assert main(args + ["--config", cfg, "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("config error: ") and err.count("\n") == 1 and word in err
+
+    def test_classify_where_the_jets_overflow_is_exit_2(self, tmp_path, capsys):
+        # The square's J is NaN at (1e200, 1e200), and NaN is no point of the
+        # singular set.
+        cfg = write_cfg(tmp_path, SQUARE_CFG)
+        assert main(["classify", "--config", cfg, "--point", "1e200,1e200",
+                     "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("solver error: point is not on the singularity set")
+        assert err.count("\n") == 1
 
     def test_loop_csv_with_two_numeric_rows_is_exit_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, EXACT_CFG)

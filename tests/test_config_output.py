@@ -38,7 +38,7 @@ from cuspforge.output import (
     write_special_points_csv,
     write_svg,
 )
-from cuspforge.singular import DISPLAY_NAMES, PointKind, SpecialPoint
+from cuspforge.singular import PointKind, SpecialPoint
 
 from conftest import NORMAL_BOX, PAPER_BOX
 
@@ -334,7 +334,7 @@ class TestOutputMatchesReference:
             (write_special_points_csv, (points,),
              ["phi", "y", "u", "v", "kind", "delta", "residual"],
              [[fmt(p.location.phi), fmt(p.location.y), fmt(p.image.u), fmt(p.image.v),
-               DISPLAY_NAMES[p.kind], "" if math.isnan(p.delta) else fmt(p.delta),
+               p.kind.value, "" if math.isnan(p.delta) else fmt(p.delta),
                fmt(p.residual)] for p in points]),
             (write_solutions_csv, (sols,), ["phi", "y", "residual", "multiplicity_flag"],
              [[fmt(q.phi), fmt(q.y), fmt(r), int(m)]

@@ -6,13 +6,17 @@ of real solutions rises by exactly 2 toward d2F(p)(k, k): the normal form
 (x, y^2), read off the jets (H. Whitney, Ann. of Math. 62, 1955).  The check
 couples ``maps`` (the jets), ``trace`` (the fold points) and ``dkp`` (the
 counts).  The in-line manipulator's fold image is covered twice, so there
-the count rises by 4: the non-genericity of the paper's first claim.
+the count rises by 4: the non-genericity of the paper's first claim.  Next
+to a few seeded fold points of each family, ``count_map`` must show the
+same rise between every cell on one side of the fold image and every cell
+on the other.
 """
 
 import math
 import zlib
 
 import numpy as np
+import pytest
 
 from cuspforge import dkp, find_special_points, make_family, trace_singularity_curves
 from cuspforge.maps import in_box, point_distances
@@ -31,6 +35,8 @@ SKIP_RADIUS = 0.02
 EPSILON = 1e-6
 #: Image segments closer than this share of 1 + max|F(p)| pass through F(p).
 COVER = dkp.DKP_TOL
+#: Seeded fold points per family whose neighbourhood ``count_map`` counts.
+COUNT_MAP_POINTS = 8
 
 
 def families():
@@ -92,23 +98,51 @@ def fold_points(family):
     return (np.concatenate(part) for part in zip(*found, strict=True))
 
 
-def fold_rises(family):
-    """The rise of the count across the fold image at each fold point."""
-    p, image, dist = fold_points(family)
+@pytest.fixture(scope="module")
+def folds():
+    """Each family with its rise and its fold points (:func:`fold_points`)."""
+    return [(name, family, rise, *fold_points(family)) for name, family, rise in families()]
+
+
+def offsets(family, p, image, dist):
+    """The offset off the fold image at each fold point, and the unit normal
+    to the image there, signed toward d2F(p)(k, k)."""
     u, _, vt = np.linalg.svd(family.jacobian(p[:, 0], p[:, 1]))
     k, w = vt[:, 1], u[:, :, 1]  # the kernel, and the normal to the image
     bend = np.einsum("nkij,ni,nj->nk", family.hessian(p[:, 0], p[:, 1]), k, k)
     normal = w * np.sign(np.sum(w * bend, axis=1))[:, None]
-    eps = np.minimum(EPSILON * (1.0 + np.max(np.abs(image), axis=1)), 0.1 * dist)
-    off = eps[:, None] * normal
-    return weighted_counts(family, image + off) - weighted_counts(family, image - off)
+    return np.minimum(EPSILON * (1.0 + np.max(np.abs(image), axis=1)), 0.1 * dist), normal
 
 
-def test_count_rises_by_the_normal_form_across_every_fold():
+def test_count_rises_by_the_normal_form_across_every_fold(folds):
     checked = 0
-    for name, family, rise in families():
-        rises = fold_rises(family)
+    for name, family, rise, p, image, dist in folds:
+        eps, normal = offsets(family, p, image, dist)
+        off = eps[:, None] * normal
+        rises = weighted_counts(family, image + off) - weighted_counts(family, image - off)
         checked += len(rises)
         values, counts = np.unique(rises, return_counts=True)
         assert np.all(rises == rise), f"{name}: rises {dict(zip(values, counts))}"
     assert checked > 3000
+
+
+def test_count_map_follows_the_normal_form_next_to_the_fold(folds):
+    # count_map over the square of half-side eps centred at F(p), at its
+    # least resolution: every cell centre farther than eps / 8 from the
+    # tangent line counts the rise more on the normal side than on the other.
+    rng = np.random.default_rng(zlib.crc32(b"fold count maps"))
+    checked = 0
+    for name, family, rise, p, image, dist in folds:
+        pick = rng.choice(len(p), size=min(COUNT_MAP_POINTS, len(p)), replace=False)
+        for f, e, n in zip(image[pick], *offsets(family, p[pick], image[pick], dist[pick])):
+            cm = dkp.count_map(family, ((f[0] - e, f[0] + e), (f[1] - e, f[1] + e)), 8)
+            us, vs = cm.cell_centers()
+            side = (us[:, None] - f[0]) * n[0] + (vs[None, :] - f[1]) * n[1]
+            far = np.abs(side) > e / 8.0
+            above = np.unique(cm.counts[far & (side > 0.0)])
+            below = np.unique(cm.counts[far & (side < 0.0)])
+            assert len(above) == 1 and len(below) == 1 and above[0] - below[0] == rise, (
+                f"{name} at F(p) = {tuple(f)}: counts {above} on the normal side, {below} "
+                "on the other")
+            checked += 1
+    assert checked > 300

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cuspforge import (
+    ConfigError,
     CuspforgeError,
     DivergedLift,
     JointLoop,
@@ -477,9 +478,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             JointLoop(np.array([[0.0, 0.0], [0.0, 0.0]]))
 
+    def test_loop_samples_must_be_finite(self):
+        # A NaN sample is no open loop: it is rejected before the closure check.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="loop samples must be finite"):
+                JointLoop(np.array([[bad, 0.0], [1.0, 0.0], [1.0, 1.0], [bad, 0.0]]))
+        with pytest.raises(ConfigError, match="loop samples must be finite"):
+            circle_loop((math.nan, 144.0), 20.0)
+
     def test_circle_loop_parameters(self):
         with pytest.raises(ValueError):
             circle_loop((0.0, 0.0), 0.0)
+        with pytest.raises(ConfigError, match="radius must be positive and finite"):
+            circle_loop((0.0, 0.0), math.inf)
         with pytest.raises(ValueError):
             circle_loop((0.0, 0.0), 1.0, turns=0)
 
@@ -487,6 +498,12 @@ class TestValidation:
         loop = circle_loop((81.0, 144.0), 5.0, samples_per_turn=90)
         with pytest.raises(PreconditionViolated):
             lift_loop(exact_family, loop, (0.0, 1.0))
+
+    @pytest.mark.parametrize("start", [(math.nan, 0.0), (3.4, math.nan)])
+    def test_non_finite_start_does_not_solve_the_base(self, exact_family, start):
+        loop = circle_loop((81.0, 144.0), 20.0, samples_per_turn=90)
+        with pytest.raises(PreconditionViolated, match="does not solve the DKP"):
+            lift_loop(exact_family, loop, start)
 
     def test_loop_off_the_image(self, exact_family):
         # No sample of this loop has a root.
