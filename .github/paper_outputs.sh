@@ -20,6 +20,9 @@
 #   closed chain through the cusps of its closed singular branch.
 # - The in-line trace at step 0.4 must report its isolated point (pi, 0),
 #   which no branch passes at any step.
+# - The in-line manipulator built both ways, as rpr2pr_exact and as
+#   rpr2pr_offset with no d (d = 0), must write the same CSV files from
+#   cusps and from trace at step 0.4.
 # - The manipulator regions maps run the half-angle elimination on 256
 #   targets each.
 # - The monodromy loop at (50, 300) lies outside the configured window's
@@ -62,6 +65,7 @@ cd "$1"
 
 printf 'family = rpr2pr_offset\na1 = 3\na2 = 7\nb1 = 6\nb2 = 5\nd = 3\ny_max = 8\n' > cfg/offset.cfg
 printf 'family = rpr2pr_exact\na1 = 3\na2 = 7\nb1 = 6\nb2 = 5\ny_max = 8\n' > cfg/exact.cfg
+printf 'family = rpr2pr_offset\na1 = 3\na2 = 7\nb1 = 6\nb2 = 5\ny_max = 8\n' > cfg/inline.cfg
 printf 'family = complex_square_unfolded\na = 1\nb = -1\nphi_min = -4\nphi_max = 4\ny_max = 4\n' > cfg/square.cfg
 printf 'family = rpr2pr_offset\na1 = 3\na2 = 7\nb1 = 6\nb2 = 5\nd = 3\nphi_min = 5.5\nphi_max = 7.0\ny_max = 8\n' > cfg/window.cfg
 printf 'family = rpr2pr_offset\na1 = 3\na2 = 7\nb1 = 6\nb2 = 5\nd = 3\ny_max = 20\n' > cfg/tall.cfg
@@ -92,6 +96,12 @@ run trace-quarto 0 trace --characteristics --config cfg/quarto.cfg
 run trace-square 0 trace --characteristics --config cfg/square.cfg
 run trace-exact 0 trace --step 0.4 --config cfg/exact.cfg
 grep -F ", 1 isolated point(s)" trace-exact.txt
+run trace-inline 0 trace --step 0.4 --config cfg/inline.cfg
+run cusps-exact 0 cusps --config cfg/exact.cfg
+run cusps-inline 0 cusps --config cfg/inline.cfg
+for csv in cusps-exact/*.csv trace-exact/*.csv; do
+  diff "$csv" "${csv/-exact/-inline}"
+done
 run regions 0 regions --config cfg/square.cfg
 run regions-exact 0 regions --resolution 16 --config cfg/exact.cfg
 run regions-offset 0 regions --resolution 16 --config cfg/offset.cfg

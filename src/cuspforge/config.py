@@ -80,18 +80,9 @@ def load_config(path) -> AnalysisConfig:
 
 
 def family_from_config(cfg: AnalysisConfig) -> MapFamily:
-    """Build the map family from the keys its class takes; a missing key, or a
-    family key that the class does not take, raises ConfigError."""
-    names = [f.name for f in fields(FAMILY_KINDS[cfg.family])]
-    params = {k: getattr(cfg, k) for k in names}
-    if cfg.family == "rpr2pr_offset" and params["d"] is None:
-        params["d"] = 0.0
-    missing = [k for k, v in params.items() if v is None]
-    if missing:
-        raise ConfigError(f"family {cfg.family} needs keys: {', '.join(missing)}")
-    extra = [k for k in _FAMILY_KEYS if k not in params and getattr(cfg, k) is not None]
-    if extra:
-        raise ConfigError(f"family {cfg.family} does not take keys: {', '.join(extra)}")
+    """Build the map family from the family keys that the config sets;
+    :func:`make_family` checks them."""
+    params = {k: getattr(cfg, k) for k in _FAMILY_KEYS if getattr(cfg, k) is not None}
     return make_family(cfg.family, **params)
 
 

@@ -1,11 +1,13 @@
 """Catalog of planar map families with closed-form first and second derivatives.
 
 Each family is a smooth map from workspace coordinates (phi, y) -- or (x, y)
-for the quadratic maps -- to joint coordinates (u, v).  The two unfoldings
-are coefficient presets of one quadratic map core, whose jets follow from
-the coefficients.  All evaluation methods accept scalars or broadcastable
-numpy arrays and return float64 arrays of the broadcast shape, so solvers
-can run vectorized over seed grids.
+for the quadratic maps -- to joint coordinates (u, v).  The in-line
+manipulator is the offset class with d fixed at 0; the two unfoldings are
+coefficient presets of one quadratic map core, whose jets follow from the
+coefficients.  ``make_family`` alone checks which parameters a kind takes,
+and each class their values.  All evaluation methods accept scalars or
+broadcastable numpy arrays and return float64 arrays of the broadcast
+shape, so solvers can run vectorized over seed grids.
 
 ``jdet`` and friends return the determinant of the Jacobian divided by 4
 (``DET_NORMALIZATION``): the manipulators' squared lengths put a factor 2 in
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -95,7 +97,7 @@ class Rpr2PrOffset:
     a2: float
     b1: float
     b2: float
-    d: float
+    d: float = 0.0
 
     kind = "rpr2pr_offset"
     periodic = True
@@ -104,10 +106,10 @@ class Rpr2PrOffset:
 
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be strictly positive")
-        if not self.d >= 0.0:
-            raise ConfigError("d must be non-negative")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
+        if not 0.0 <= self.d < math.inf:
+            raise ConfigError("d must be non-negative and finite")
 
     @property
     def reach(self):
@@ -181,27 +183,16 @@ class Rpr2PrOffset:
 
 
 @dataclass(frozen=True)
-class Rpr2PrExact:
-    """The in-line 2RPR-PR manipulator: :class:`Rpr2PrOffset` at d = 0.
+class Rpr2PrExact(Rpr2PrOffset):
+    """The in-line 2RPR-PR manipulator, whose moving joint lies on the line
+    through the platform anchors: the offset family's non-generic member,
+    :class:`Rpr2PrOffset` with ``d`` fixed at 0 (a field, not a parameter)."""
 
-    The moving joint lies on the line through the platform anchors.  This is
-    the non-generic member of the offset family, so it shares that family's
-    formulas; ``d`` is a class constant, not a parameter.
-    """
-
-    a1: float
-    a2: float
-    b1: float
-    b2: float
+    d: float = field(default=0.0, init=False)
 
     kind = "rpr2pr_exact"
-    periodic = True
-    input_names = ("phi", "y")
-    output_names = ("l1_sq", "l2_sq")
-    d = 0.0
-
-    __post_init__, reach = Rpr2PrOffset.__post_init__, Rpr2PrOffset.reach
-    default_box, _axes, _legs = Rpr2PrOffset.default_box, Rpr2PrOffset._axes, Rpr2PrOffset._legs
+    # perfbench/layers.py wraps the jets in each map class's own __dict__, so
+    # these bindings (and the presets') cannot go without a harness change.
     evaluate, jacobian, hessian = Rpr2PrOffset.evaluate, Rpr2PrOffset.jacobian, Rpr2PrOffset.hessian
     jdet, jdet_grad, jdet_hess = Rpr2PrOffset.jdet, Rpr2PrOffset.jdet_grad, Rpr2PrOffset.jdet_hess
 
@@ -300,8 +291,6 @@ class ComplexSquareUnfolded(QuadraticMap):
 
     kind = "complex_square_unfolded"
     default_box = _unfolding_box
-    # perfbench/layers.py wraps the jets in each map class's own __dict__, so
-    # these bindings (and the quarto's) cannot go without a harness change.
     evaluate, jacobian, hessian = QuadraticMap.evaluate, QuadraticMap.jacobian, QuadraticMap.hessian
     jdet, jdet_grad, jdet_hess = QuadraticMap.jdet, QuadraticMap.jdet_grad, QuadraticMap.jdet_hess
 
@@ -329,23 +318,27 @@ class QuartoUnfolded(QuadraticMap):
         return ((1.0, 0.0, 0.0, 0.0, 2.0 * self.a), (0.0, 0.0, 1.0, 2.0 * self.b, 0.0))
 
 
-MapFamily = Rpr2PrExact | Rpr2PrOffset | QuadraticMap
+MapFamily = Rpr2PrOffset | QuadraticMap
 
-FAMILY_KINDS = {
-    "rpr2pr_exact": Rpr2PrExact,
-    "rpr2pr_offset": Rpr2PrOffset,
-    "complex_square_unfolded": ComplexSquareUnfolded,
-    "quarto_unfolded": QuartoUnfolded,
-}
+FAMILY_KINDS = {cls.kind: cls for cls in
+                (Rpr2PrExact, Rpr2PrOffset, ComplexSquareUnfolded, QuartoUnfolded)}
 
 
 def make_family(kind: str, **params) -> MapFamily:
-    """Construct a family by kind name; raises ConfigError on unknown kinds."""
+    """Construct a family by kind name; an unknown kind, a parameter that the
+    kind needs or does not take, or an invalid value raises ConfigError."""
     try:
         cls = FAMILY_KINDS[kind]
     except KeyError:
         known = ", ".join(sorted(FAMILY_KINDS))
         raise ConfigError(f"unknown family kind {kind!r} (known: {known})") from None
+    takes = {f.name: f.default is MISSING for f in fields(cls) if f.init}  # name: needed
+    missing = [k for k, needed in takes.items() if needed and k not in params]
+    if missing:
+        raise ConfigError(f"family {kind} needs keys: {', '.join(missing)}")
+    extra = [k for k in params if k not in takes]
+    if extra:
+        raise ConfigError(f"family {kind} does not take keys: {', '.join(extra)}")
     return cls(**params)
 
 

@@ -124,8 +124,8 @@ def _residual(family: MapFamily, pts):
 
 
 def _detection_batch(family: MapFamily, pts):
-    """Residual 3-vectors, their analytic Jacobians and the map Jacobians at
-    (n, 2) points."""
+    """Residual 3-vectors, their analytic Jacobians, the map Jacobians and
+    the Hessians (J_phiphi, J_phiy, J_yy) of J at (n, 2) points."""
     phi = pts[..., 0]
     y = pts[..., 1]
     jphi, jy = family.jdet_grad(phi, y)
@@ -145,7 +145,7 @@ def _detection_batch(family: MapFamily, pts):
         for col, (d0, d1) in enumerate(((-jpy, jpp), (-jyy, jpy))):
             a[..., 1 + i, col] = (hess[..., i, 0, col] * t0 + hess[..., i, 1, col] * t1
                                   + (jac[..., i, 0] * d0 + jac[..., i, 1] * d1))
-    return r, a, jac
+    return r, a, jac, (jpp, jpy, jyy)
 
 
 def detection_system(family: MapFamily, q) -> DetectionResidual:
@@ -229,17 +229,20 @@ def quadratic_expansion(family: MapFamily, q) -> QuadraticExpansion:
     if sing[0] >= RANK_ZERO_FACTOR * scales.jac_entry:
         raise PreconditionViolated(
             f"quadratic expansion requires a corank-2 point; |Jac| = {sing[0]:.3e}")
-    jpp, jpy, jyy = (float(v) for v in family.jdet_hess(q[0], q[1]))
     hess = np.asarray(family.hessian(q[0], q[1]), float)
     outputs = tuple(
         (hess[i, 1, 1] / 2.0, hess[i, 0, 1], hess[i, 0, 0] / 2.0) for i in range(2)
     )
-    return QuadraticExpansion(jdet=(jyy / 2.0, jpy, jpp / 2.0), outputs=outputs)
+    return QuadraticExpansion(jdet=_jdet_form(*family.jdet_hess(q[0], q[1])), outputs=outputs)
+
+
+def _jdet_form(jpp, jpy, jyy):
+    """The quadratic part (c_yy, c_yphi, c_phiphi) of J from its Hessian."""
+    return float(jyy) / 2.0, float(jpy), float(jpp) / 2.0
 
 
 def discriminant(expansion: QuadraticExpansion) -> float:
-    cyy, cyphi, cphiphi = expansion.jdet
-    return cyphi * cyphi - 4.0 * cyy * cphiphi
+    return _disc(*expansion.jdet)
 
 
 def classify_point(family: MapFamily, q) -> SpecialPoint:
@@ -260,7 +263,7 @@ def classify_point(family: MapFamily, q) -> SpecialPoint:
         raise ConfigError(f"point must be finite, got ({q[0]:g}, {q[1]:g})")
     scales = reference_scales(family)
     with np.errstate(over="ignore", invalid="ignore"):
-        r, a, jac = _detection_batch(family, q)
+        r, a, jac, jdet_hess = _detection_batch(family, q)
     j_res = abs(float(r[0]))
     jtol = CLASSIFY_TOL * max(1.0, scales.jdet)
     if not j_res <= jtol:
@@ -275,9 +278,9 @@ def classify_point(family: MapFamily, q) -> SpecialPoint:
     u, sing, _ = np.linalg.svd(jac)
     gnorm = math.hypot(a[0, 0], a[0, 1])
     if sing[0] < RANK_ZERO_FACTOR * scales.jac_entry:
-        expansion = quadratic_expansion(family, q)
-        delta = discriminant(expansion)
-        coeff_scale = max(abs(c) for c in expansion.jdet)
+        form = _jdet_form(*jdet_hess)
+        delta = _disc(*form)
+        coeff_scale = max(abs(c) for c in form)
         if abs(delta) < DELTA_DEGENERATE_FACTOR * coeff_scale**2:
             kind = PointKind.DEGENERATE
         elif delta > 0.0:
@@ -299,7 +302,11 @@ def classify_point(family: MapFamily, q) -> SpecialPoint:
 def _abc(family: MapFamily, x):
     """A, B and C of J = A y^2 + B y + C at the abscissae x, from J at y = -1, 0, 1."""
     j = family.jdet(np.asarray(x, dtype=float)[..., None], np.array([-1.0, 0.0, 1.0]))
-    jm, j0, jp = np.moveaxis(j, -1, 0)
+    return _fit_abc(*np.moveaxis(j, -1, 0))
+
+
+def _fit_abc(jm, j0, jp):
+    """A, B and C of J = A y^2 + B y + C from J at y = -1, 0 and 1."""
     return 0.5 * (jp + jm) - j0, 0.5 * (jp - jm), j0
 
 
@@ -348,11 +355,12 @@ def _zeros(family: MapFamily, f, x0, width, ref, degree, ring):
 def _coefficients(family: MapFamily, x):
     """(A, B, C) of J and the coefficients (k3, k2, k1, k0), each (n, 2), of
     the cubic k = Jac . (-J_y, J_x) in y at the abscissae x, from k at
-    y = -1, 0, 1, 2."""
+    y = -1, 0, 1, 2 (J at the first three)."""
     pts = np.stack(np.broadcast_arrays(x, np.array([[-1.0], [0.0], [1.0], [2.0]])), axis=-1)
-    km, k0, k1, k2 = _residual(family, pts)[..., 1:]
+    r = _residual(family, pts)
+    km, k0, k1, k2 = r[..., 1:]
     c3 = (k2 - 3.0 * k1 + 3.0 * k0 - km) / 6.0
-    return _abc(family, x), (c3, 0.5 * (k1 + km) - k0, 0.5 * (k1 - km) - c3, k0)
+    return _fit_abc(*r[:3, ..., 0]), (c3, 0.5 * (k1 + km) - k0, 0.5 * (k1 - km) - c3, k0)
 
 
 def _resultant_seeds(family: MapFamily, box):

@@ -44,7 +44,7 @@ def _gauss_newton(family, seeds, step_cap, jac_floor, max_iter=80):
     best_at = np.zeros(len(q), dtype=int)  # the iteration that set each row's best
     for it in range(max_iter):
         idx = np.flatnonzero(active)
-        r, a, jac = _detection_batch(family, q[idx])
+        r, a, jac, _ = _detection_batch(family, q[idx])
         res = np.max(np.abs(r), axis=-1)
         low = may_polish[idx] & (res < DETECTION_TOL)
         low[low] = np.linalg.norm(jac[low], 2, axis=(1, 2)) < jac_floor

@@ -14,11 +14,13 @@ on the other.
 
 import math
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cuspforge import dkp, find_special_points, make_family, trace_singularity_curves
+from cuspforge import (PointKind, dkp, find_special_points, make_family,
+                       trace_singularity_curves)
 from cuspforge.maps import in_box, point_distances
 from cuspforge.monodromy import _point_segment_distance
 from unfolding_reference import Germ
@@ -64,20 +66,22 @@ def weighted_counts(family, targets):
     return np.sum(keep, axis=1) + np.sum(keep & flags, axis=1)
 
 
-def fold_points(family):
-    """The trace vertices inside the family's box that lie away from the
-    special points, their images, and each image's distance to every image
-    segment that does not pass through it (the segments that end at it, and
-    on a fold image covered twice those of the other cover)."""
+def wide_box(family):
+    """Three times the family's box (the angle keeps its period), so that the
+    special points and image arcs just outside the box count too."""
+    (x0, x1), (y0, y1) = family.default_box()
+    return ((x0, x1) if family.periodic else (2.0 * x0 - x1, 2.0 * x1 - x0),
+            (2.0 * y0 - y1, 2.0 * y1 - y0))
+
+
+def fold_points(family, specials, cs):
+    """The vertices of the trace ``cs`` inside the family's box that lie away
+    from the special points, their images, and each image's distance to
+    every image segment that does not pass through it (the segments that end
+    at it, and on a fold image covered twice those of the other cover)."""
     box = family.default_box()
     (x0, x1), (y0, y1) = box
     diag = math.hypot(x1 - x0, y1 - y0)
-    # The trace spans three times the box (the angle keeps its period), so
-    # that the special points and image arcs just outside the box count too.
-    wide = ((x0, x1) if family.periodic else (2.0 * x0 - x1, 2.0 * x1 - x0),
-            (2.0 * y0 - y1, 2.0 * y1 - y0))
-    specials = find_special_points(family, wide)
-    cs = trace_singularity_curves(family, wide, diag / STEPS, specials=specials)
     marks = np.reshape([p.location for p in specials], (-1, 2))
     images = [np.column_stack(family.evaluate(*c.vertices.T)) for c in cs.curves]
     images += [np.repeat([family.evaluate(*p)], 2, axis=0) for p in cs.isolated_points]
@@ -99,9 +103,39 @@ def fold_points(family):
 
 
 @pytest.fixture(scope="module")
-def folds():
+def traces():
+    """Each family with its rise, its special points over :func:`wide_box`
+    and their trace at STEPS vertices per diagonal of the family's box."""
+    out = []
+    for name, family, rise in families():
+        (x0, x1), (y0, y1) = family.default_box()
+        specials = find_special_points(family, wide_box(family))
+        cs = trace_singularity_curves(family, wide_box(family),
+                                      math.hypot(x1 - x0, y1 - y0) / STEPS, specials=specials)
+        out.append((name, family, rise, specials, cs))
+    return out
+
+
+@pytest.fixture(scope="module")
+def folds(traces):
     """Each family with its rise and its fold points (:func:`fold_points`)."""
-    return [(name, family, rise, *fold_points(family)) for name, family, rise in families()]
+    return [(name, family, rise, *fold_points(family, specials, cs))
+            for name, family, rise, specials, cs in traces]
+
+
+@pytest.mark.parametrize("step", ["module", "default"])
+def test_every_cusp_is_the_cusp_vertex_of_one_branch(traces, step):
+    # At the module's step the traces are reused; the default step (a
+    # thousandth of the wide box's diagonal) traces the same boxes again.
+    checked = 0
+    for name, family, _, specials, cs in traces:
+        if step == "default":
+            cs = trace_singularity_curves(family, wide_box(family), specials=specials)
+        cusps = Counter(tuple(p.location) for p in specials if p.kind is PointKind.CUSP)
+        vertices = Counter(tuple(c.vertices[i]) for c in cs.curves for i in c.cusp_indices)
+        assert vertices == cusps, f"{name}: cusp vertices {vertices}, located cusps {cusps}"
+        checked += len(cusps)
+    assert checked >= 100  # the 44 families hold 100 cusps
 
 
 def offsets(family, p, image, dist):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspforge import DET_NORMALIZATION, Rpr2PrExact, eval_map, make_family
+from cuspforge import (DET_NORMALIZATION, ConfigError, Rpr2PrExact, Rpr2PrOffset, eval_map,
+                       make_family)
 from cuspforge.maps import canonical_phi, dedup_mask, newton, point_distances, wrap_delta
 
 from gridscan import fd_hessian, fd_jacobian, fd_jdet_grad
@@ -170,10 +171,13 @@ class TestOffsetSpecializesToInline:
         assert degenerate.default_box() == exact_family.default_box()
 
     def test_inline_family_takes_the_four_lengths_only(self):
-        assert [f.name for f in dataclasses.fields(Rpr2PrExact)] == ["a1", "a2", "b1", "b2"]
+        takes = [f.name for f in dataclasses.fields(Rpr2PrExact) if f.init]
+        assert takes == ["a1", "a2", "b1", "b2"]
         with pytest.raises(TypeError):
             Rpr2PrExact(3.0, 7.0, 6.0, 5.0, d=1.0)
-        assert make_family("rpr2pr_exact", a1=3.0, a2=7.0, b1=6.0, b2=5.0).kind == "rpr2pr_exact"
+        family = make_family("rpr2pr_exact", a1=3.0, a2=7.0, b1=6.0, b2=5.0)
+        assert family.kind == "rpr2pr_exact" and family.d == 0.0
+        assert isinstance(family, Rpr2PrOffset)
 
 
 class TestPeriodicity:
@@ -290,3 +294,26 @@ class TestValidation:
     def test_rejects_nonfinite_unfolding(self):
         with pytest.raises(ValueError):
             make_family("quarto_unfolded", a=math.nan, b=1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("kind, name", [
+        *((kind, name) for kind in ("rpr2pr_exact", "rpr2pr_offset")
+          for name in ("a1", "a2", "b1", "b2")),
+        ("rpr2pr_offset", "d")])
+    def test_rejects_non_finite_manipulator_parameters(self, kind, name, value):
+        params = dict(a1=3.0, a2=7.0, b1=6.0, b2=5.0) | {name: value}
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            make_family(kind, **params)
+
+    @pytest.mark.parametrize("kind, params", ALL_FAMILIES)
+    def test_missing_or_unexpected_parameters_are_config_errors(self, kind, params):
+        first, *rest = params
+        with pytest.raises(ConfigError, match=f"^family {kind} needs keys: {first}$"):
+            make_family(kind, **{k: params[k] for k in rest})
+        with pytest.raises(ConfigError, match=f"^family {kind} does not take keys: c, e$"):
+            make_family(kind, **params, c=1.0, e=2.0)
+
+    def test_offset_d_defaults_to_zero_and_the_inline_kind_takes_no_d(self):
+        assert make_family("rpr2pr_offset", a1=3.0, a2=7.0, b1=6.0, b2=5.0).d == 0.0
+        with pytest.raises(ConfigError, match="^family rpr2pr_exact does not take keys: d$"):
+            make_family("rpr2pr_exact", a1=3.0, a2=7.0, b1=6.0, b2=5.0, d=0.0)

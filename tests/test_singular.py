@@ -1,5 +1,6 @@
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +101,9 @@ class TestDetectionSystem:
         k = np.einsum("...ij,...j->...i", jac, t)
         dk = (np.einsum("...ijl,...j->...il", hess, t)
               + np.einsum("...ij,...jl->...il", jac, dt))
-        r, a, jac_out = _detection_batch(family, pts)
+        r, a, jac_out, jdet_hess = _detection_batch(family, pts)
         assert np.array_equal(jac_out, jac)
+        assert all(np.array_equal(got, want) for got, want in zip(jdet_hess, (jpp, jpy, jyy)))
         assert np.array_equal(r[:, 0], family.jdet(phi, y))
         assert np.array_equal(r[:, 1:], k)
         assert np.array_equal(a[:, 0], np.column_stack([jphi, jy]))
@@ -144,6 +146,29 @@ class TestInlineManipulator:
         cusp = offset_specials[0].location
         with pytest.raises(PreconditionViolated):
             quadratic_expansion(offset_family, cusp)
+
+    def test_corank2_points_take_one_jet_evaluation_and_one_svd(
+            self, monkeypatch, exact_family, exact_specials):
+        # Δ comes from the Hessian of J that the detection batch already
+        # holds, so a corank-2 point costs no more than a cusp.
+        reference_scales(exact_family)  # sampled once per family, not per point
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        jets = ("evaluate", "jacobian", "hessian", "jdet", "jdet_grad", "jdet_hess")
+        for name in jets:
+            monkeypatch.setattr(type(exact_family), name,
+                                counting(name, getattr(type(exact_family), name)))
+        for p in exact_specials:
+            calls.clear()
+            assert classify_point(exact_family, p.location) == p
+            assert calls == Counter(dict.fromkeys(jets + ("svd",), 1))
 
     def test_image_values(self, exact_specials):
         node, isolated = exact_specials
@@ -346,7 +371,7 @@ class TestWhitneyTest:
         assert len(cusps) == count
         for p in cusps:
             q = np.array(p.location)
-            _, a, jac = _detection_batch(family, q)
+            _, a, jac, _ = _detection_batch(family, q)
             derivative = _whitney_term(a, np.linalg.svd(jac)[0][:, 0])
             want = fd_whitney_derivative(family, q, jac)
             assert abs(derivative - want) <= 1e-5 * abs(want)
